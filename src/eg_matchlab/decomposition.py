@@ -10,6 +10,11 @@ problem.  The two canonical shapes are:
 
   form 1: all edges inside a fixed (2k+1)-set W   (S empty, one big block)
   form 2: all edges meeting a fixed k-set T       (S = T, singleton blocks)
+
+A ``Decomposition`` is stored as a vertex-label array (-1 for S, the block
+index otherwise), so its size is one vectorised pass over the graph's edge
+array.  The exact search below works on small graphs with bitmask vertex
+sets instead.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, popcount, vset, vset_members
+from .graph_core import (Graph, popcount, vset, vset_from_flags,
+                         vset_members)
 from .matching import max_matching, matching_number
 
 DEFAULT_N_EXACT_EXTREMAL = 12
@@ -32,89 +38,174 @@ DEFAULT_FORM_ENUM_BUDGET = 200_000
 # decomposition type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Decomposition:
     """Partition of 0..n-1 into S and odd blocks A_1 >= A_2 >= ... (by size).
+
+    Stored as one vertex-label array ``owner`` (int32, length n): owner[v]
+    is -1 for v in S and i for v in the i-th block in canonical order (size
+    descending, then smallest vertex), so owner[v] = 0 means v is in A_1.
+    ``block_sizes[i]`` is the size of block i.  The constructor takes any
+    integer labels (-1 for S, any nonnegative id per block) and relabels
+    them canonically, so equal partitions have equal ``owner`` arrays.
+    Instances are immutable; ``s_set``, ``blocks``, ``a1`` and ``b_mask``
+    are bitmask views (``blocks`` is built once, on first use).
 
     Derived statistics: s = |S|, d = number of blocks, r = d - s,
     B = union of A_2..A_d, y = |B| - (d - 1) (the excess beyond singletons).
     """
 
-    n: int
-    s_set: int
-    blocks: tuple[int, ...]
+    __slots__ = ("n", "owner", "block_sizes", "s", "_blocks")
 
-    def __post_init__(self):
-        if self.n <= 0:
+    def __init__(self, n: int, owner):
+        owner = np.asarray(owner)
+        if n <= 0:
             raise InputError("decomposition needs n >= 1")
-        if not self.blocks:
+        if owner.shape != (n,) or owner.dtype.kind not in "iu":
+            raise InputError("owner must hold one integer label per vertex")
+        if owner.min() < -1:
+            raise InputError("labels must be -1 (S) or block ids >= 0")
+        in_blocks = np.flatnonzero(owner >= 0)
+        labels, first, inverse = np.unique(owner[in_blocks], return_index=True,
+                                           return_inverse=True)
+        if not labels.size:
             raise InputError("decomposition needs at least one block")
-        full = (1 << self.n) - 1
-        if self.s_set < 0 or self.s_set >> self.n:
-            raise InputError("S contains out-of-range vertices")
-        seen = self.s_set
-        for b in self.blocks:
-            if b <= 0 or b >> self.n:
-                raise InputError("block out of range or empty")
-            if popcount(b) % 2 == 0:
-                raise InputError("blocks must have odd size")
-            if seen & b:
-                raise InputError("blocks and S must be pairwise disjoint")
-            seen |= b
-        if seen != full:
-            raise InputError("S and the blocks must cover all vertices")
-        if len(self.blocks) < popcount(self.s_set):
+        sizes = np.bincount(inverse)
+        if (sizes % 2 == 0).any():
+            raise InputError("blocks must have odd size")
+        s = n - in_blocks.size
+        if labels.size < s:
             raise InputError("r = d - |S| must be nonnegative")
-        ordered = tuple(sorted(self.blocks,
-                               key=lambda b: (-popcount(b), b & -b)))
-        object.__setattr__(self, "blocks", ordered)
+        order = np.lexsort((in_blocks[first], -sizes))
+        rank = np.empty(labels.size, dtype=np.int32)
+        rank[order] = np.arange(labels.size, dtype=np.int32)
+        canon = np.full(n, -1, dtype=np.int32)
+        canon[in_blocks] = rank[inverse]
+        sizes = sizes[order]
+        canon.flags.writeable = False
+        sizes.flags.writeable = False
+        for name, value in (("n", n), ("owner", canon), ("block_sizes", sizes),
+                            ("s", int(s)), ("_blocks", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Decomposition is immutable")
+
+    def __reduce__(self):           # copy and pickle through the constructor
+        return Decomposition, (self.n, self.owner)
+
+    def __eq__(self, other):
+        if not isinstance(other, Decomposition):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.owner, other.owner)
+
+    def __hash__(self):
+        return hash((self.n, self.owner.tobytes()))
+
+    def __repr__(self):
+        return (f"Decomposition(n={self.n}, s={self.s}, d={self.d}, "
+                f"a1_size={self.a1_size})")
 
     # -- statistics -----------------------------------------------------------
 
     @property
-    def s(self) -> int:
-        return popcount(self.s_set)
-
-    @property
     def d(self) -> int:
-        return len(self.blocks)
+        return len(self.block_sizes)
 
     @property
     def r(self) -> int:
         return self.d - self.s
 
     @property
-    def a1(self) -> int:
-        return self.blocks[0]
-
-    @property
     def a1_size(self) -> int:
-        return popcount(self.blocks[0])
-
-    @property
-    def b_mask(self) -> int:
-        mask = 0
-        for b in self.blocks[1:]:
-            mask |= b
-        return mask
+        return int(self.block_sizes[0])
 
     @property
     def b_size(self) -> int:
-        return popcount(self.b_mask)
+        return self.n - self.s - self.a1_size
 
     @property
     def y(self) -> int:
         return self.b_size - (self.d - 1)
 
+    # -- bitmask views ----------------------------------------------------------
+
+    @property
+    def s_set(self) -> int:
+        return vset_from_flags(self.owner < 0)
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", self._block_masks())
+        return self._blocks
+
+    @property
+    def a1(self) -> int:
+        return self.blocks[0]
+
+    @property
+    def b_mask(self) -> int:
+        return vset_from_flags(self.owner > 0)
+
+    def _block_masks(self) -> tuple[int, ...]:
+        # canonical order puts the non-singleton blocks first and the
+        # singletons after them, by vertex
+        grouped = np.argsort(self.owner, kind="stable")[self.s:]
+        big_sizes = self.block_sizes[self.block_sizes > 1].tolist()
+        flags = np.zeros(self.n, dtype=bool)
+        masks = []
+        start = 0
+        for size in big_sizes:
+            members = grouped[start:start + size]
+            flags[members] = True
+            masks.append(vset_from_flags(flags))
+            flags[members] = False
+            start += size
+        masks.extend(1 << v for v in grouped[start:].tolist())
+        return tuple(masks)
+
     # -- conversion -------------------------------------------------------------
+
+    def member_lists(self) -> tuple[list[int], list[list[int]]]:
+        """(sorted members of S, sorted members of each block in order)."""
+        grouped = np.argsort(self.owner, kind="stable").tolist()
+        bounds = [0, self.s, *(self.s + np.cumsum(self.block_sizes)).tolist()]
+        parts = [grouped[a:b] for a, b in zip(bounds, bounds[1:])]
+        return parts[0], parts[1:]
 
     @classmethod
     def from_lists(cls, n, s_members, block_members) -> "Decomposition":
-        return cls(n, vset(s_members), tuple(vset(b) for b in block_members))
+        """Decomposition from vertex lists; every vertex of 0..n-1 must occur
+        exactly once, in S or in one block."""
+        if n <= 0:
+            raise InputError("decomposition needs n >= 1")
+        try:
+            parts = [list(s_members)] + [list(b) for b in block_members]
+            flat = np.array([v for part in parts for v in part])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad decomposition member lists: {exc}") from exc
+        if not flat.size:
+            flat = flat.astype(np.int64)
+        elif flat.dtype.kind not in "iu":
+            raise InputError("vertex ids must be integers")
+        if not all(parts[1:]):
+            raise InputError("blocks must be non-empty")
+        if flat.size and (flat.min() < 0 or flat.max() >= n):
+            raise InputError(f"vertex ids must lie in 0..{n - 1}")
+        counts = np.bincount(flat, minlength=n)
+        if (counts > 1).any():
+            raise InputError(f"vertex {int(np.argmax(counts > 1))} occurs "
+                             "more than once")
+        if (counts == 0).any():
+            raise InputError("S and the blocks must cover all vertices")
+        owner = np.empty(n, dtype=np.int32)
+        owner[flat] = np.repeat(np.arange(-1, len(parts) - 1, dtype=np.int32),
+                                [len(part) for part in parts])
+        return cls(n, owner)
 
     def to_json_obj(self) -> dict:
-        return {"S": vset_members(self.s_set),
-                "blocks": [vset_members(b) for b in self.blocks]}
+        s_members, blocks = self.member_lists()
+        return {"S": s_members, "blocks": blocks}
 
     @classmethod
     def from_json_obj(cls, n: int, obj: dict) -> "Decomposition":
@@ -124,36 +215,30 @@ class Decomposition:
             raise InputError(f"bad decomposition object: {exc}") from exc
 
 
-def edge_set(g: Graph, pi: Decomposition) -> tuple[tuple[int, int], ...]:
-    """Edges of the subgraph induced by ``pi``: meeting S or inside a block."""
+def _kept_edges(g: Graph, pi: Decomposition) -> np.ndarray:
+    """Boolean mask over ``g.edge_array()``: the edge meets S (label -1) or
+    both endpoints carry the same block label."""
     if pi.n != g.n:
         raise InputError("decomposition and graph disagree on n")
-    s_mask = pi.s_set
-    owner = [-1] * g.n
-    for i, b in enumerate(pi.blocks):
-        for v in vset_members(b):
-            owner[v] = i
-    keep = []
-    for u, v in g.edge_list():
-        if s_mask >> u & 1 or s_mask >> v & 1 or owner[u] == owner[v]:
-            keep.append((u, v))
-    return tuple(keep)
+    labels = pi.owner[g.edge_array()]
+    lu, lv = labels[:, 0], labels[:, 1]
+    return (lu == lv) | (np.minimum(lu, lv) < 0)
+
+
+def edge_set(g: Graph, pi: Decomposition) -> tuple[tuple[int, int], ...]:
+    """Edges of the subgraph induced by ``pi``: meeting S or inside a block."""
+    kept = g.edge_array()[_kept_edges(g, pi)]
+    return tuple(map(tuple, kept.tolist()))
 
 
 def decomposition_size(g: Graph, pi: Decomposition) -> int:
     """|Pi| = number of edges meeting S plus edges inside blocks."""
-    if pi.n != g.n:
-        raise InputError("decomposition and graph disagree on n")
-    total = g.edges_meeting(pi.s_set)
-    for b in pi.blocks:
-        if popcount(b) > 1:
-            total += g.edges_within(b)
-    return total
+    return int(np.count_nonzero(_kept_edges(g, pi)))
 
 
 def nu_of_decomposition(g: Graph, pi: Decomposition) -> int:
     """Matching number of the decomposition's subgraph (always <= (n-r)/2)."""
-    return matching_number(Graph(g.n, edge_set(g, pi)))
+    return matching_number(Graph(g.n, g.edge_array()[_kept_edges(g, pi)]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ edge-counting primitives everything else is built on.
 
 Vertex sets are plain Python ints used as bitmasks (bit v set <=> vertex v in
 the set).  Adjacency is stored two ways: one bitmask row per vertex for
-n <= BITSET_ADJ_LIMIT (fast popcount counting, used by the exact solvers and
-the move machinery), and sorted neighbor lists (used by traversals and by the
-matching code).  Both are built lazily from a canonical numpy edge array.
+n <= BITSET_ADJ_LIMIT (fast popcount counting, used by the exact small-n
+solvers), and sorted neighbor lists (used by traversals and by the matching
+code).  Both are built lazily from the canonical numpy edge array through one
+CSR pass (a stable argsort of the arcs).  Counts over all vertices at once,
+such as ``degrees_into`` a vertex set given as a boolean array, run on the
+edge array directly; the decomposition and move code uses those.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ import numpy as np
 from .errors import InputError
 
 BITSET_ADJ_LIMIT = 1 << 16
+# the bitset rows are packed a chunk of rows at a time, from a boolean
+# temporary of about this many bytes; larger chunks raise peak memory and
+# build no faster
+ADJ_BITS_CHUNK_BYTES = 1 << 18
 
 RNG_NAME = "philox4x64-numpy"  # counter-based; recorded in experiment metadata
 
@@ -55,6 +62,12 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def vset_from_flags(flags: np.ndarray) -> int:
+    """Bitmask of the vertices whose entry in a boolean array is set."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                          "little")
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +121,44 @@ class Graph:
             if self.n > BITSET_ADJ_LIMIT:
                 raise InputError(
                     f"bitset adjacency unavailable for n={self.n} > {BITSET_ADJ_LIMIT}")
-            rows = [bytearray((self.n + 7) // 8) for _ in range(self.n)]
-            for u, v in self._edges:
-                u = int(u); v = int(v)
-                rows[u][v >> 3] |= 1 << (v & 7)
-                rows[v][u >> 3] |= 1 << (u & 7)
-            self._adj_bits = [int.from_bytes(r, "little") for r in rows]
+            indptr, indices = self._csr()
+            step = max(1, ADJ_BITS_CHUNK_BYTES // max(self.n, 1))
+            rows: list[int] = []
+            for lo in range(0, self.n, step):
+                hi = min(self.n, lo + step)
+                flags = np.zeros((hi - lo, self.n), dtype=bool)
+                flags[np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1])),
+                      indices[indptr[lo]:indptr[hi]]] = True
+                packed = np.packbits(flags, axis=1, bitorder="little")
+                del flags
+                rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
+            self._adj_bits = rows
         return self._adj_bits
 
     @property
     def adj_lists(self) -> list[list[int]]:
         if self._adj_lists is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self._edges:
-                lists[int(u)].append(int(v))
-                lists[int(v)].append(int(u))
-            for l in lists:
-                l.sort()
-            self._adj_lists = lists
+            indptr, indices = self._csr()
+            flat = indices.tolist()
+            bounds = indptr.tolist()
+            self._adj_lists = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
         return self._adj_lists
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted neighbours of every vertex as CSR arrays (indptr, indices):
+        the neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
+        u = self._edges[:, 0].astype(np.int32)
+        v = self._edges[:, 1].astype(np.int32)
+        # edges are sorted by (u, v) with u < v: listing the arcs v -> u
+        # before the arcs u -> v and sorting stably by source leaves every
+        # row ascending (smaller neighbours, then larger ones)
+        src = np.concatenate((v, u))
+        dst = np.concatenate((u, v))
+        del u, v
+        indices = dst[np.argsort(src, kind="stable")]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        return indptr, indices
 
     def has_bitset_adjacency(self) -> bool:
         return self.n <= BITSET_ADJ_LIMIT
@@ -206,6 +238,13 @@ class Graph:
         if self.has_bitset_adjacency():
             return popcount(self.adj_bits[v] & mask)
         return sum(1 for w in self.adj_lists[v] if mask >> w & 1)
+
+    def degrees_into(self, inside: np.ndarray) -> np.ndarray:
+        """Number of neighbours inside a vertex set, for every vertex at once;
+        ``inside`` is a boolean array of length n."""
+        u, v = self._edges[:, 0], self._edges[:, 1]
+        return (np.bincount(u[inside[v]], minlength=self.n)
+                + np.bincount(v[inside[u]], minlength=self.n))
 
     def edges_meeting(self, mask: int) -> int:
         """Number of edges with at least one endpoint in ``mask``."""

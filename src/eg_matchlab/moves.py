@@ -8,6 +8,10 @@ transformation producing a new decomposition with the same r = d - |S|
 edge-density behavior, is strictly larger.  Where a choice is left open, we
 pick the variant that maximizes the chance of improvement at finite n and
 record it in the report.
+
+Moves work on the decomposition's vertex-label array: the degree statistics
+they rank by are ``np.bincount`` passes over the labelled edge array, and
+each new decomposition is built from a relabelled copy of the array.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .decomposition import Decomposition, decomposition_size
 from .errors import InputError, MoveError
-from .graph_core import Graph, popcount, vset_members
+from .graph_core import Graph, vset_from_flags
 
 
 @dataclass(frozen=True)
@@ -119,37 +123,70 @@ def _guard_check(g: Graph, pi: Decomposition, case_id: int,
     return th
 
 
-def _min_degree_vertex(g: Graph, block: int) -> int:
-    best_v, best_d = -1, None
-    for v in vset_members(block):
-        d = g.degree_into(v, block)
-        if best_d is None or d < best_d:
-            best_v, best_d = v, d
-    return best_v
+def _in_block_degrees(g: Graph, pi: Decomposition) -> np.ndarray:
+    """For every vertex, its number of neighbours in its own block (0 for
+    vertices of S)."""
+    edges = g.edge_array()
+    labels = pi.owner[edges]
+    inside = (labels[:, 0] == labels[:, 1]) & (labels[:, 0] >= 0)
+    return np.bincount(edges[inside].ravel(), minlength=g.n)
+
+
+def _block_size_of(pi: Decomposition) -> np.ndarray:
+    """For every vertex, the size of its block (0 for vertices of S)."""
+    return np.where(pi.owner >= 0, pi.block_sizes[pi.owner], 0)
+
+
+def _rank_in_blocks(owner: np.ndarray, vertices: np.ndarray,
+                    keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``vertices`` sorted by (block label, key, vertex), and the positions
+    where each block's run starts: ``ranked[starts]`` holds every block's
+    vertex of smallest key, ties going to the smallest vertex."""
+    ranked = vertices[np.lexsort((vertices, keys[vertices], owner[vertices]))]
+    labels = owner[ranked]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = labels[1:] != labels[:-1]
+    return ranked, np.flatnonzero(first)
+
+
+def _mask(n: int, vertices: np.ndarray) -> int:
+    flags = np.zeros(n, dtype=bool)
+    flags[vertices] = True
+    return vset_from_flags(flags)
+
+
+def _report(g: Graph, pi: Decomposition, case_id: int, owner: np.ndarray,
+            moved: np.ndarray, th: CaseThresholds) -> MoveReport:
+    pi2 = Decomposition(pi.n, owner)
+    return MoveReport(case_id, pi, pi2, decomposition_size(g, pi),
+                      decomposition_size(g, pi2), _mask(pi.n, moved), th)
 
 
 # ---------------------------------------------------------------------------
-# cases 1 and 4: merge all excess into A_1
+# cases 1, 4 and 5: fold the excess of B into A_1
 # ---------------------------------------------------------------------------
+
+def _fold_into_a1(g: Graph, pi: Decomposition, case_id: int,
+                  keep_key: np.ndarray, th: CaseThresholds) -> MoveReport:
+    """Every non-singleton block after A_1 keeps the member with the
+    smallest ``keep_key`` as a singleton; the rest join A_1.  New
+    singletons get labels d + v, distinct from every existing label."""
+    owner = pi.owner
+    excess = np.flatnonzero((owner > 0) & (_block_size_of(pi) > 1))
+    ranked, starts = _rank_in_blocks(owner, excess, keep_key)
+    keep = ranked[starts]
+    new = owner.copy()
+    new[excess] = 0
+    new[keep] = pi.d + keep
+    moved = np.setdiff1d(excess, keep, assume_unique=True)
+    return _report(g, pi, case_id, new, moved, th)
+
 
 def _merge_excess(g: Graph, pi: Decomposition, case_id: int,
                   thresholds: CaseThresholds | None) -> MoveReport:
     th = _guard_check(g, pi, case_id, thresholds)
-    merged = pi.a1
-    singles = []
-    moved = 0
-    for block in pi.blocks[1:]:
-        if popcount(block) == 1:
-            singles.append(block)
-            continue
-        x = _min_degree_vertex(g, block)   # cheapest representative to leave
-        rest = block & ~(1 << x)
-        merged |= rest
-        moved |= rest
-        singles.append(1 << x)
-    pi2 = Decomposition(pi.n, pi.s_set, tuple([merged] + singles))
-    return MoveReport(case_id, pi, pi2, decomposition_size(g, pi),
-                      decomposition_size(g, pi2), moved, th)
+    # keep the cheapest representative: fewest neighbours in its block
+    return _fold_into_a1(g, pi, case_id, _in_block_degrees(g, pi), th)
 
 
 def apply_case1(g: Graph, pi: Decomposition,
@@ -162,6 +199,13 @@ def apply_case4(g: Graph, pi: Decomposition,
     return _merge_excess(g, pi, 4, thresholds)
 
 
+def apply_case5(g: Graph, pi: Decomposition,
+                thresholds: CaseThresholds | None = None) -> MoveReport:
+    th = _guard_check(g, pi, 5, thresholds)
+    # keep the vertex least connected to A_1; the rest join A_1
+    return _fold_into_a1(g, pi, 5, g.degrees_into(pi.owner == 0), th)
+
+
 # ---------------------------------------------------------------------------
 # case 2: promote a well-connected singleton into S
 # ---------------------------------------------------------------------------
@@ -169,48 +213,34 @@ def apply_case4(g: Graph, pi: Decomposition,
 def apply_case2(g: Graph, pi: Decomposition,
                 thresholds: CaseThresholds | None = None) -> MoveReport:
     th = _guard_check(g, pi, 2, thresholds)
-    singles = [b for b in pi.blocks if popcount(b) == 1]
-    bigs = [b for b in pi.blocks if popcount(b) >= 3]
-    if not singles:
+    owner = pi.owner
+    size_of = _block_size_of(pi)
+    singles = np.flatnonzero(size_of == 1)
+    bigs = np.flatnonzero(size_of >= 3)
+    if not singles.size:
         raise MoveError("case 2 needs a singleton block")
-    if not bigs:
+    if not bigs.size:
         raise MoveError("case 2 needs a non-singleton block")
-    union = 0
-    for b in pi.blocks:
-        union |= b
 
-    # x: singleton with the most neighbors among the blocks
-    x, x_deg = -1, -1
-    for b in singles:
-        v = b.bit_length() - 1
-        d = g.degree_into(v, union)
-        if d > x_deg:
-            x, x_deg = v, d
+    # x: singleton with the most neighbours among the blocks (smallest
+    # vertex on ties)
+    x = singles[np.argmax(g.degrees_into(owner >= 0)[singles])]
 
-    # (v, z): pair with the smallest in-block degree sum over non-singletons
-    best = None
-    for b in bigs:
-        degs = sorted((g.degree_into(v, b), v) for v in vset_members(b))
-        cost = degs[0][0] + degs[1][0]
-        key = (cost, b & -b)
-        if best is None or key < best[0]:
-            best = (key, b, degs[0][1], degs[1][1])
-    _, block_j, v1, v2 = best
+    # (v1, v2): the two members of lowest in-block degree (then smallest
+    # vertex) of the block minimizing their degree sum, ties going to the
+    # block with the smallest vertex
+    deg = _in_block_degrees(g, pi)
+    ranked, starts = _rank_in_blocks(owner, bigs, deg)
+    cost = deg[ranked[starts]] + deg[ranked[starts + 1]]
+    lowest = np.minimum.reduceat(ranked, starts)
+    j = starts[np.lexsort((lowest, cost))[0]]
+    v1, v2 = ranked[j], ranked[j + 1]
 
-    new_blocks = []
-    for b in pi.blocks:
-        if b == (1 << x):
-            continue
-        if b == block_j:
-            new_blocks.append(b & ~(1 << v1) & ~(1 << v2))
-            new_blocks.append(1 << v1)
-            new_blocks.append(1 << v2)
-        else:
-            new_blocks.append(b)
-    pi2 = Decomposition(pi.n, pi.s_set | (1 << x), tuple(new_blocks))
-    return MoveReport(2, pi, pi2, decomposition_size(g, pi),
-                      decomposition_size(g, pi2),
-                      (1 << x) | (1 << v1) | (1 << v2), th)
+    new = owner.copy()
+    new[x] = -1
+    new[v1] = pi.d + v1
+    new[v2] = pi.d + v2
+    return _report(g, pi, 2, new, np.array([x, v1, v2]), th)
 
 
 # ---------------------------------------------------------------------------
@@ -223,50 +253,13 @@ def apply_case3(g: Graph, pi: Decomposition, rng=None,
     th = _guard_check(g, pi, 3, thresholds)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=seed))
-    members = vset_members(pi.a1)
-    half = len(members) // 2
-    pick = rng.permutation(len(members))[:half]
-    a11 = 0
-    for i in pick:
-        a11 |= 1 << members[int(i)]
-    a12 = pi.a1 & ~a11
-    new_blocks = [1 << v for v in vset_members(a12)]
-    new_blocks.extend(pi.blocks[1:])
-    pi2 = Decomposition(pi.n, pi.s_set | a11, tuple(new_blocks))
-    return MoveReport(3, pi, pi2, decomposition_size(g, pi),
-                      decomposition_size(g, pi2), a11, th)
-
-
-# ---------------------------------------------------------------------------
-# case 5: absorb the excess vertices of B into A_1
-# ---------------------------------------------------------------------------
-
-def apply_case5(g: Graph, pi: Decomposition,
-                thresholds: CaseThresholds | None = None) -> MoveReport:
-    th = _guard_check(g, pi, 5, thresholds)
-    a1 = pi.a1
-    merged = a1
-    moved = 0
-    new_blocks = []
-    for block in pi.blocks[1:]:
-        if popcount(block) == 1:
-            new_blocks.append(block)
-            continue
-        # keep the vertex least connected to A_1; the rest join A_1
-        keep_v, keep_d = -1, None
-        for v in vset_members(block):
-            d = g.degree_into(v, a1)
-            if keep_d is None or d < keep_d:
-                keep_v, keep_d = v, d
-        rest = block & ~(1 << keep_v)
-        merged |= rest
-        moved |= rest
-        new_blocks.append(1 << keep_v)
-    if moved == 0:
-        raise MoveError("case 5 needs positive excess")
-    pi2 = Decomposition(pi.n, pi.s_set, tuple([merged] + new_blocks))
-    return MoveReport(5, pi, pi2, decomposition_size(g, pi),
-                      decomposition_size(g, pi2), moved, th)
+    members = np.flatnonzero(pi.owner == 0)
+    half = members.size // 2
+    a11 = members[rng.permutation(members.size)[:half]]
+    new = pi.owner.copy()
+    new[members] = pi.d + members
+    new[a11] = -1
+    return _report(g, pi, 3, new, a11, th)
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +269,20 @@ def apply_case5(g: Graph, pi: Decomposition,
 def _absorb_s(g: Graph, pi: Decomposition, case_id: int,
               thresholds: CaseThresholds | None) -> MoveReport:
     th = _guard_check(g, pi, case_id, thresholds)
-    s = pi.s
-    b_mask = pi.b_mask
-    if s > popcount(b_mask):
+    owner = pi.owner
+    b = np.flatnonzero(owner > 0)
+    if pi.s > b.size:
         raise MoveError(f"case {case_id} needs |S| <= |B| "
-                        f"(s={s}, |B|={popcount(b_mask)})")
-    a1 = pi.a1
-    ranked = sorted(((-g.degree_into(v, a1), v) for v in vset_members(b_mask)))
-    m_mask = 0
-    for _, v in ranked[:s]:
-        m_mask |= 1 << v
-    merged = a1 | pi.s_set | m_mask
-    new_blocks = [merged]
-    new_blocks.extend(1 << v for v in vset_members(b_mask & ~m_mask))
-    pi2 = Decomposition(pi.n, 0, tuple(new_blocks))
-    return MoveReport(case_id, pi, pi2, decomposition_size(g, pi),
-                      decomposition_size(g, pi2), m_mask, th)
+                        f"(s={pi.s}, |B|={b.size})")
+    # M: the |S| vertices of B with the most neighbours in A_1, ties going
+    # to the smallest vertex
+    deg_a1 = g.degrees_into(owner == 0)
+    m = b[np.lexsort((b, -deg_a1[b]))[:pi.s]]
+    new = owner.copy()
+    new[b] = pi.d + b
+    new[owner < 0] = 0
+    new[m] = 0
+    return _report(g, pi, case_id, new, m, th)
 
 
 def apply_case6(g: Graph, pi: Decomposition,

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from eg_matchlab.graph_core import Graph, vset
+from eg_matchlab.graph_core import Graph, vset, vset_members
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -79,6 +79,20 @@ def tb_max_over_subsets(g: Graph) -> int:
             if best is None or val > best:
                 best = val
     return best
+
+
+def decomposition_edges(g: Graph, pi) -> list[tuple[int, int]]:
+    """Edges a decomposition keeps, straight from the definition: an edge
+    stays when an endpoint lies in S or both endpoints lie in one block.
+    Reads the partition through its bitmask views and walks the edge list
+    one edge at a time."""
+    block_of = {}
+    for i, block in enumerate(pi.blocks):
+        for v in vset_members(block):
+            block_of[v] = i
+    s_set = pi.s_set
+    return [(u, v) for u, v in g.edge_list()
+            if s_set >> u & 1 or s_set >> v & 1 or block_of[u] == block_of[v]]
 
 
 def brute_vertex_cover(g: Graph) -> int:

@@ -1,8 +1,13 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eg_matchlab
 from eg_matchlab.cli import main
 from eg_matchlab.graph_core import Graph
 from eg_matchlab.matching import matching_number
@@ -103,6 +108,37 @@ class TestSubcommands:
         code, _, _ = run(capsys, ["improve", path, "--pi", "{bad",
                                   "--seed", "1"])
         assert code == 2
+
+
+MALFORMED_PI = [
+    '{"S": [-1], "blocks": [[0, 1, 2], [3]]}',        # negative vertex
+    '{"S": [], "blocks": [[0, 0, 0, 1, 2], [3]]}',    # repeated vertex
+    '{"S": [], "blocks": [[0, 1, 2], [4]]}',          # out of range
+]
+
+
+class TestMalformedDecomposition:
+    @pytest.mark.parametrize("pi", MALFORMED_PI)
+    def test_improve_exit_2(self, capsys, tmp_path, pi):
+        path = write_graph(tmp_path, cycle(4))
+        code, out, err = run(capsys, ["improve", path, "--pi", pi,
+                                      "--seed", "1"])
+        assert code == 2
+        assert out == "" and err.startswith("input error")
+
+    def test_improve_negative_vertex_no_traceback(self, tmp_path):
+        path = write_graph(tmp_path, cycle(4))
+        env = dict(os.environ)
+        src = str(Path(eg_matchlab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eg_matchlab.cli", "improve", path,
+             "--pi", MALFORMED_PI[0], "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("input error")
 
 
 class TestBoundsCli:

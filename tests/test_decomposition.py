@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -14,32 +16,36 @@ from eg_matchlab.harness import trial_seed
 from eg_matchlab.matching import matching_number
 
 from conftest import complete_graph
-from oracles import extremal_by_edge_subsets, random_forest
+from oracles import (decomposition_edges, extremal_by_edge_subsets,
+                     random_forest)
+from test_acceptance import CASE_SHAPES, scatter_partition
+
+
+def random_decomposition(n: int, seed: int) -> Decomposition:
+    """A valid decomposition of 0..n-1 (r >= 0) drawn from ``seed``."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    perm = rng.permutation(n).tolist()
+    s_size = int(rng.integers(0, n // 2 + 1))
+    while True:
+        rest = perm[s_size:]
+        blocks = []
+        i = 0
+        while i < len(rest):
+            c = int(rng.choice([1, 1, 1, 3, 3, 5]))
+            c = min(c, len(rest) - i)
+            if c % 2 == 0:
+                c -= 1
+            blocks.append(rest[i:i + c])
+            i += c
+        if len(blocks) >= s_size:
+            return Decomposition.from_lists(n, perm[:s_size], blocks)
+        s_size = max(0, s_size - 2)     # shrink S until r >= 0
 
 
 def decompositions(n: int):
     """Hypothesis strategy: valid decompositions of 0..n-1 (r >= 0)."""
-
-    def build(data):
-        rng = np.random.Generator(np.random.Philox(key=data))
-        perm = rng.permutation(n).tolist()
-        s_size = int(rng.integers(0, n // 2 + 1))
-        while True:
-            rest = perm[s_size:]
-            blocks = []
-            i = 0
-            while i < len(rest):
-                c = int(rng.choice([1, 1, 1, 3, 3, 5]))
-                c = min(c, len(rest) - i)
-                if c % 2 == 0:
-                    c -= 1
-                blocks.append(rest[i:i + c])
-                i += c
-            if len(blocks) >= s_size:
-                return Decomposition.from_lists(n, perm[:s_size], blocks)
-            s_size = max(0, s_size - 2)     # shrink S until r >= 0
-
-    return st.integers(0, 2 ** 32 - 1).map(build)
+    return st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: random_decomposition(n, seed))
 
 
 class TestDecompositionType:
@@ -57,7 +63,7 @@ class TestDecompositionType:
 
     def test_rejects_no_blocks(self):
         with pytest.raises(InputError):
-            Decomposition(2, 0b11, ())
+            Decomposition(2, [-1, -1])      # S = {0, 1}, no blocks
 
     def test_stats(self):
         pi = Decomposition.from_lists(9, [8], [[0, 1, 2], [3, 4, 5], [6], [7]])
@@ -92,6 +98,86 @@ class TestDecompositionType:
         again = Decomposition.from_json_obj(6, pi.to_json_obj())
         assert again == pi
 
+    def test_json_round_trip_hash(self):
+        pi = Decomposition.from_lists(9, [8], [[6], [0, 4, 2], [3, 1, 7], [5]])
+        again = Decomposition.from_json_obj(9, pi.to_json_obj())
+        assert again == pi and hash(again) == hash(pi)
+        assert len({pi, again}) == 1
+
+    def test_different_partitions_unequal(self):
+        a = Decomposition.from_lists(5, [], [[0, 1, 2], [3], [4]])
+        b = Decomposition.from_lists(5, [], [[0, 1, 3], [2], [4]])
+        c = Decomposition.from_lists(5, [4], [[0, 1, 2], [3]])
+        assert a != b and a != c and b != c
+        assert len({a, b, c}) == 3
+        assert a != a.to_json_obj()
+
+    def test_labels_relabelled_canonically(self):
+        # any block ids name the same partition; blocks go size first,
+        # then by smallest vertex
+        a = Decomposition(7, [5, -1, 9, 5, 2, 7, 5])
+        b = Decomposition(7, [0, -1, 2, 0, 1, 3, 0])
+        assert a == b and hash(a) == hash(b)
+        assert a.owner.tolist() == [0, -1, 1, 0, 2, 3, 0]
+        assert a.block_sizes.tolist() == [3, 1, 1, 1]
+
+    def test_bitmask_views(self):
+        pi = Decomposition.from_lists(9, [8], [[6], [0, 4, 2], [3, 1, 7], [5]])
+        assert pi.s_set == vset([8])
+        assert pi.blocks == (vset([0, 2, 4]), vset([1, 3, 7]), vset([5]),
+                             vset([6]))
+        assert pi.a1 == vset([0, 2, 4])
+        assert pi.b_mask == vset([1, 3, 5, 6, 7])
+        assert pi.to_json_obj() == {"S": [8], "blocks": [[0, 2, 4],
+                                                         [1, 3, 7], [5], [6]]}
+
+    def test_immutable(self):
+        pi = Decomposition.from_lists(3, [], [[0, 1, 2]])
+        with pytest.raises(AttributeError):
+            pi.n = 4
+        with pytest.raises(ValueError):
+            pi.owner[0] = -1
+        assert copy.deepcopy(pi) == pi
+        assert pickle.loads(pickle.dumps(pi)) == pi
+
+
+class TestMalformedInput:
+    def test_rejects_negative_vertex(self):
+        with pytest.raises(InputError):
+            Decomposition.from_lists(4, [-1], [[0, 1, 2], [3]])
+
+    def test_rejects_repeated_vertex(self):
+        with pytest.raises(InputError):
+            Decomposition.from_lists(4, [], [[0, 0, 0, 1, 2], [3]])
+
+    def test_rejects_vertex_in_s_and_block(self):
+        with pytest.raises(InputError):
+            Decomposition.from_lists(4, [3], [[0, 1, 2], [3]])
+
+    def test_rejects_out_of_range_vertex(self):
+        with pytest.raises(InputError):
+            Decomposition.from_lists(4, [], [[0, 1, 2], [4]])
+
+    @pytest.mark.parametrize("obj", [
+        {"S": ["a"], "blocks": [[0, 1, 2], [3]]},
+        {"S": [], "blocks": [[0, 1.5, 2], [3]]},
+        {"S": [], "blocks": [[0, [1], 2], [3]]},
+        {"S": [], "blocks": [[0, 1, 2], [3], []]},
+        {"S": 3, "blocks": [[0, 1, 2]]},
+        {"S": [], "blocks": 7},
+        {"S": []},
+    ])
+    def test_rejects_malformed_json(self, obj):
+        with pytest.raises(InputError):
+            Decomposition.from_json_obj(4, obj)
+
+    @pytest.mark.parametrize("owner", [
+        [0, 0, 0, -2], [0, 0, 0], [0.0, 0.0, 0.0, 1.0], [[0, 0], [0, 1]],
+    ])
+    def test_rejects_bad_owner(self, owner):
+        with pytest.raises(InputError):
+            Decomposition(4, owner)
+
 
 class TestEdgeSet:
     def test_k4_triangle_block(self, k4):
@@ -117,6 +203,30 @@ class TestEdgeSet:
     def test_size_matches_edge_set(self, pi, seed):
         g = gen_gnp(GnpParams(9, 0.5, seed))
         assert decomposition_size(g, pi) == len(edge_set(g, pi))
+
+
+class TestSizeAgainstOracle:
+    """decomposition_size and edge_set against the per-edge oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_random_graphs(self, n, p, seed):
+        g = gen_gnp(GnpParams(n, p, seed))
+        pi = random_decomposition(n, seed)
+        want = decomposition_edges(g, pi)
+        assert edge_set(g, pi) == tuple(want)
+        assert decomposition_size(g, pi) == len(want)
+
+    @pytest.mark.parametrize("case_id", sorted(CASE_SHAPES))
+    def test_criterion4_shapes(self, case_id, dense20000):
+        shape = CASE_SHAPES[case_id]
+        rng = np.random.Generator(np.random.Philox(key=case_id))
+        pi = scatter_partition(dense20000.n, shape["a1"], shape["extra"],
+                               shape["s"], rng)
+        want = decomposition_edges(dense20000, pi)
+        assert decomposition_size(dense20000, pi) == len(want)
+        assert edge_set(dense20000, pi) == tuple(want)
 
 
 class TestNuOfDecomposition:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eg_matchlab.errors import InputError
+from eg_matchlab import graph_core
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset
 
 from conftest import complete_graph, path_graph
@@ -46,6 +47,41 @@ class TestConstruction:
         for u in range(4):
             for v in range(4):
                 assert g.has_edge(u, v) == g.has_edge(v, u)
+
+
+def naive_adjacency(g: Graph) -> tuple[list[list[int]], list[int]]:
+    lists = [[] for _ in range(g.n)]
+    for u, v in g.edge_list():
+        lists[u].append(v)
+        lists[v].append(u)
+    lists = [sorted(l) for l in lists]
+    return lists, [vset(l) for l in lists]
+
+
+class TestAdjacencyBuild:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 70), st.sampled_from([0.0, 0.05, 0.3, 0.8, 1.0]),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 200))
+    def test_matches_naive_build(self, n, p, seed, chunk_bytes):
+        # a tiny chunk budget makes the bitset build cross many chunks
+        g = gen_gnp(GnpParams(n, p, seed)) if n else Graph(0)
+        lists, bits = naive_adjacency(g)
+        old = graph_core.ADJ_BITS_CHUNK_BYTES
+        graph_core.ADJ_BITS_CHUNK_BYTES = chunk_bytes
+        try:
+            assert g.adj_bits == bits
+        finally:
+            graph_core.ADJ_BITS_CHUNK_BYTES = old
+        assert g.adj_lists == lists
+        assert all(type(w) is int for l in g.adj_lists for w in l)
+
+    def test_degrees_into_matches_degree_into(self):
+        g = gen_gnp(GnpParams(40, 0.3, 17))
+        inside = np.zeros(40, dtype=bool)
+        inside[::3] = True
+        mask = vset(np.flatnonzero(inside).tolist())
+        assert g.degrees_into(inside).tolist() == [
+            g.degree_into(v, mask) for v in range(40)]
 
 
 class TestGnp:

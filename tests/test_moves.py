@@ -13,6 +13,8 @@ from eg_matchlab.moves import (CaseThresholds, apply_case,
                                apply_case7, classify_case, improve,
                                is_canonical)
 
+from oracles import decomposition_edges
+
 
 def pi_with(n, a1_size, extra_blocks, s_size):
     """Partition of 0..n-1: A1 first, then the extra block sizes, then S,
@@ -137,11 +139,8 @@ class TestClassification:
 
 
 def delta_by_direct_count(g, report):
-    before = set()
-    after = set()
-    from eg_matchlab.decomposition import edge_set
-    before = set(edge_set(g, report.pi_before))
-    after = set(edge_set(g, report.pi_after))
+    before = decomposition_edges(g, report.pi_before)
+    after = decomposition_edges(g, report.pi_after)
     return len(after) - len(before)
 
 
@@ -211,6 +210,14 @@ class TestApplyMechanics:
         assert rep.pi_after.s_set == vset([100])   # highest degree singleton
         assert rep.size_after == rep.size_before + 3 - 0
         assert rep.delta == delta_by_direct_count(g, rep)
+
+    def test_case2_singleton_tie_goes_to_smallest_vertex(self):
+        # singletons 50 and 100 both see two block vertices
+        n = 7000
+        g = Graph(n, [(100, 0), (100, 1), (50, 3), (50, 4)])
+        pi = pi_with(n, 3, [3], 0)
+        rep = apply_case2(g, pi)
+        assert rep.pi_after.s_set == vset([50])
 
     def test_case2_guard_implies_singletons_exist(self):
         # with r >= 0 enforced, a case-2 decomposition without singleton
