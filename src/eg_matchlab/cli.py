@@ -72,11 +72,9 @@ def _cmd_tau(args) -> int:
 
 def _cmd_tb_witness(args) -> int:
     g = _read_graph(args.file)
-    w = tutte_berge_witness(g, n_exact=args.n_exact,
-                            allow_heuristic=args.heuristic)
+    w = tutte_berge_witness(g)
     _emit_json(args, {"n": g.n, "s_set": vset_members(w.s_set),
-                      "odd_count": w.odd_count, "deficiency": w.deficiency,
-                      "exhaustive": w.exhaustive})
+                      "odd_count": w.odd_count, "deficiency": w.deficiency})
     return EXIT_OK
 
 
@@ -238,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="eg-matchlab",
         description="matching-number extremal subgraphs, bounds, experiments")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap internal parallelism (currently single-threaded)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample G(n,p) to edge-list text")
@@ -260,10 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tau)
 
-    p = sub.add_parser("tb-witness", help="deficiency witness set")
+    p = sub.add_parser("tb-witness",
+                       help="Tutte-Berge witness: the Gallai-Edmonds barrier A(G)")
     p.add_argument("file")
-    p.add_argument("--n-exact", type=int, default=20)
-    p.add_argument("--heuristic", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tb_witness)
 

@@ -83,12 +83,14 @@ class Graph:
         if n < 0:
             raise InputError("vertex count must be >= 0")
         self.n = n
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.size == 0:
-            arr = arr.reshape(0, 2)
+            arr = np.zeros((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InputError("edges must be (u, v) pairs")
+        if arr.dtype.kind not in "iu":
+            raise InputError(f"edge endpoints must be integers (got {arr.dtype})")
+        arr = arr.astype(np.int64, copy=False)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
                 raise InputError("edge endpoint out of range")
@@ -296,6 +298,19 @@ class Graph:
                         stack.append(w)
             out.append(comp)
         return out
+
+    def induced_adjacency(self, mask: int) -> list[int]:
+        """Bitmask adjacency rows of the subgraph induced on ``mask``, its
+        vertices renumbered 0..k-1 in ascending order."""
+        verts = vset_members(mask)
+        local = {v: i for i, v in enumerate(verts)}
+        adj = self.adj_lists
+        rows = [0] * len(verts)
+        for i, v in enumerate(verts):
+            for w in adj[v]:
+                if mask >> w & 1:
+                    rows[i] |= 1 << local[w]
+        return rows
 
     # -- serialization --------------------------------------------------------
 

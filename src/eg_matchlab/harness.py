@@ -134,14 +134,7 @@ def independence_at_least(g: Graph, target: int,
     counter = [0]
     comps = []
     for comp in g.components():
-        verts = vset_members(comp)
-        local = {v: i for i, v in enumerate(verts)}
-        masks = [0] * len(verts)
-        for v in verts:
-            for w in g.adj_lists[v]:
-                if comp >> w & 1:
-                    masks[local[v]] |= 1 << local[w]
-        comps.append(masks)
+        comps.append(g.induced_adjacency(comp))
     comps.sort(key=len)
 
     # alpha is additive over components: solve each exactly, short-circuit
@@ -283,6 +276,7 @@ def build_failure_certificate(g: Graph,
                               node_budget: int = DEFAULT_IS_NODE_BUDGET):
     """Returns (certificate, reason); certificate is None with a reason when
     either half of the evidence is missing or undecided."""
+    node_budget = _env_budget(node_budget)
     count, witnesses = count_isolated_p3(g)
     if count < 2:
         return None, f"only {count} isolated 3-path component(s)"
@@ -428,6 +422,12 @@ class RegimeSpec:
     density_samples: int = 100
     vc_budget: int | None = None
     is_budget: int = DEFAULT_IS_NODE_BUDGET
+
+    def __post_init__(self):
+        for name in ("vc_budget", "is_budget"):
+            budget = getattr(self, name)
+            if budget is not None and budget <= 0:
+                raise InputError(f"{name} must be positive (got {budget})")
 
     def resolve_p(self) -> tuple[float, dict]:
         flags = {}

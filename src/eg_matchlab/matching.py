@@ -2,28 +2,34 @@
 and exact vertex cover via kernelized branch and bound.
 
 The Tutte-Berge formula n - 2*nu(G) = max_S o(G - S) - |S| (o = number of odd
-components) certifies matching optimality and drives the witness search.
+components) certifies matching optimality.  One alternating-forest search
+with blossom contraction serves both halves: grown from a single exposed
+vertex it finds an augmenting path, and grown from every exposed vertex of a
+maximum matching its even labels are the Gallai-Edmonds set D, whose outside
+neighbourhood A(G) is an optimal witness S.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, iter_bits, popcount, vset
+from .graph_core import Graph, iter_bits, popcount
 
-DEFAULT_N_EXACT_TB = 20
 DEFAULT_VC_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EG_MATCHLAB_BUDGET"
 
 
-def _env_budget(default: int) -> int:
+def _env_budget(budget: int) -> int:
+    """The node budget to use: the environment override when set, else
+    ``budget``.  Both must be positive."""
+    if budget <= 0:
+        raise InputError(f"node budget must be positive (got {budget})")
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
-        return default
+        return budget
     try:
         value = int(raw)
     except ValueError as exc:
@@ -43,12 +49,6 @@ class Matching:
     def size(self) -> int:
         return len(self.pairs)
 
-    def covered(self) -> int:
-        mask = 0
-        for u, v in self.pairs:
-            mask |= (1 << u) | (1 << v)
-        return mask
-
 
 @dataclass(frozen=True)
 class TBWitness:
@@ -61,7 +61,6 @@ class TBWitness:
     s_set: int
     odd_count: int
     deficiency: int
-    exhaustive: bool
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +69,17 @@ class TBWitness:
 
 def max_matching(g: Graph) -> Matching:
     """Maximum matching via augmenting-path search with blossom contraction."""
+    mate = _maximum_mate(g)
+    return Matching(tuple(sorted((u, w) for u, w in enumerate(mate) if w > u)))
+
+
+def matching_number(g: Graph) -> int:
+    return max_matching(g).size
+
+
+def _maximum_mate(g: Graph) -> list[int]:
+    """mate[v] in a maximum matching, -1 where v is exposed: a greedy warm
+    start, then one augmenting search from each exposed vertex in turn."""
     n = g.n
     adj = g.adj_lists
     match = [-1] * n
@@ -82,30 +92,38 @@ def max_matching(g: Graph) -> Matching:
                     break
     for root in range(n):
         if match[root] == -1:
-            _augment_from(root, adj, match)
-    pairs = tuple(sorted((u, match[u]) for u in range(n) if match[u] > u))
-    return Matching(pairs)
+            _alternating_forest([root], adj, match)
+    return match
 
 
-def matching_number(g: Graph) -> int:
-    return max_matching(g).size
+def _alternating_forest(roots: list[int], adj: list[list[int]],
+                        match: list[int]) -> list[bool]:
+    """Grow alternating trees from the exposed ``roots`` breadth first,
+    contracting each odd cycle (blossom) into its base.  When a tree reaches
+    an exposed vertex that is not a root, augment ``match`` along that path
+    and stop.
 
-
-def _augment_from(root: int, adj: list[list[int]], match: list[int]) -> bool:
+    Returns the even labels: the roots, the mates of odd vertices and every
+    vertex of a contracted blossom.  Two trees never meet when ``match`` is
+    maximum, so a search from several roots is run only on a maximum
+    matching, where it completes the whole forest.
+    """
     n = len(adj)
     parent = [-1] * n
     base = list(range(n))
-    in_tree = [False] * n
-    in_tree[root] = True
-    queue = deque([root])
+    even = [False] * n
+    for r in roots:
+        even[r] = True
+    queue = deque(roots)
     finish = -1
     while queue and finish == -1:
         v = queue.popleft()
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # odd cycle: contract the blossom up to the common base
+            # an even ``to`` (a root, or the mate of an odd vertex) closes an
+            # odd cycle: contract the blossom up to the common base
+            if even[to] if match[to] == -1 else parent[match[to]] != -1:
                 cur = _lowest_common_base(v, to, base, match, parent)
                 marked = [False] * n
                 _mark_blossom_path(v, cur, to, marked, base, match, parent)
@@ -113,18 +131,16 @@ def _augment_from(root: int, adj: list[list[int]], match: list[int]) -> bool:
                 for i in range(n):
                     if marked[base[i]]:
                         base[i] = cur
-                        if not in_tree[i]:
-                            in_tree[i] = True
+                        if not even[i]:
+                            even[i] = True
                             queue.append(i)
             elif parent[to] == -1:
                 parent[to] = v
                 if match[to] == -1:
                     finish = to
                     break
-                in_tree[match[to]] = True
+                even[match[to]] = True
                 queue.append(match[to])
-    if finish == -1:
-        return False
     v = finish
     while v != -1:
         pv = parent[v]
@@ -132,7 +148,7 @@ def _augment_from(root: int, adj: list[list[int]], match: list[int]) -> bool:
         match[v] = pv
         match[pv] = v
         v = nxt
-    return True
+    return even
 
 
 def _lowest_common_base(a, b, base, match, parent):
@@ -166,54 +182,29 @@ def odd_components(g: Graph, s_mask: int) -> int:
     return sum(1 for comp in g.components(s_mask) if popcount(comp) & 1)
 
 
-def tutte_berge_witness(g: Graph, n_exact: int = DEFAULT_N_EXACT_TB,
-                        allow_heuristic: bool = False) -> TBWitness:
-    """A set S maximizing (odd components of G - S) - |S|.
+def tutte_berge_witness(g: Graph) -> TBWitness:
+    """The Gallai-Edmonds barrier S = A(G), a set maximizing
+    (odd components of G - S) - |S|.
 
-    Exact mode (n <= n_exact) enumerates candidate sets in increasing size and
-    returns the first achiever of the known optimum n - 2*nu(G), so it always
-    returns a minimum-cardinality optimal witness.  Above the cutoff a witness
-    derived from maximum-matching structure is returned when
-    ``allow_heuristic`` is set (it is optimal in practice, but flagged), else
-    a CapabilityError is raised.
+    One alternating-forest search from every exposed vertex of a maximum
+    matching labels even exactly the set D of vertices that some maximum
+    matching misses, and A(G) = N(D) \\ D.  Each component of G[D] is odd
+    and the rest of G - A(G) is even, so the deficiency is n - 2*nu(G)
+    (Edmonds 1965; Lovasz & Plummer, Matching Theory, ch. 3); odd_count is
+    counted on G - S, so the witness certifies itself.  A(G) is the same for
+    every maximum matching and exact at every n, but it need not be a
+    witness with the fewest vertices: on the path 0-1-2 it is {1}, while the
+    empty set attains the same deficiency 1.
     """
-    n = g.n
-    deficiency = n - 2 * matching_number(g)
-    if n <= n_exact:
-        for size in range(n + 1):
-            for combo in itertools.combinations(range(n), size):
-                s_mask = vset(combo)
-                o = odd_components(g, s_mask)
-                if o - size == deficiency:
-                    return TBWitness(s_mask, o, deficiency, exhaustive=True)
-        raise AssertionError("Tutte-Berge identity violated")  # unreachable
-    if not allow_heuristic:
-        raise CapabilityError(
-            f"exhaustive witness search limited to n <= {n_exact} (got n={n}); "
-            "pass allow_heuristic=True for a structural witness")
-    s_mask = _structural_witness_set(g)
-    o = odd_components(g, s_mask)
-    return TBWitness(s_mask, o, o - popcount(s_mask), exhaustive=False)
-
-
-def _structural_witness_set(g: Graph) -> int:
-    """S = vertices adjacent to, but outside, the set D of vertices missed by
-    some maximum matching.  D is found by per-vertex matching probes."""
-    nu = matching_number(g)
-    d_mask = 0
-    for v in range(g.n):
-        if matching_number(_without_vertex(g, v)) == nu:
-            d_mask |= 1 << v
+    adj = g.adj_lists
+    mate = _maximum_mate(g)
+    d = _alternating_forest([v for v in range(g.n) if mate[v] == -1], adj, mate)
     s_mask = 0
     for v in range(g.n):
-        if not (d_mask >> v & 1) and any(d_mask >> w & 1 for w in g.adj_lists[v]):
+        if not d[v] and any(d[w] for w in adj[v]):
             s_mask |= 1 << v
-    return s_mask
-
-
-def _without_vertex(g: Graph, v: int) -> Graph:
-    edges = [(a, b) for a, b in g.edge_list() if a != v and b != v]
-    return Graph(g.n, edges)
+    o = odd_components(g, s_mask)
+    return TBWitness(s_mask, o, o - popcount(s_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +249,8 @@ def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
     total = 0
     counter = [0]
     for comp in g.components():
-        verts = [v for v in iter_bits(comp)]
-        local = {v: i for i, v in enumerate(verts)}
-        k = len(verts)
-        masks = [0] * k
-        for v in verts:
-            for w in g.adj_lists[v]:
-                if comp >> w & 1:
-                    masks[local[v]] |= 1 << local[w]
-        total += _vc_component(masks, (1 << k) - 1, counter, budget)
+        masks = g.induced_adjacency(comp)
+        total += _vc_component(masks, (1 << len(masks)) - 1, counter, budget)
     return total
 
 

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from eg_matchlab.graph_core import Graph, vset, vset_members
+from eg_matchlab.matching import matching_number
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -79,6 +80,20 @@ def tb_max_over_subsets(g: Graph) -> int:
             if best is None or val > best:
                 best = val
     return best
+
+
+def gallai_edmonds_by_deletion(g: Graph) -> int:
+    """The Gallai-Edmonds set D (vertices missed by some maximum matching)
+    as a bitmask, from the definition: v is in D iff deleting v leaves the
+    matching number unchanged.  Makes n + 1 calls of the one-root-at-a-time
+    matching search, which the brute-force matching oracle checks."""
+    nu = matching_number(g)
+    d_mask = 0
+    for v in range(g.n):
+        rest = [(a, b) for a, b in g.edge_list() if v not in (a, b)]
+        if matching_number(Graph(g.n, rest)) == nu:
+            d_mask |= 1 << v
+    return d_mask
 
 
 def decomposition_edges(g: Graph, pi) -> list[tuple[int, int]]:

@@ -32,8 +32,8 @@ from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
 from eg_matchlab.harness import (RegimeSpec, build_failure_certificate,
                                  records_to_csv, run_trials, sample_p3_counts,
                                  trial_seed)
-from eg_matchlab.matching import (matching_number, tutte_berge_witness,
-                                  vertex_cover_number)
+from eg_matchlab.matching import (matching_number, odd_components,
+                                  tutte_berge_witness, vertex_cover_number)
 from eg_matchlab.moves import CaseThresholds, apply_case, classify_case
 
 from conftest import complete_graph
@@ -108,13 +108,15 @@ class TestCriterion2CompleteGraphs:
 
 class TestCriterion3TutteBerge:
     def test_exhaustive_witness_identity(self):
+        """The witness S certifies itself: o(G - S) - |S| = n - 2 nu(G)."""
         bad = []
         for tag in range(500):
             n = 3 + tag % 10
             p = [0.15, 0.3, 0.5, 0.7, 0.85][tag % 5]
             g = gen_gnp(GnpParams(n, p, trial_seed(0xACC3, tag)))
             w = tutte_berge_witness(g)
-            if not w.exhaustive or w.deficiency != g.n - 2 * matching_number(g):
+            attained = odd_components(g, w.s_set) - w.s_set.bit_count()
+            if not attained == w.deficiency == g.n - 2 * matching_number(g):
                 bad.append(tag)
         ok = not bad
         report(3, ok, "(500 graphs, n <= 12)")
@@ -127,18 +129,20 @@ class TestCriterion3TutteBerge:
 
 def scatter_partition(n, a1_size, extra_block_sizes, s_size, rng):
     """Random vertex assignment with the given shape: A1, extra blocks, S,
-    everything else singletons."""
-    perm = rng.permutation(n).tolist()
-    i = 0
-    blocks = [perm[i:i + a1_size]]
-    i += a1_size
-    for c in extra_block_sizes:
-        blocks.append(perm[i:i + c])
-        i += c
-    s = perm[i:i + s_size]
-    i += s_size
-    blocks.extend([v] for v in perm[i:])
-    return Decomposition.from_lists(n, s, blocks)
+    everything else singletons.  One permutation of the vertices is laid
+    over the shape in that order."""
+    sizes = [a1_size, *extra_block_sizes]
+    d = len(sizes)
+    singles = n - sum(sizes) - s_size
+    labels = np.concatenate([np.repeat(np.arange(d), sizes),
+                             np.full(s_size, -1), np.arange(d, d + singles)])
+    owner = np.empty(n, dtype=np.int32)
+    owner[rng.permutation(n)] = labels
+    return Decomposition(n, owner)
+
+
+def blocks_odd(pi):
+    return bool((np.bincount(pi.owner[pi.owner >= 0]) % 2).all())
 
 
 # documented constructions, one per case (n = 20000, p = 8 ln n / n):
@@ -174,8 +178,7 @@ class TestCriterion4Moves:
             assert classify_case(g, pi) == case_id
             rep = apply_case(g, pi, case_id, rng=rng)
             assert rep.pi_after.r == pi.r, "r must be preserved"
-            assert all(b.bit_count() % 2 for b in rep.pi_after.blocks), \
-                "blocks must stay odd"
+            assert blocks_odd(rep.pi_after), "blocks must stay odd"
             improved += rep.size_after > rep.size_before
         ok = improved >= 99
         report(4, ok, f"(case {case_id}: {improved}/100 strict improvements)")
@@ -217,7 +220,7 @@ class TestCriterion4Moves:
             assert classify_case(g, pi) == 5
             rep = apply_case(g, pi, 5, rng=rng)
             assert rep.pi_after.r == pi.r
-            assert all(b.bit_count() % 2 for b in rep.pi_after.blocks)
+            assert blocks_odd(rep.pi_after)
             improved += rep.size_after > rep.size_before
         ok = improved >= 99
         report(4, ok, f"(case 5 at n=20002: {improved}/100 improvements)")

@@ -9,7 +9,7 @@ import pytest
 
 import eg_matchlab
 from eg_matchlab.cli import main
-from eg_matchlab.graph_core import Graph
+from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
 from eg_matchlab.matching import matching_number
 
 from conftest import complete_graph, cycle
@@ -59,7 +59,35 @@ class TestSubcommands:
         code, out, _ = run(capsys, ["tb-witness", path])
         obj = json.loads(out)
         assert code == 0
-        assert obj["s_set"] == [0] and obj["deficiency"] == 2
+        assert obj == {"n": 4, "s_set": [0], "odd_count": 3, "deficiency": 2}
+
+    def test_tb_witness_large(self, capsys, tmp_path):
+        g = gen_gnp(GnpParams(1000, 2 / 1000, 5))
+        path = write_graph(tmp_path, g)
+        code, out, _ = run(capsys, ["tb-witness", path])
+        obj = json.loads(out)
+        assert code == 0
+        assert obj["odd_count"] - len(obj["s_set"]) == obj["deficiency"]
+        assert obj["deficiency"] == g.n - 2 * matching_number(g)
+
+    @pytest.mark.parametrize("flag", [["--n-exact", "30"], ["--heuristic"]])
+    def test_tb_witness_has_no_knobs(self, tmp_path, flag):
+        path = write_graph(tmp_path, cycle(5))
+        with pytest.raises(SystemExit):
+            main(["tb-witness", path] + flag)
+
+    def test_threads_flag_rejected(self, tmp_path):
+        path = write_graph(tmp_path, cycle(5))
+        with pytest.raises(SystemExit):
+            main(["--threads", "2", "nu", path])
+
+    @pytest.mark.parametrize("budget", ["0", "-4"])
+    def test_non_positive_budget_exit_2(self, capsys, tmp_path, budget):
+        path = write_graph(tmp_path, Graph(1))
+        code, out, err = run(capsys, ["tau", path, "--budget", budget])
+        assert code == 2 and out == "" and err.startswith("input error")
+        code, out, err = run(capsys, ["certify", path, "--budget", budget])
+        assert code == 2 and out == "" and err.startswith("input error")
 
     def test_egcheck_k6(self, capsys, tmp_path):
         path = write_graph(tmp_path, complete_graph(6))

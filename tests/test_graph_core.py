@@ -38,6 +38,19 @@ class TestConstruction:
         with pytest.raises(InputError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("edges", [
+        [(0.5, 1.7)], [(0, 1.0)], np.array([[0.0, 1.0]]),
+        np.array([[True, False]])], ids=["floats", "mixed", "float-array",
+                                         "bool-array"])
+    def test_rejects_non_integer_endpoints(self, edges):
+        with pytest.raises(InputError):
+            Graph(3, edges)
+
+    def test_empty_edge_lists_valid(self):
+        for edges in ([], (), np.zeros((0, 2)), np.zeros(0, dtype=np.int64)):
+            assert Graph(3, edges).m == 0
+        assert Graph(3, np.array([[2, 0]], dtype=np.uint8)).edge_list() == [(0, 2)]
+
     def test_edge_count_cap(self):
         g = complete_graph(6)
         assert g.m == 15 == 6 * 5 // 2
@@ -82,6 +95,14 @@ class TestAdjacencyBuild:
         mask = vset(np.flatnonzero(inside).tolist())
         assert g.degrees_into(inside).tolist() == [
             g.degree_into(v, mask) for v in range(40)]
+
+    def test_induced_adjacency_ascending_local_ids(self):
+        # the branch-and-bound solvers number a component's vertices in
+        # ascending order; their node counts depend on it
+        g = Graph(6, [(0, 2), (2, 4), (1, 3), (4, 5), (0, 4)])
+        assert g.induced_adjacency(0b110101) == [0b0110, 0b0101, 0b1011, 0b0100]
+        assert g.induced_adjacency(0b001010) == [0b10, 0b01]
+        assert g.induced_adjacency(0) == []
 
 
 class TestGnp:

@@ -83,6 +83,15 @@ class TestEmptyHalf:
         assert verdict == "unknown"
         assert "budget" in reason
 
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_non_positive_budget_is_input_error(self, budget):
+        with pytest.raises(InputError):
+            has_empty_half(Graph(1), node_budget=budget)
+        with pytest.raises(InputError):
+            independence_at_least(Graph(1), 1, node_budget=budget)
+        with pytest.raises(InputError):
+            build_failure_certificate(Graph(1), node_budget=budget)
+
     def test_independence_short_circuits(self):
         g = Graph(6, [(0, 1)])
         assert independence_at_least(g, 5) is True
@@ -191,6 +200,13 @@ class TestRegimes:
         spec = RegimeSpec(n=100, p_rule="middle", trials=1, master_seed=1)
         with pytest.raises(InputError):
             spec.resolve_p()
+
+    @pytest.mark.parametrize("field", ["vc_budget", "is_budget"])
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_non_positive_budget_is_input_error(self, field, budget):
+        with pytest.raises(InputError):
+            RegimeSpec(n=10, p_rule="forest", trials=1, master_seed=1,
+                       **{field: budget})
 
 
 class TestRunTrials:

@@ -1,4 +1,8 @@
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eg_matchlab.errors import CapabilityError, InputError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset_members
@@ -9,7 +13,8 @@ from eg_matchlab.harness import trial_seed
 
 from conftest import cycle, path_graph
 from oracles import (brute_matching_number, brute_vertex_cover,
-                     has_augmenting_path, random_forest, tb_max_over_subsets)
+                     gallai_edmonds_by_deletion, has_augmenting_path,
+                     random_forest, tb_max_over_subsets)
 
 
 def random_graph(tag: int) -> Graph:
@@ -89,11 +94,65 @@ class TestMaxMatching:
             assert matching_number(g) == brute_matching_number(g)
 
 
+def pairs_digest(g: Graph) -> str:
+    return hashlib.sha256(
+        json.dumps([list(e) for e in max_matching(g).pairs]).encode()).hexdigest()
+
+
+def pin_graphs() -> list[Graph]:
+    ps = [0.05, 0.1, 0.2, 0.35, 0.6]
+    return [gen_gnp(GnpParams(2 + 7 * i % 39, ps[i % 5], trial_seed(0x3A7C, i)))
+            for i in range(50)]
+
+
+class TestMatchingPins:
+    """sha256 of max_matching(g).pairs, recorded before the augmenting
+    search was shared with the witness search: which maximum matching is
+    found (and so the output of ``eg-matchlab nu``) must not change."""
+
+    def test_petersen(self, petersen):
+        assert pairs_digest(petersen) == (
+            "a2d17d1566ecbd263993a76f3e961d667a47cb2c698f82f86f375bf8ece16b4a")
+
+    def test_small_gnp(self):
+        matchings = [[list(e) for e in max_matching(g).pairs]
+                     for g in pin_graphs()]
+        assert hashlib.sha256(json.dumps(matchings).encode()).hexdigest() == (
+            "d1ac57d8ab7b9f5dae86cfbe421f3bc0b4ebcc4e554f2df978064b3dede7b36f")
+
+    @pytest.mark.parametrize("n,c,seed,nu,digest", [
+        (5000, 0.1, 11, 246,
+         "82988038c597245f1a2b58caa6f9dcdca5ac972fb0a235da7226b56e243e8505"),
+        (1000, 3.0, 12, 462,
+         "db69b7608a1f722d57dfa67836d6360a5444a0fe1863d58611b8baf5b0443727"),
+    ], ids=["forest5000", "middle1000"])
+    def test_sparse_gnp(self, n, c, seed, nu, digest):
+        g = gen_gnp(GnpParams(n, c / n, seed))
+        assert matching_number(g) == nu
+        assert pairs_digest(g) == digest
+
+
+def certified(g: Graph, w) -> bool:
+    """o(G - S) - |S| = n - 2 nu(G): the witness attains the Tutte-Berge
+    bound, so both it and the matching are optimal."""
+    return (odd_components(g, w.s_set) == w.odd_count
+            and w.odd_count - w.s_set.bit_count() == w.deficiency
+            == g.n - 2 * matching_number(g))
+
+
+def outside_neighbours(g: Graph, mask: int) -> int:
+    out = 0
+    for v in range(g.n):
+        if not mask >> v & 1 and any(mask >> w & 1 for w in g.adj_lists[v]):
+            out |= 1 << v
+    return out
+
+
 class TestTutteBerge:
     def test_k4(self, k4):
         w = tutte_berge_witness(k4)
         assert (w.s_set, w.odd_count, w.deficiency) == (0, 0, 0)
-        assert w.exhaustive
+        assert certified(k4, w)
 
     def test_star(self, star4):
         w = tutte_berge_witness(star4)
@@ -120,18 +179,28 @@ class TestTutteBerge:
                 continue
             assert tutte_berge_witness(g).deficiency == tb_max_over_subsets(g)
 
-    def test_capability_error_above_cutoff(self):
-        g = gen_gnp(GnpParams(24, 0.3, 5))
-        with pytest.raises(CapabilityError):
-            tutte_berge_witness(g, n_exact=20)
+    @pytest.mark.parametrize("n,p", [(30, 0.2), (1000, 2 / 1000)],
+                             ids=["n30", "n1000"])
+    def test_certified_at_any_n(self, n, p):
+        g = gen_gnp(GnpParams(n, p, 5))
+        assert certified(g, tutte_berge_witness(g))
 
-    def test_heuristic_mode_flagged_and_valid(self):
-        g = gen_gnp(GnpParams(30, 0.2, 5))
-        w = tutte_berge_witness(g, n_exact=20, allow_heuristic=True)
-        assert not w.exhaustive
-        assert odd_components(g, w.s_set) - w.s_set.bit_count() == w.deficiency
-        # the structural witness is in fact optimal
-        assert w.deficiency == g.n - 2 * matching_number(g)
+    def test_path_barrier_is_not_smallest(self):
+        # A(P3) = {1}; the empty set attains the same deficiency
+        g = path_graph(3)
+        w = tutte_berge_witness(g)
+        assert vset_members(w.s_set) == [1] and w.deficiency == 1
+        assert odd_components(g, 0) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([0.03, 0.06, 0.1, 0.2, 0.4]),
+           st.integers(0, 2 ** 32))
+    def test_barrier_equals_deletion_oracle(self, n, p, seed):
+        g = gen_gnp(GnpParams(n, p, seed))
+        d_mask = gallai_edmonds_by_deletion(g)
+        w = tutte_berge_witness(g)
+        assert w.s_set == outside_neighbours(g, d_mask)
+        assert certified(g, w)
 
 
 class TestVertexCover:
@@ -182,6 +251,14 @@ class TestVertexCover:
         monkeypatch.setenv("EG_MATCHLAB_BUDGET", "zero")
         with pytest.raises(InputError):
             vertex_cover_number(Graph(2, [(0, 1)]))
+
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_non_positive_budget_is_input_error(self, budget, monkeypatch):
+        with pytest.raises(InputError):
+            vertex_cover_number(Graph(1), node_budget=budget)
+        monkeypatch.setenv("EG_MATCHLAB_BUDGET", "5")
+        with pytest.raises(InputError):
+            vertex_cover_number(Graph(1), node_budget=budget)
 
 
 class TestForest:
