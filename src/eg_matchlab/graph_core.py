@@ -83,7 +83,10 @@ class Graph:
         if n < 0:
             raise InputError("vertex count must be >= 0")
         self.n = n
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+        try:
+            arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+        except ValueError as exc:           # ragged: pairs of unequal length
+            raise InputError("edges must be (u, v) pairs") from exc
         if arr.size == 0:
             arr = np.zeros((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:

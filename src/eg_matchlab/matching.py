@@ -7,6 +7,10 @@ with blossom contraction serves both halves: grown from a single exposed
 vertex it finds an augmenting path, and grown from every exposed vertex of a
 maximum matching its even labels are the Gallai-Edmonds set D, whose outside
 neighbourhood A(G) is an optimal witness S.
+
+A search costs what it touches: its labels live in arrays allocated once per
+maximum-matching computation, it resets only the vertices it labelled, and a
+blossom contraction relabels only the members of the blossoms it merges.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, iter_bits, popcount
+from .graph_core import Graph, iter_bits, popcount, vset
 
 DEFAULT_VC_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EG_MATCHLAB_BUDGET"
@@ -64,7 +68,7 @@ class TBWitness:
 
 
 # ---------------------------------------------------------------------------
-# maximum matching (blossom contraction, O(n^3))
+# maximum matching (blossom contraction; each search pays for what it touches)
 # ---------------------------------------------------------------------------
 
 def max_matching(g: Graph) -> Matching:
@@ -79,7 +83,8 @@ def matching_number(g: Graph) -> int:
 
 def _maximum_mate(g: Graph) -> list[int]:
     """mate[v] in a maximum matching, -1 where v is exposed: a greedy warm
-    start, then one augmenting search from each exposed vertex in turn."""
+    start, then one augmenting search from each exposed vertex in turn
+    (an isolated vertex has nothing to search)."""
     n = g.n
     adj = g.adj_lists
     match = [-1] * n
@@ -90,28 +95,39 @@ def _maximum_mate(g: Graph) -> list[int]:
                     match[u] = v
                     match[v] = u
                     break
+    labels = _fresh_labels(n)
     for root in range(n):
-        if match[root] == -1:
-            _alternating_forest([root], adj, match)
+        if match[root] == -1 and adj[root]:
+            _alternating_forest([root], adj, match, *labels)
     return match
 
 
+def _fresh_labels(n: int) -> tuple[list[int], list[int], list[bool]]:
+    """Unlabelled ``parent``, ``base`` and ``even`` arrays for a search."""
+    return [-1] * n, list(range(n)), [False] * n
+
+
 def _alternating_forest(roots: list[int], adj: list[list[int]],
-                        match: list[int]) -> list[bool]:
+                        match: list[int], parent: list[int], base: list[int],
+                        even: list[bool]) -> list[int]:
     """Grow alternating trees from the exposed ``roots`` breadth first,
     contracting each odd cycle (blossom) into its base.  When a tree reaches
     an exposed vertex that is not a root, augment ``match`` along that path
     and stop.
 
-    Returns the even labels: the roots, the mates of odd vertices and every
-    vertex of a contracted blossom.  Two trees never meet when ``match`` is
-    maximum, so a search from several roots is run only on a maximum
-    matching, where it completes the whole forest.
+    Returns the vertices labelled even: the roots, the mates of odd vertices
+    and every vertex of a contracted blossom.  Two trees never meet when
+    ``match`` is maximum, so a search from several roots is run only on a
+    maximum matching, where it completes the whole forest.
+
+    ``parent``, ``base`` and ``even`` must come unlabelled (see
+    ``_fresh_labels``); the search resets the entries it labelled before it
+    returns, so one set of arrays serves any number of searches.  A blossom
+    contraction visits the members of the merged blossoms in ascending order,
+    the order a scan over all vertices would meet them in.
     """
-    n = len(adj)
-    parent = [-1] * n
-    base = list(range(n))
-    even = [False] * n
+    touched = list(roots)
+    members: dict[int, list[int]] = {}      # base -> vertices, for blossoms
     for r in roots:
         even[r] = True
     queue = deque(roots)
@@ -125,21 +141,29 @@ def _alternating_forest(roots: list[int], adj: list[list[int]],
             # odd cycle: contract the blossom up to the common base
             if even[to] if match[to] == -1 else parent[match[to]] != -1:
                 cur = _lowest_common_base(v, to, base, match, parent)
-                marked = [False] * n
+                marked: set[int] = set()
                 _mark_blossom_path(v, cur, to, marked, base, match, parent)
                 _mark_blossom_path(to, cur, v, marked, base, match, parent)
-                for i in range(n):
-                    if marked[base[i]]:
-                        base[i] = cur
-                        if not even[i]:
-                            even[i] = True
-                            queue.append(i)
+                inside = []
+                for b in marked:
+                    inside += members.pop(b, (b,))
+                inside.sort()
+                for i in inside:
+                    base[i] = cur
+                    if not even[i]:
+                        even[i] = True
+                        queue.append(i)
+                if cur not in marked:
+                    inside += members.get(cur, (cur,))
+                members[cur] = inside
             elif parent[to] == -1:
                 parent[to] = v
+                touched.append(to)
                 if match[to] == -1:
                     finish = to
                     break
                 even[match[to]] = True
+                touched.append(match[to])
                 queue.append(match[to])
     v = finish
     while v != -1:
@@ -148,7 +172,12 @@ def _alternating_forest(roots: list[int], adj: list[list[int]],
         match[v] = pv
         match[pv] = v
         v = nxt
-    return even
+    labelled_even = [v for v in touched if even[v]]
+    for v in touched:
+        parent[v] = -1
+        base[v] = v
+        even[v] = False
+    return labelled_even
 
 
 def _lowest_common_base(a, b, base, match, parent):
@@ -167,8 +196,8 @@ def _lowest_common_base(a, b, base, match, parent):
 
 def _mark_blossom_path(v, b, child, marked, base, match, parent):
     while base[v] != b:
-        marked[base[v]] = True
-        marked[base[match[v]]] = True
+        marked.add(base[v])
+        marked.add(base[match[v]])
         parent[v] = child
         child = match[v]
         v = parent[match[v]]
@@ -198,11 +227,12 @@ def tutte_berge_witness(g: Graph) -> TBWitness:
     """
     adj = g.adj_lists
     mate = _maximum_mate(g)
-    d = _alternating_forest([v for v in range(g.n) if mate[v] == -1], adj, mate)
-    s_mask = 0
-    for v in range(g.n):
-        if not d[v] and any(d[w] for w in adj[v]):
-            s_mask |= 1 << v
+    d = _alternating_forest([v for v in range(g.n) if mate[v] == -1], adj,
+                            mate, *_fresh_labels(g.n))
+    in_d = [False] * g.n
+    for v in d:
+        in_d[v] = True
+    s_mask = vset({w for v in d for w in adj[v] if not in_d[w]})
     o = odd_components(g, s_mask)
     return TBWitness(s_mask, o, o - popcount(s_mask))
 

@@ -46,6 +46,13 @@ class TestConstruction:
         with pytest.raises(InputError):
             Graph(3, edges)
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (2,)], [(0, 1), (1, 2, 0)], [(0, 1), 2], [0, 1], [(0, 1, 2)]],
+        ids=["short", "long", "scalar", "flat", "triple"])
+    def test_rejects_ragged_or_non_pair_edges(self, edges):
+        with pytest.raises(InputError, match=r"edges must be \(u, v\) pairs"):
+            Graph(3, edges)
+
     def test_empty_edge_lists_valid(self):
         for edges in ([], (), np.zeros((0, 2)), np.zeros(0, dtype=np.int64)):
             assert Graph(3, edges).m == 0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,38 @@ def random_graph(tag: int) -> Graph:
     n = 3 + tag % 10
     p = [0.15, 0.3, 0.5, 0.7, 0.85][tag % 5]
     return gen_gnp(GnpParams(n, p, trial_seed(0xA11CE, tag)))
+
+
+def flower(petals: int, petal_len: int) -> Graph:
+    """``petals`` odd cycles of length ``petal_len`` through the hub 0."""
+    edges, nxt = [], 1
+    for _ in range(petals):
+        cyc = [0] + list(range(nxt, nxt + petal_len - 1))
+        nxt += petal_len - 1
+        edges += [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+    return Graph(nxt, edges)
+
+
+def odd_cycle_chain(k: int, clen: int) -> Graph:
+    """``k`` cycles of odd length ``clen``, each joined by one edge from its
+    middle vertex to the first vertex of the next."""
+    edges, base, prev = [], 0, None
+    for _ in range(k):
+        cyc = list(range(base, base + clen))
+        edges += [(cyc[i], cyc[(i + 1) % clen]) for i in range(clen)]
+        if prev is not None:
+            edges.append((prev, base))
+        prev = base + clen // 2
+        base += clen
+    return Graph(base, edges)
+
+
+FLOWERS = [(petals, plen) for petals in (2, 3, 4) for plen in (3, 5)]
+CHAINS = [(2, 3), (2, 5), (3, 5), (2, 7)]
+BLOSSOM_GRAPHS = ([flower(*f) for f in FLOWERS]
+                  + [odd_cycle_chain(*c) for c in CHAINS])
+BLOSSOM_IDS = ([f"flower{a}x{b}" for a, b in FLOWERS]
+               + [f"chain{a}x{b}" for a, b in CHAINS])
 
 
 class TestMaxMatching:
@@ -62,36 +95,25 @@ class TestMaxMatching:
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
         assert matching_number(g) == 3
 
-    @staticmethod
-    def _flower(petals, petal_len):
-        edges, nxt = [], 1
-        for _ in range(petals):
-            cyc = [0] + list(range(nxt, nxt + petal_len - 1))
-            nxt += petal_len - 1
-            edges += [(cyc[i], cyc[(i + 1) % len(cyc)])
-                      for i in range(len(cyc))]
-        return Graph(nxt, edges)
-
     def test_blossom_flowers(self):
         # nested odd cycles through one hub force repeated contractions
-        for petals in (2, 3, 4):
-            for plen in (3, 5):
-                g = self._flower(petals, plen)
-                assert matching_number(g) == brute_matching_number(g)
-                assert not has_augmenting_path(g, max_matching(g).pairs)
+        for petals, plen in FLOWERS:
+            g = flower(petals, plen)
+            assert matching_number(g) == brute_matching_number(g)
+            assert not has_augmenting_path(g, max_matching(g).pairs)
 
     def test_odd_cycle_chains(self):
-        for k, clen in [(2, 3), (2, 5), (3, 5), (2, 7)]:
-            edges, base, prev = [], 0, None
-            for _ in range(k):
-                cyc = list(range(base, base + clen))
-                edges += [(cyc[i], cyc[(i + 1) % clen]) for i in range(clen)]
-                if prev is not None:
-                    edges.append((prev, base))
-                prev = base + clen // 2
-                base += clen
-            g = Graph(base, edges)
+        for k, clen in CHAINS:
+            g = odd_cycle_chain(k, clen)
             assert matching_number(g) == brute_matching_number(g)
+
+    def test_no_state_leaks_between_calls(self):
+        # a witness search between two matchings leaves no labels behind
+        for g in BLOSSOM_GRAPHS + [gen_gnp(GnpParams(2000, 5 / 2000, 22))]:
+            first = max_matching(g).pairs
+            w = tutte_berge_witness(g)
+            assert max_matching(g).pairs == first
+            assert certified(g, w)
 
 
 def pairs_digest(g: Graph) -> str:
@@ -131,6 +153,37 @@ class TestMatchingPins:
         assert matching_number(g) == nu
         assert pairs_digest(g) == digest
 
+    # Blossom-heavy graphs: G(2000, c/n) contracts 0, about 40, about 700
+    # and about 450 blossoms per matching at c = 1, e, 5 and 20, so a wrong
+    # relabel order inside a blossom changes which matching is found.
+    @pytest.mark.parametrize("c,seed,nu,digest", [
+        (1.0, 21, 527,
+         "af4c396a7a577d416f3b5f61c9ac4aca212547e337d6c40322bce64951a1962e"),
+        (1.0, 22, 546,
+         "ef5f99844c7f335000353d3ba55ea49c91a19f14cee0d0b7e223467fc5606661"),
+        (math.e, 21, 899,
+         "0c9308ab5f2ad090e95c83b0d31a32ff69bd8623bcc6a6e352014d4f78ae64b8"),
+        (math.e, 22, 895,
+         "7c3c21ae23367f663b6c390438b8c892caff86e39572cbf6f3c164e189f8dd42"),
+        (5.0, 21, 995,
+         "b6666b15de529486404666e343d92707bdd66af5c9a150546decb803c1882964"),
+        (5.0, 22, 993,
+         "48de410b13b15a079d8426075ce3616a782ad8a7ec3ec418ce7cb181728a3832"),
+        (20.0, 21, 1000,
+         "dbef9e4f2fd52a2d524a429d5d3054d063cc7b5720a170c1c222347283c44adc"),
+        (20.0, 22, 1000,
+         "65e2425af27abfef45d4659c68f024978004815ebe1d1c35f38bc1ed4fd15352"),
+    ], ids=["c1-s21", "c1-s22", "ce-s21", "ce-s22",
+            "c5-s21", "c5-s22", "c20-s21", "c20-s22"])
+    def test_blossom_heavy_gnp(self, c, seed, nu, digest):
+        g = gen_gnp(GnpParams(2000, c / 2000, seed))
+        assert matching_number(g) == nu
+        assert pairs_digest(g) == digest
+
+    def test_dense20000(self, dense20000):
+        assert pairs_digest(dense20000) == (
+            "961deb8988c2433225edc2acc045ecf8b94e660e4eaed9a12d8947fe067efda2")
+
 
 def certified(g: Graph, w) -> bool:
     """o(G - S) - |S| = n - 2 nu(G): the witness attains the Tutte-Berge
@@ -146,6 +199,12 @@ def outside_neighbours(g: Graph, mask: int) -> int:
         if not mask >> v & 1 and any(mask >> w & 1 for w in g.adj_lists[v]):
             out |= 1 << v
     return out
+
+
+def assert_barrier_is_deletion_oracle(g: Graph) -> None:
+    w = tutte_berge_witness(g)
+    assert w.s_set == outside_neighbours(g, gallai_edmonds_by_deletion(g))
+    assert certified(g, w)
 
 
 class TestTutteBerge:
@@ -196,11 +255,12 @@ class TestTutteBerge:
     @given(st.integers(1, 40), st.sampled_from([0.03, 0.06, 0.1, 0.2, 0.4]),
            st.integers(0, 2 ** 32))
     def test_barrier_equals_deletion_oracle(self, n, p, seed):
-        g = gen_gnp(GnpParams(n, p, seed))
-        d_mask = gallai_edmonds_by_deletion(g)
-        w = tutte_berge_witness(g)
-        assert w.s_set == outside_neighbours(g, d_mask)
-        assert certified(g, w)
+        assert_barrier_is_deletion_oracle(gen_gnp(GnpParams(n, p, seed)))
+
+    @pytest.mark.parametrize("g", BLOSSOM_GRAPHS, ids=BLOSSOM_IDS)
+    def test_barrier_equals_deletion_oracle_nested(self, g):
+        # flowers and odd-cycle chains contract blossoms inside blossoms
+        assert_barrier_is_deletion_oracle(g)
 
 
 class TestVertexCover:
