@@ -11,8 +11,8 @@ from .graph_core import (Graph, GnpParams, gen_gnp, dense_regime_p,
                          edges_between, edges_within, components,
                          vset, vset_members)
 from .matching import (Matching, TBWitness, is_bipartite, is_forest,
-                       matching_number, max_matching, tutte_berge_witness,
-                       vertex_cover_number)
+                       konig_egervary, matching_number, max_matching,
+                       tutte_berge_witness, vertex_cover_number)
 from .decomposition import (Decomposition, ExtremalResult, best_form1,
                             best_form2, decomposition_size, edge_set,
                             eg_check, eg_check_all, extremal,
@@ -29,8 +29,7 @@ from .harness import (DensityAuditReport, FailureCertificate, RegimeSpec,
                       TrialRecord, between_event_holds,
                       build_failure_certificate, cap300_event_holds,
                       count_isolated_p3, density_audit, eg_fails_at_nu,
-                      has_empty_half, independence_at_least,
-                      interior_event_holds, run_trials, records_to_csv,
-                      sample_p3_counts, sparse_event_holds)
+                      has_empty_half, interior_event_holds, run_trials,
+                      records_to_csv, sparse_event_holds)
 
 __version__ = "0.1.0"

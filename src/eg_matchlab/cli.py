@@ -343,7 +343,11 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapabilityError as exc:
-        print(f"capability error: {exc}", file=sys.stderr)
+        bounds_found = [f"{name} bound {value}" for name, value in
+                        (("lower", exc.lower), ("upper", exc.upper))
+                        if value is not None]
+        detail = f" ({', '.join(bounds_found)})" if bounds_found else ""
+        print(f"capability error: {exc}{detail}", file=sys.stderr)
         return EXIT_CAPABILITY
 
 

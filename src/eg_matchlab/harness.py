@@ -17,8 +17,8 @@ from . import decomposition as dec
 from .errors import CapabilityError, InputError
 from .graph_core import (Graph, GnpParams, RNG_NAME, dense_regime_p, gen_gnp,
                          popcount, vset_members)
-from .matching import (_env_budget, is_forest, matching_number,
-                       vertex_cover_number)
+from .matching import (_cover_at_most, _env_budget, is_forest,
+                       matching_number, vertex_cover_number)
 
 SCHEMA = "eg-matchlab/1"
 DEFAULT_IS_NODE_BUDGET = 100_000_000
@@ -61,171 +61,21 @@ def count_isolated_p3(g: Graph) -> tuple[int, list[tuple[int, int, int]]]:
     return count, witnesses
 
 
-def _p3_configs(n: int) -> list[tuple[int, int]]:
-    """(required, forbidden) edge bitmaps for every (triple, center) pattern
-    that realizes an isolated 3-path; edges indexed lexicographically."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if len(pairs) > 60:
-        raise InputError("packed 3-path counting supports n <= 11")
-    pair_idx = {e: i for i, e in enumerate(pairs)}
-
-    def bit(u, v):
-        return 1 << pair_idx[(min(u, v), max(u, v))]
-
-    configs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                triple = (a, b, c)
-                for mid in triple:
-                    e1, e2 = [v for v in triple if v != mid]
-                    required = bit(mid, e1) | bit(mid, e2)
-                    forbidden = bit(e1, e2)
-                    for v in triple:
-                        for w in range(n):
-                            if w not in triple:
-                                forbidden |= bit(v, w)
-                    configs.append((required, forbidden))
-    return configs
-
-
-def count_isolated_p3_packed(n: int, packed: int) -> int:
-    """Isolated-3-path count from a lexicographically packed edge bitmap;
-    an independent counting route from count_isolated_p3."""
-    return sum(1 for req, forb in _p3_configs(n)
-               if packed & req == req and packed & forb == 0)
-
-
-def sample_p3_counts(n: int, p: float, trials: int, seed: int) -> np.ndarray:
-    """Vectorized isolated-3-path counts over many G(n,p) samples (n <= 11),
-    built on the packed (triple, center) configurations."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    configs = _p3_configs(n)
-    req = np.array([c[0] for c in configs], dtype=np.uint64)
-    forb = np.array([c[1] for c in configs], dtype=np.uint64)
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    powers = (np.uint64(1) << np.arange(len(pairs), dtype=np.uint64))
-    counts = np.zeros(trials, dtype=np.int32)
-    done = 0
-    while done < trials:
-        chunk = min(200_000, trials - done)
-        bits = rng.random((chunk, len(pairs))) < p
-        packed = (bits.astype(np.uint64) * powers[None, :]).sum(axis=1)
-        acc = np.zeros(chunk, dtype=np.int32)
-        for r, f in zip(req, forb):
-            acc += ((packed & r) == r) & ((packed & f) == 0)
-        counts[done:done + chunk] = acc
-        done += chunk
-    return counts
-
-
 # ---------------------------------------------------------------------------
-# independence / empty-half
+# empty half-set
 # ---------------------------------------------------------------------------
-
-def independence_at_least(g: Graph, target: int,
-                          node_budget: int | None = None):
-    """True/False for alpha(g) >= target; None when the budget runs out."""
-    node_budget = _env_budget(DEFAULT_IS_NODE_BUDGET if node_budget is None
-                              else node_budget)
-    if target <= 0:
-        return True
-    counter = [0]
-    comps = []
-    for comp in g.components():
-        comps.append(g.induced_adjacency(comp))
-    comps.sort(key=len)
-
-    # alpha is additive over components: solve each exactly, short-circuit
-    # as soon as the confirmed total plus optimistic remainder settles it
-    remaining_vertices = sum(len(m) for m in comps)
-    confirmed = 0
-    try:
-        for masks in comps:
-            remaining_vertices -= len(masks)
-            comp_alpha = _mis_component(masks, counter, node_budget)
-            confirmed += comp_alpha
-            if confirmed >= target:
-                return True
-            if confirmed + remaining_vertices < target:
-                return False
-        return confirmed >= target
-    except CapabilityError:
-        return None
-
-
-def _mis_component(adj: list[int], counter: list[int], budget: int) -> int:
-    n = len(adj)
-    best = [0]
-
-    def clique_cover_bound(mask: int) -> int:
-        # greedy clique cover: alpha takes at most one vertex per clique
-        cliques = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            clique = 1 << v
-            common = adj[v] & rest
-            while common:
-                w = (common & -common).bit_length() - 1
-                clique |= 1 << w
-                common &= adj[w]
-            rest &= ~clique
-            cliques += 1
-        return cliques
-
-    def rec(mask: int, size: int) -> None:
-        counter[0] += 1
-        if counter[0] > budget:
-            raise CapabilityError("independent-set node budget exceeded",
-                                  lower=best[0])
-        # kernel: vertices of degree <= 1 always join the set
-        while mask:
-            picked = False
-            rest = mask
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest ^= rest & -rest
-                if not (mask >> v & 1):
-                    continue
-                nb = adj[v] & mask
-                if popcount(nb) <= 1:
-                    mask &= ~(1 << v) & ~nb
-                    size += 1
-                    picked = True
-            if not picked:
-                break
-        if not mask:
-            best[0] = max(best[0], size)
-            return
-        if size + clique_cover_bound(mask) <= best[0]:
-            return
-        # branch on a max-degree vertex
-        v_best, d_best = -1, -1
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest ^= rest & -rest
-            d = popcount(adj[v] & mask)
-            if d > d_best:
-                v_best, d_best = v, d
-        rec(mask & ~(1 << v_best) & ~adj[v_best], size + 1)
-        rec(mask & ~(1 << v_best), size)
-
-    rec((1 << n) - 1, 0)
-    return best[0]
-
 
 def has_empty_half(g: Graph, node_budget: int | None = None):
-    """'yes' iff some ceil(n/2)-subset spans no edge (independence number at
-    least ceil(n/2)); 'unknown' carries the budget reason."""
+    """'yes' iff some ceil(n/2)-subset spans no edge, i.e. the independence
+    number is at least ceil(n/2), i.e. tau(G) <= floor(n/2); 'unknown'
+    carries the budget reason.  Answered without search when tau = nu, since
+    nu <= floor(n/2); otherwise by the vertex cover search as a decision."""
     resolved = _env_budget(DEFAULT_IS_NODE_BUDGET if node_budget is None
                            else node_budget)
-    target = (g.n + 1) // 2
-    verdict = independence_at_least(g, target, resolved)
-    if verdict is None:
-        return "unknown", f"independent-set node budget {resolved} exceeded"
+    try:
+        verdict = _cover_at_most(g, g.n // 2, resolved)
+    except CapabilityError:
+        return "unknown", f"vertex cover node budget {resolved} exceeded"
     return ("yes" if verdict else "no"), None
 
 

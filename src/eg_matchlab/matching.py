@@ -1,5 +1,5 @@
 """Maximum matching (blossom contraction), Tutte-Berge deficiency witnesses,
-and exact vertex cover via kernelized branch and bound.
+the Konig-Egervary test tau = nu, and exact vertex cover.
 
 The Tutte-Berge formula n - 2*nu(G) = max_S o(G - S) - |S| (o = number of odd
 components) certifies matching optimality.  One alternating-forest search
@@ -11,6 +11,14 @@ neighbourhood A(G) is an optimal witness S.
 A search costs what it touches: its labels live in arrays allocated once per
 maximum-matching computation, it resets only the vertices it labelled, and a
 blossom contraction relabels only the members of the blossoms it merges.
+
+Every vertex cover has at least nu vertices.  One of exactly nu vertices
+exists iff a 2-SAT formula over the matching edges is satisfiable, which
+one strongly-connected-components pass decides in O(n + m) (Deming 1979).
+The same pass, run per component, leaves branch and bound only for the
+components that fail it, and there it gives a root bound of nu_c + 1 next
+to the half-integral LP bound (Nemhauser & Trotter 1975).  One search
+serves the exact tau and the decision tau <= k behind the empty half-set.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, iter_bits, popcount, vset
+from .graph_core import Graph, popcount, vset
 
 DEFAULT_VC_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EG_MATCHLAB_BUDGET"
@@ -265,50 +273,170 @@ def is_bipartite(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vertex cover (exact, branch and bound with kernelization)
+# vertex cover: the Konig-Egervary test, then branch and bound where it fails
 # ---------------------------------------------------------------------------
 
-def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
-    """Exact vertex cover number.
+def konig_egervary(g: Graph, mate: list[int]) -> list[int] | None:
+    """A vertex cover of size nu(G), sorted, when tau(G) = nu(G); else None.
 
-    Kernel rules (isolated, degree-1, dominated vertex) run before every
-    branch; branching is on a maximum-degree vertex, per component.  Raises
-    CapabilityError carrying the best bounds when the node budget runs out.
+    ``mate`` is a maximum matching: mate[v] is the partner of v, -1 where v
+    is exposed.  A cover of size nu holds exactly one endpoint of every
+    matching edge and no exposed vertex, so it is a 2-SAT assignment with
+    one boolean per matching edge: each other edge is a clause, and a
+    neighbour of an exposed vertex is forced in (Deming 1979).  The answer
+    costs O(n + m), and so does checking the cover it returns.
+    """
+    scc = _cover_literal_sccs(g.adj_lists, mate)
+    if any(scc[v] == scc[w] for v, w in enumerate(mate) if w != -1):
+        return None
+    return [v for v, w in enumerate(mate) if w != -1 and scc[v] < scc[w]]
+
+
+def _cover_literal_sccs(adj: list[list[int]], mate: list[int]) -> list[int]:
+    """Strongly connected component of the literal "v is in the cover", for
+    every matched v (-1 for exposed v), numbered sinks first (iterative
+    Tarjan).
+
+    The negation of "v in" is "mate[v] in", so the literal nodes are the
+    matched vertices themselves.  "v in" leaves w = mate[v] out, which puts
+    every other neighbour b of w in; when b is exposed, w itself must be in,
+    so the implication points at w and forces "v in" false.  The formula is
+    satisfiable iff no v shares its component with mate[v], and then "v in"
+    holds for the one of each pair whose component comes first.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    scc = [-1] * n
+    stack: list[int] = []
+    visits = 0
+    done = 0
+
+    def implied(v):
+        w = mate[v]
+        return (b if mate[b] != -1 else w for b in adj[w] if b != v)
+
+    for root in range(n):
+        if mate[root] == -1 or index[root] != -1:
+            continue
+        index[root] = low[root] = visits
+        visits += 1
+        stack.append(root)
+        work = [(root, implied(root))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if index[w] == -1:
+                    index[w] = low[w] = visits
+                    visits += 1
+                    stack.append(w)
+                    work.append((w, implied(w)))
+                    break
+                if scc[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        scc[w] = done
+                        if w == v:
+                            break
+                    done += 1
+    return scc
+
+
+def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
+    """Exact vertex cover number tau(G).
+
+    It is nu(G), with no search, when the Konig-Egervary test passes (every
+    forest and bipartite graph).  Otherwise each component failing the test
+    is searched by branch and bound: kernel rules (isolated, degree-1,
+    dominated vertex) before every branch, branching on a maximum-degree
+    vertex, and pruning by the half-integral LP bound.  A component's search
+    stops as soon as it finds a cover of its root bound
+    max(nu_c + 1, ceil(LP)).  When the node budget runs out, CapabilityError
+    carries the proved lower bound and the best upper bound on tau.
     """
     budget = _env_budget(DEFAULT_VC_NODE_BUDGET if node_budget is None else node_budget)
-    total = 0
+    known, parts = _cover_parts(g)
+    lower = known + sum(lo for _, lo, _ in parts)
+    upper = known + sum(hi for _, _, hi in parts)
     counter = [0]
+    for adj, lo, hi in parts:
+        try:
+            tau_c = _vc_search(adj, hi, lo, counter, budget)
+        except CapabilityError as exc:
+            raise CapabilityError(str(exc), lower=lower,
+                                  upper=upper - hi + exc.upper) from None
+        lower += tau_c - lo
+        upper += tau_c - hi
+    return lower
+
+
+def _cover_at_most(g: Graph, k: int, budget: int) -> bool:
+    """Whether tau(G) <= k, by the same search run as a decision: the
+    failing components are solved exactly, smallest first, and the largest
+    is asked only for a cover within what is left of k.  Raises
+    CapabilityError when the node budget runs out."""
+    known, parts = _cover_parts(g)
+    parts.sort(key=lambda part: len(part[0]))
+    slack = k - known - sum(lo for _, lo, _ in parts)
+    counter = [0]
+    for i, (adj, lo, hi) in enumerate(parts):
+        if slack < 0:
+            return False
+        if i + 1 < len(parts):
+            slack -= _vc_search(adj, hi, lo, counter, budget) - lo
+        elif hi > lo + slack:
+            cap = lo + slack
+            slack -= _vc_search(adj, cap + 1, cap, counter, budget) - lo
+    return slack >= 0
+
+
+def _cover_parts(g: Graph) -> tuple[int, list[tuple[list[int], int, int]]]:
+    """The Konig-Egervary test per component: (the summed nu_c of the
+    components that pass it, one (bitmask adjacency, lower bound, greedy
+    upper bound) triple per component that fails it)."""
+    mate = _maximum_mate(g)
+    scc = _cover_literal_sccs(g.adj_lists, mate)
+    matched = [v for v, w in enumerate(mate) if w != -1]
+    failing = vset(v for v in matched if scc[v] == scc[mate[v]])
+    known = len(matched) // 2
+    if not failing:
+        return known, []
+    matched_mask = vset(matched)
+    parts = []
     for comp in g.components():
-        masks = g.induced_adjacency(comp)
-        total += _vc_component(masks, (1 << len(masks)) - 1, counter, budget)
-    return total
+        if comp & failing:
+            nu_c = popcount(comp & matched_mask) // 2
+            adj = g.induced_adjacency(comp)
+            alive = (1 << len(adj)) - 1
+            known -= nu_c
+            parts.append((adj, max(nu_c + 1, _lp_bound(adj, alive)[0]),
+                          _vc_greedy(adj, alive)))
+    return known, parts
 
 
-def _vc_component(adj: list[int], alive: int, counter: list[int], budget: int) -> int:
-    # greedy upper bound: take both endpoints of a maximal matching
-    best = [_vc_greedy(adj, alive)]
+def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
+               budget: int) -> int:
+    """The smallest vertex cover size below ``best`` of the graph with
+    bitmask rows ``adj``, or ``best`` when there is none; the search stops
+    at the first cover of size at most ``stop_at``."""
+    best_box = [best]
 
-    def lower_bound(mask: int) -> int:
-        lb = 0
-        avail = mask
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail ^= avail & -avail
-            nb = adj[v] & avail
-            if nb:
-                avail &= ~(nb & -nb)
-                lb += 1
-        return lb
-
-    def rec(mask: int, taken: int) -> None:
+    def rec(mask: int, taken: int, warm: tuple | None) -> bool:
         counter[0] += 1
         if counter[0] > budget:
-            raise CapabilityError("vertex cover node budget exceeded",
-                                  lower=None, upper=best[0])
+            raise CapabilityError(
+                f"vertex cover node budget exceeded after {budget} nodes",
+                upper=best_box[0])
         mask, taken = _vc_kernel(adj, mask, taken)
-        if taken >= best[0]:
-            return
-        live_edges_vertex = -1
+        if taken >= best_box[0]:
+            return False
+        v_max = -1
         max_deg = 0
         rest = mask
         while rest:
@@ -317,60 +445,176 @@ def _vc_component(adj: list[int], alive: int, counter: list[int], budget: int) -
             d = popcount(adj[v] & mask)
             if d > max_deg:
                 max_deg = d
-                live_edges_vertex = v
-        if live_edges_vertex == -1:        # edgeless
-            best[0] = min(best[0], taken)
-            return
-        if taken + lower_bound(mask) >= best[0]:
-            return
-        v = live_edges_vertex
-        nb = adj[v] & mask
-        # branch 1: v in the cover
-        rec(mask & ~(1 << v), taken + 1)
-        # branch 2: all neighbors of v in the cover
-        rec(mask & ~nb & ~(1 << v), taken + popcount(nb))
+                v_max = v
+        if v_max == -1:                     # edgeless
+            best_box[0] = taken
+            return taken <= stop_at
+        bound, warm = _lp_bound(adj, mask, warm)
+        if taken + bound >= best_box[0]:
+            return False
+        nb = adj[v_max] & mask
+        # v_max in the cover, or else all its neighbours
+        return (rec(mask & ~(1 << v_max), taken + 1, warm)
+                or rec(mask & ~nb & ~(1 << v_max), taken + popcount(nb), warm))
 
-    rec(alive, 0)
-    return best[0]
+    rec((1 << len(adj)) - 1, 0, None)
+    return best_box[0]
+
+
+def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
+              ) -> tuple[int, tuple]:
+    """ceil(LP), LP the fractional vertex cover number of the graph on
+    ``mask``: half the maximum matching of its bipartite double cover
+    (Nemhauser & Trotter 1975).  Returns the bound and the matching, which
+    warm-starts the call for a subset of ``mask``.
+
+    The pairs of the warm start that survive in ``mask`` are kept, each
+    unmatched left copy takes its first free right copy, and the rest grow
+    the matching by breadth-first augmenting searches.  Right copies that a
+    failed search reached stay dead ends until the next augmentation, so
+    they are not searched again.
+    """
+    if warm is None:
+        left = [-1] * len(adj)              # left copy -> right copy
+        right = [-1] * len(adj)             # right copy -> left copy
+        lmask = rmask = 0                   # matched left / right copies
+    else:
+        old_mask, left, right, lmask, rmask = warm
+        left = left[:]
+        right = right[:]
+        gone = old_mask & ~mask
+        while gone:
+            bit = gone & -gone
+            gone ^= bit
+            v = bit.bit_length() - 1
+            if lmask & bit:
+                r = left[v]
+                left[v] = right[r] = -1
+                lmask ^= bit
+                rmask ^= 1 << r
+            if rmask & bit:
+                u = right[v]
+                left[u] = right[v] = -1
+                lmask ^= 1 << u
+                rmask ^= bit
+    free_left = []
+    rest = mask & ~lmask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        u = bit.bit_length() - 1
+        free = adj[u] & mask & ~rmask
+        if free:
+            r = (free & -free).bit_length() - 1
+            rmask |= 1 << r
+            lmask |= bit
+            left[u] = r
+            right[r] = u
+        else:
+            free_left.append(u)
+    dead = 0
+    for u in free_left:
+        reached_from = {}
+        frontier = [u]
+        end = -1
+        while frontier and end == -1:
+            nxt = []
+            for x in frontier:
+                new = adj[x] & mask & ~dead
+                dead |= new
+                while new:
+                    r = (new & -new).bit_length() - 1
+                    new ^= new & -new
+                    reached_from[r] = x
+                    if right[r] == -1:
+                        end = r
+                        break
+                    nxt.append(right[r])
+                if end != -1:
+                    break
+            frontier = nxt
+        if end == -1:
+            continue
+        dead = 0
+        lmask |= 1 << u
+        rmask |= 1 << end
+        while end != -1:                    # flip the augmenting path
+            x = reached_from[end]
+            right[end] = x
+            left[x], end = end, left[x]
+    return (lmask.bit_count() + 1) // 2, (mask, left, right, lmask, rmask)
 
 
 def _vc_kernel(adj: list[int], mask: int, taken: int) -> tuple[int, int]:
-    changed = True
-    while changed:
-        changed = False
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest ^= rest & -rest
-            if not (mask >> v & 1):
-                continue
-            nb = adj[v] & mask
-            d = popcount(nb)
-            if d == 0:
-                mask &= ~(1 << v)
-                changed = True
-            elif d == 1:
-                u = (nb & -nb).bit_length() - 1
-                mask &= ~(1 << v) & ~(1 << u)
-                taken += 1
-                changed = True
-        if changed:
-            continue
-        # dominated vertex: u ~ v with N(v) subset of N[u]  ->  take u
-        verts = list(iter_bits(mask))
-        for v in verts:
-            if not (mask >> v & 1):
-                continue
-            nv = adj[v] & mask
-            for u in iter_bits(nv):
-                if nv & ~(adj[u] | (1 << u)) == 0:
-                    mask &= ~(1 << u)
+    """Apply the reduction rules to a fixpoint: sweeps in vertex order that
+    drop a vertex of degree 0, or take the neighbour of one of degree 1,
+    repeated while a sweep changes anything; then take the first u with
+    N(v) inside N[u] for the first such v (a dominated vertex v), and start
+    over.
+
+    Degrees are kept up to date as vertices leave, so a sweep visits only
+    vertices of degree at most 1; a vertex found to have no such u stays
+    known to have none until one of its neighbours leaves.  The reductions
+    and their order are those of rescanning every vertex after each change,
+    so the search tree does not depend on this bookkeeping.
+    """
+    deg = [0] * len(adj)
+    low = 0                                 # live vertices of degree <= 1
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        v = bit.bit_length() - 1
+        deg[v] = d = (adj[v] & mask).bit_count()
+        if d <= 1:
+            low |= bit
+    clean = 0                               # live vertices without such u
+
+    def drop(gone: int) -> None:
+        nonlocal mask, low, clean
+        mask &= ~gone
+        while gone:
+            bit = gone & -gone
+            gone ^= bit
+            near = adj[bit.bit_length() - 1] & mask
+            clean &= ~near
+            while near:
+                nbit = near & -near
+                near ^= nbit
+                w = nbit.bit_length() - 1
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    low |= nbit
+
+    while True:
+        while low & mask:                   # one sweep, in vertex order
+            cand = low & mask
+            while cand:
+                bit = cand & -cand
+                nb = adj[bit.bit_length() - 1] & mask
+                if nb:
                     taken += 1
-                    changed = True
+                drop(bit | nb)
+                cand = low & mask & ~((bit << 1) - 1)
+        rest = mask & ~clean
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            nv = adj[bit.bit_length() - 1] & mask
+            near = nv
+            while near:
+                ubit = near & -near
+                near ^= ubit
+                if nv & ~(adj[ubit.bit_length() - 1] | ubit) == 0:
+                    taken += 1
+                    drop(ubit)
                     break
-            if changed:
-                break
-    return mask, taken
+            else:
+                clean |= bit
+                continue
+            break
+        else:
+            return mask, taken
 
 
 def _vc_greedy(adj: list[int], alive: int) -> int:

@@ -30,14 +30,14 @@ from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, binom_tail_exact,
 from eg_matchlab.decomposition import Decomposition, extremal, eg_check, eg_check_all
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
 from eg_matchlab.harness import (RegimeSpec, build_failure_certificate,
-                                 records_to_csv, run_trials, sample_p3_counts,
-                                 trial_seed)
+                                 records_to_csv, run_trials, trial_seed)
 from eg_matchlab.matching import (matching_number, odd_components,
                                   tutte_berge_witness, vertex_cover_number)
 from eg_matchlab.moves import CaseThresholds, apply_case, classify_case
 
 from conftest import complete_graph
-from oracles import extremal_by_edge_subsets, random_forest
+from oracles import (extremal_by_edge_subsets, random_forest,
+                     sample_p3_counts)
 
 
 def report(criterion, ok, detail=""):

@@ -251,7 +251,7 @@ class TestP3Moments:
         assert abs(m.ratio - 1.0) < 1e-3
 
     def test_monte_carlo_agreement(self):
-        from eg_matchlab.harness import sample_p3_counts
+        from oracles import sample_p3_counts
         counts = sample_p3_counts(10, 0.1, 300_000, seed=2024)
         m = p3_moments(10, 0.1)
         var = m.second_moment - m.mean ** 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -80,6 +81,14 @@ class TestSubcommands:
         path = write_graph(tmp_path, cycle(5))
         with pytest.raises(SystemExit):
             main(["--threads", "2", "nu", path])
+
+    def test_tau_budget_exit_3_reports_progress(self, capsys, tmp_path):
+        path = write_graph(tmp_path, gen_gnp(GnpParams(30, 0.5, 11)))
+        code, out, err = run(capsys, ["tau", path, "--budget", "3"])
+        assert code == 3 and out == ""
+        assert err.startswith("capability error")
+        assert "after 3 nodes" in err
+        assert "(lower bound 16, upper bound 28)" in err
 
     @pytest.mark.parametrize("budget", ["0", "-4"])
     def test_non_positive_budget_exit_2(self, capsys, tmp_path, budget):
@@ -232,6 +241,41 @@ class TestMonteCarlo:
         assert code == 0
         assert out.splitlines()[0].startswith("trial,seed")
         assert json.loads(err)["schema"] == "eg-matchlab/1"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenHashes:
+    """Output bytes pinned by sha256, so that a change to generation, the
+    solvers or the record format cannot pass unnoticed."""
+
+    def test_gen(self, capsys):
+        code, out, _ = run(capsys, ["gen", "--n", "512", "--p", "0.1",
+                                    "--seed", "208"])
+        assert code == 0
+        assert sha256(out) == ("98330f14794a0dd7b3cfd7a9afc4129f"
+                               "d7e31737bbfca0fb9cc5ab6de09c4ea9")
+
+    @pytest.mark.parametrize("argv,csv_hash,summary_hash", [
+        (["--regime", "forest", "--n", "1000", "--trials", "20",
+          "--seed", "5"],
+         "a2e5e22564a398c0abc2d919356d2ed9295dbb0929bb5a2411505c2d37d095ba",
+         "318a02fc11849dceeb3d4a82b89d601324494f2f0cda7c2b282776c4ec2af85d"),
+        (["--regime", "middle", "--n", "200", "--p", "0.015",
+          "--trials", "5", "--seed", "9"],
+         "94604ec78286c7b8e515ab73777e565ddc9e7ed5a88470f5d9810a1031c16477",
+         "5bac4d08ced50fac47ed9383049f5ff4a1a2659aa23213fd9e0d84b05a7e70f6"),
+    ], ids=["forest", "middle"])
+    def test_montecarlo(self, capsys, tmp_path, argv, csv_hash,
+                        summary_hash):
+        csv_file = tmp_path / "trials.csv"
+        code, out, _ = run(capsys, ["montecarlo"] + argv
+                           + ["--out", str(csv_file)])
+        assert code == 0
+        assert sha256(csv_file.read_text()) == csv_hash
+        assert sha256(out) == summary_hash
 
 
 class TestCertify:

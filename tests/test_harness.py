@@ -7,13 +7,13 @@ import pytest
 from eg_matchlab.errors import InputError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
 from eg_matchlab.harness import (CSV_COLUMNS, RegimeSpec,
-                                 build_failure_certificate,
-                                 count_isolated_p3, count_isolated_p3_packed,
+                                 build_failure_certificate, count_isolated_p3,
                                  density_audit, eg_fails_at_nu, has_empty_half,
-                                 independence_at_least, middle_regime_interval,
-                                 records_to_csv, run_trials, sample_p3_counts,
-                                 splitmix64, trial_seed, wilson_interval)
+                                 middle_regime_interval, records_to_csv,
+                                 run_trials, splitmix64, trial_seed,
+                                 wilson_interval)
 from conftest import complete_graph, cycle, path_graph
+from oracles import count_isolated_p3_packed, sample_p3_counts
 
 
 class TestSeeds:
@@ -77,8 +77,17 @@ class TestEmptyHalf:
     def test_c10_alternating(self):
         assert has_empty_half(cycle(10))[0] == "yes"
 
+    @pytest.mark.parametrize("isolated,verdict", [(2, "no"), (3, "yes")])
+    def test_search_decides_k5_plus_isolated(self, isolated, verdict):
+        # tau(K5) = 4 lies above the root bound 3 and below the greedy
+        # cover 4 + 1, so the answer needs the decision search
+        g = Graph(5 + isolated, list(itertools.combinations(range(5), 2)))
+        assert has_empty_half(g) == (verdict, None)
+
     def test_budget_unknown(self):
-        g = gen_gnp(GnpParams(40, 0.2, 3))
+        # tau = 96 > nu = 94 and the search needs 7 nodes to find a cover
+        # of at most 100 vertices
+        g = gen_gnp(GnpParams(200, 0.015, 3))
         verdict, reason = has_empty_half(g, node_budget=2)
         assert verdict == "unknown"
         assert "budget" in reason
@@ -88,14 +97,32 @@ class TestEmptyHalf:
         with pytest.raises(InputError):
             has_empty_half(Graph(1), node_budget=budget)
         with pytest.raises(InputError):
-            independence_at_least(Graph(1), 1, node_budget=budget)
+            has_empty_half(Graph(6, [(0, 1)]), node_budget=budget)
         with pytest.raises(InputError):
             build_failure_certificate(Graph(1), node_budget=budget)
 
     def test_independence_short_circuits(self):
-        g = Graph(6, [(0, 1)])
-        assert independence_at_least(g, 5) is True
-        assert independence_at_least(g, 6) is False
+        # tau = nu answers "yes" and a root bound above n/2 answers "no",
+        # both before the first search node
+        yes = has_empty_half(Graph(6, [(0, 1)]), node_budget=1)
+        no = has_empty_half(complete_graph(6), node_budget=1)
+        assert (yes, no) == (("yes", None), ("no", None))
+
+
+class TestMiddlePins:
+    """mc-middle1k pool entries whose tau and empty half-set the cover
+    search decides within node budgets of 1000; the reference answers were
+    recorded with budgets of 20000."""
+
+    @pytest.mark.parametrize("j,tau", [(8, 475), (10, 480), (13, 472)])
+    def test_decided(self, j, tau):
+        spec = RegimeSpec(n=1000, p_rule="middle", trials=1,
+                          master_seed=trial_seed(0x3DD1E, j),
+                          p_explicit=3 / 1000, vc_budget=1000,
+                          is_budget=1000)
+        (rec,), _ = run_trials(spec)
+        assert (rec.tau, rec.tau_eq_nu, rec.empty_half) == (tau, "no", "yes")
+        assert rec.notes == []
 
 
 class TestEgFailsAtNu:

@@ -7,15 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from eg_matchlab.errors import CapabilityError, InputError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset_members
-from eg_matchlab.matching import (is_bipartite, is_forest, matching_number,
+from eg_matchlab.matching import (_vc_kernel, is_bipartite, is_forest,
+                                  konig_egervary, matching_number,
                                   max_matching, odd_components,
                                   tutte_berge_witness, vertex_cover_number)
-from eg_matchlab.harness import trial_seed
+from eg_matchlab.harness import has_empty_half, trial_seed
 
 from conftest import cycle, path_graph
-from oracles import (brute_matching_number, brute_vertex_cover,
-                     gallai_edmonds_by_deletion, has_augmenting_path,
-                     random_forest, tb_max_over_subsets)
+from oracles import (brute_independence_number, brute_matching_number,
+                     brute_vertex_cover, gallai_edmonds_by_deletion,
+                     has_augmenting_path, random_forest, rescan_vc_kernel,
+                     tb_max_over_subsets)
 
 
 def random_graph(tag: int) -> Graph:
@@ -263,6 +265,22 @@ class TestTutteBerge:
         assert_barrier_is_deletion_oracle(g)
 
 
+# G(n, p) on up to 10 vertices plus up to 4 isolated ones: isolated vertices
+# raise floor(n/2) without raising tau, so has_empty_half has to search
+GRAPHS_UP_TO_14 = st.builds(
+    lambda n, extra, p, seed: Graph(
+        n + extra, gen_gnp(GnpParams(n, p, seed)).edge_list()),
+    st.integers(1, 10), st.integers(0, 4),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8]), st.integers(0, 2 ** 32))
+
+
+def mate_array(g: Graph) -> list[int]:
+    mate = [-1] * g.n
+    for u, v in max_matching(g).pairs:
+        mate[u], mate[v] = v, u
+    return mate
+
+
 class TestVertexCover:
     def test_star(self, star4):
         assert vertex_cover_number(star4) == 1
@@ -300,6 +318,49 @@ class TestVertexCover:
         with pytest.raises(CapabilityError) as err:
             vertex_cover_number(g, node_budget=3)
         assert err.value.upper is not None
+        # the error says how far the search got: nodes and both bounds
+        assert "after 3 nodes" in str(err.value)
+        assert matching_number(g) < err.value.lower
+        assert err.value.lower <= vertex_cover_number(g) <= err.value.upper
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRAPHS_UP_TO_14)
+    def test_equals_brute_force(self, g):
+        assert vertex_cover_number(g) == brute_vertex_cover(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRAPHS_UP_TO_14)
+    def test_konig_egervary_verdict_and_cover(self, g):
+        nu = matching_number(g)
+        cover = konig_egervary(g, mate_array(g))
+        assert (cover is not None) == (brute_vertex_cover(g) == nu)
+        if cover is not None:
+            inside = set(cover)
+            assert len(inside) == nu
+            assert all(u in inside or v in inside for u, v in g.edge_list())
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRAPHS_UP_TO_14)
+    def test_empty_half_equals_brute_force(self, g):
+        expect = brute_independence_number(g) >= (g.n + 1) // 2
+        assert has_empty_half(g) == ("yes" if expect else "no", None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 80), st.sampled_from([3.0, 8.0, 16.0, 32.0]),
+           st.integers(0, 2 ** 32), st.integers(0, 2 ** 80 - 1))
+    def test_kernel_equals_rescans(self, n, c, seed, keep):
+        # the kernel keeps degrees and dominance checks up to date instead
+        # of rescanning; it must reduce in the same order.  Dominated
+        # vertices need triangles, hence the denser graphs.
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        mask = g.full_mask() & keep
+        assert _vc_kernel(g.adj_bits, mask, 3) == rescan_vc_kernel(
+            g.adj_bits, mask, 3)
+
+    def test_forest_needs_no_search(self):
+        # tau = nu is read off the 2-SAT test, so no node is spent
+        g = random_forest(2000, 3)
+        assert vertex_cover_number(g, node_budget=1) == matching_number(g)
 
     def test_env_budget_override(self, monkeypatch):
         monkeypatch.setenv("EG_MATCHLAB_BUDGET", "2")
