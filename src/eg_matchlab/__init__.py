@@ -7,9 +7,8 @@ seeded Monte Carlo harness over sparse / dense random-graph regimes.
 """
 
 from .errors import CapabilityError, InputError, MoveError
-from .graph_core import (Graph, GnpParams, gen_gnp, dense_regime_p,
-                         edges_between, edges_within, components,
-                         vset, vset_members)
+from .graph_core import (Graph, GnpParams, gen_gnp, dense_regime_p, vset,
+                         vset_members)
 from .matching import (Matching, TBWitness, is_bipartite, is_forest,
                        konig_egervary, matching_number, max_matching,
                        tutte_berge_witness, vertex_cover_number)

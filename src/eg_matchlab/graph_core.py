@@ -1,14 +1,14 @@
 """Simple undirected graphs on vertices 0..n-1, G(n,p) generation, and the
 edge-counting primitives everything else is built on.
 
-Vertex sets are plain Python ints used as bitmasks (bit v set <=> vertex v in
-the set).  Adjacency is stored two ways: one bitmask row per vertex for
-n <= BITSET_ADJ_LIMIT (fast popcount counting, used by the exact small-n
-solvers), and sorted neighbor lists (used by traversals and by the matching
-code).  Both are built lazily from the canonical numpy edge array through one
-CSR pass (a stable argsort of the arcs).  Counts over all vertices at once,
-such as ``degrees_into`` a vertex set given as a boolean array, run on the
-edge array directly; the decomposition and move code uses those.
+Vertex sets are passed as Python ints used as bitmasks (bit v set <=> vertex
+v in the set).  At scale the work runs on numpy over the canonical edge
+array: connected components are one int32 label array (``component_labels``)
+and counts over all vertices are bincount passes.  Sorted neighbour lists
+serve the traversals and the matching code; bitmask adjacency rows, built
+only for n <= BITSET_ADJ_LIMIT, serve the popcount counts over bitmask vertex
+sets that the exact small-n searches make.  Both come lazily from the edge
+array through one CSR pass.
 """
 
 from __future__ import annotations
@@ -43,21 +43,16 @@ def vset(members: Iterable[int]) -> int:
     return m
 
 
-def vset_members(mask: int) -> list[int]:
-    """Sorted vertex ids of a bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def vset_members(mask: int) -> list[int]:
+    """Sorted vertex ids of a bitmask."""
+    return list(iter_bits(mask))
 
 
 def popcount(mask: int) -> int:
@@ -70,6 +65,12 @@ def vset_from_flags(flags: np.ndarray) -> int:
                           "little")
 
 
+def vset_flags(mask: int, n: int) -> np.ndarray:
+    """Boolean array of length n marking the members of a bitmask < 2^n."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
 # ---------------------------------------------------------------------------
 # graph
 # ---------------------------------------------------------------------------
@@ -77,7 +78,7 @@ def vset_from_flags(flags: np.ndarray) -> int:
 class Graph:
     """Immutable simple undirected graph with labeled vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj_bits", "_adj_lists")
+    __slots__ = ("n", "_edges", "_adj_bits", "_adj_lists", "_labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -106,6 +107,7 @@ class Graph:
         self._edges = arr
         self._adj_bits = None
         self._adj_lists = None
+        self._labels = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -208,11 +210,9 @@ class Graph:
                 total += popcount(adj[low.bit_length() - 1] & mask)
                 rest ^= low
             return total // 2
-        total = 0
-        for u, v in self._edges:
-            if mask >> int(u) & 1 and mask >> int(v) & 1:
-                total += 1
-        return total
+        inside = vset_flags(mask, self.n)
+        return int(np.count_nonzero(inside[self._edges[:, 0]]
+                                    & inside[self._edges[:, 1]]))
 
     def edges_between(self, y: int, z: int) -> int:
         """Number of edges joining disjoint vertex sets ``y`` and ``z``."""
@@ -230,12 +230,9 @@ class Graph:
                 total += popcount(adj[low.bit_length() - 1] & other)
                 rest ^= low
             return total
-        total = 0
-        for u, v in self._edges:
-            u = int(u); v = int(v)
-            if (y >> u & 1 and z >> v & 1) or (y >> v & 1 and z >> u & 1):
-                total += 1
-        return total
+        in_y, in_z = vset_flags(y, self.n), vset_flags(z, self.n)
+        u, v = self._edges[:, 0], self._edges[:, 1]
+        return int(np.count_nonzero((in_y[u] & in_z[v]) | (in_y[v] & in_z[u])))
 
     def degree_into(self, v: int, mask: int) -> int:
         """Number of neighbors of ``v`` inside ``mask``."""
@@ -259,11 +256,47 @@ class Graph:
 
     # -- components ---------------------------------------------------------
 
+    def component_labels(self, removed: int = 0) -> tuple[int, np.ndarray]:
+        """Connected components of the graph induced on V minus ``removed``
+        as (count, int32 labels): components numbered by smallest member, -1
+        on removed vertices.  Cached, read-only, when nothing is removed.
+
+        Each tree root hooks onto the smallest root an edge joins it to, and
+        pointer jumping flattens the trees, until no edge joins two trees
+        (min-label hooking, after Shiloach & Vishkin 1982).  Roots only hook
+        onto smaller roots, so a root is the smallest member of its tree.
+        """
+        if not removed and self._labels is not None:
+            return self._labels
+        self._check_mask(removed)
+        alive = ~vset_flags(removed, self.n)
+        u, v = self._edges[alive[self._edges].all(axis=1)].T
+        root = np.arange(self.n)
+        while True:
+            ru, rv = root[u], root[v]
+            cross = ru != rv            # an edge inside a tree stays inside
+            if not cross.any():
+                break
+            u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+            # every vertex points at its root here, so only roots hook
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+            while not np.array_equal(up := root[root], root):
+                root = up
+        is_root = (root == np.arange(self.n)) & alive
+        labels = (np.cumsum(is_root, dtype=np.int32) - 1)[root]
+        labels[~alive] = -1
+        result = int(np.count_nonzero(is_root)), labels
+        if not removed:
+            labels.flags.writeable = False
+            self._labels = result
+        return result
+
     def components(self, removed: int = 0) -> list[int]:
         """Connected components of the graph induced on V minus ``removed``.
 
         Returns one bitmask per component, ordered by smallest member.  The
-        parity of a component is the parity of its popcount.
+        parity of a component is the parity of its popcount.  Above
+        BITSET_ADJ_LIMIT, the component label array grouped into bitmasks.
         """
         self._check_mask(removed)
         alive = self.full_mask() & ~removed
@@ -284,23 +317,11 @@ class Graph:
                 out.append(comp)
                 rest &= ~comp
             return out
-        adj_l = self.adj_lists
-        seen = [False] * self.n
-        for s in range(self.n):
-            if not (alive >> s & 1) or seen[s]:
-                continue
-            comp = 0
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp |= 1 << v
-                for w in adj_l[v]:
-                    if alive >> w & 1 and not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(comp)
-        return out
+        count, labels = self.component_labels(removed)
+        # sorted by label, the removed vertices (label -1) come first
+        order = np.argsort(labels, kind="stable")
+        bounds = np.cumsum(np.bincount(labels + 1, minlength=count + 1))
+        return [vset(part.tolist()) for part in np.split(order, bounds)[1:-1]]
 
     def induced_adjacency(self, mask: int) -> list[int]:
         """Bitmask adjacency rows of the subgraph induced on ``mask``, its
@@ -438,16 +459,3 @@ def dense_regime_p(n: int) -> tuple[float, bool]:
     if raw > 1.0:
         return 1.0, True
     return raw, False
-
-
-# module-level op aliases matching the documented operation names
-def edges_within(g: Graph, x: int) -> int:
-    return g.edges_within(x)
-
-
-def edges_between(g: Graph, y: int, z: int) -> int:
-    return g.edges_between(y, z)
-
-
-def components(g: Graph, removed: int = 0) -> list[int]:
-    return g.components(removed)

@@ -16,7 +16,7 @@ import numpy as np
 from . import decomposition as dec
 from .errors import CapabilityError, InputError
 from .graph_core import (Graph, GnpParams, RNG_NAME, dense_regime_p, gen_gnp,
-                         popcount, vset_members)
+                         popcount, vset, vset_members)
 from .matching import (_cover_at_most, _env_budget, is_forest,
                        matching_number, vertex_cover_number)
 
@@ -43,22 +43,20 @@ def trial_seed(master_seed: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 def count_isolated_p3(g: Graph) -> tuple[int, list[tuple[int, int, int]]]:
-    """Components that are exactly a 3-vertex path; up to two witnesses,
-    each reported as (end, middle, end)."""
-    count = 0
+    """Components that are a 3-vertex path (three vertices, two edges); up to
+    two witnesses, the first by smallest member, each (end, middle, end)."""
+    comps, labels = g.component_labels()
+    edges = g.edge_array()
+    edge_label = labels[edges[:, 0]]
+    paths = np.flatnonzero((np.bincount(labels, minlength=comps) == 3)
+                           & (np.bincount(edge_label, minlength=comps) == 2))
     witnesses = []
-    for comp in g.components():
-        if popcount(comp) != 3:
-            continue
-        members = vset_members(comp)
-        if g.edges_within(comp) != 2:
-            continue
-        mid = next(v for v in members if g.degree_into(v, comp) == 2)
-        ends = [v for v in members if v != mid]
-        count += 1
-        if len(witnesses) < 2:
-            witnesses.append((ends[0], mid, ends[1]))
-    return count, witnesses
+    for c in paths[:2]:
+        # the middle vertex is the one both edges meet
+        verts, times = np.unique(edges[edge_label == c], return_counts=True)
+        a, b = verts[times == 1].tolist()
+        witnesses.append((a, int(verts[times == 2][0]), b))
+    return int(paths.size), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +95,7 @@ def eg_fails_at_nu(g: Graph, vc_budget: int | None = None) -> EgAtNuVerdict:
     """At k = nu(G) the unique largest subgraph is G itself, so the property
     holds iff G's edges fit in a (2 nu + 1)-set or tau(G) = nu(G)."""
     nu = matching_number(g)
-    nonisolated = sum(1 for v in range(g.n) if g.degree(v) > 0)
+    nonisolated = int(np.count_nonzero(np.bincount(g.edge_array().ravel())))
     form_a = (2 * nu + 1 <= g.n) and (nonisolated <= 2 * nu + 1)
     if form_a:
         return EgAtNuVerdict("holds", True, None, nu, None,
@@ -218,9 +216,7 @@ def density_audit(g: Graph, p: float, epsilon: float, samples: int,
             both = _random_subset(rng, n, y_size + z_size)
             members = vset_members(both)
             pick = rng.permutation(len(members))
-            y_mask = 0
-            for i in pick[:y_size]:
-                y_mask |= 1 << members[int(i)]
+            y_mask = vset(members[int(i)] for i in pick[:y_size])
             z_mask = both & ~y_mask
             events["between_eq"][0] += 1
             events["between_eq"][1] += not between_event_holds(
@@ -230,10 +226,7 @@ def density_audit(g: Graph, p: float, epsilon: float, samples: int,
 
 
 def _random_subset(rng, n: int, size: int) -> int:
-    mask = 0
-    for v in rng.choice(n, size=size, replace=False):
-        mask |= 1 << int(v)
-    return mask
+    return vset(rng.choice(n, size=size, replace=False).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,10 @@ import os
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, popcount, vset
+from .graph_core import Graph, popcount, vset, vset_from_flags
 
 DEFAULT_VC_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EG_MATCHLAB_BUDGET"
@@ -216,7 +218,9 @@ def _mark_blossom_path(v, b, child, marked, base, match, parent):
 # ---------------------------------------------------------------------------
 
 def odd_components(g: Graph, s_mask: int) -> int:
-    return sum(1 for comp in g.components(s_mask) if popcount(comp) & 1)
+    labels = g.component_labels(s_mask)[1]
+    # bin 0 counts the vertices of S (label -1)
+    return int(np.count_nonzero(np.bincount(labels + 1)[1:] & 1))
 
 
 def tutte_berge_witness(g: Graph) -> TBWitness:
@@ -250,26 +254,17 @@ def tutte_berge_witness(g: Graph) -> TBWitness:
 # ---------------------------------------------------------------------------
 
 def is_forest(g: Graph) -> bool:
-    return g.m == g.n - len(g.components())
+    return g.m == g.n - g.component_labels()[0]
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    adj = g.adj_lists
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    """Whether G has no odd cycle: a component lifts to two components of
+    the bipartite double cover (copies v and v + n, each edge joining the
+    two copies) when it has none, and to one otherwise."""
+    u, v = g.edge_array().T
+    cover = Graph(2 * g.n, np.concatenate([np.stack([u, v + g.n], axis=1),
+                                           np.stack([u + g.n, v], axis=1)]))
+    return cover.component_labels()[0] == 2 * g.component_labels()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +398,20 @@ def _cover_parts(g: Graph) -> tuple[int, list[tuple[list[int], int, int]]]:
     mate = _maximum_mate(g)
     scc = _cover_literal_sccs(g.adj_lists, mate)
     matched = [v for v, w in enumerate(mate) if w != -1]
-    failing = vset(v for v in matched if scc[v] == scc[mate[v]])
+    failing = [v for v in matched if scc[v] == scc[mate[v]]]
     known = len(matched) // 2
     if not failing:
         return known, []
-    matched_mask = vset(matched)
+    count, labels = g.component_labels()
+    matched_in = np.bincount(labels[matched], minlength=count)
     parts = []
-    for comp in g.components():
-        if comp & failing:
-            nu_c = popcount(comp & matched_mask) // 2
-            adj = g.induced_adjacency(comp)
-            alive = (1 << len(adj)) - 1
-            known -= nu_c
-            parts.append((adj, max(nu_c + 1, _lp_bound(adj, alive)[0]),
-                          _vc_greedy(adj, alive)))
+    for c in np.unique(labels[failing]).tolist():
+        nu_c = int(matched_in[c]) // 2
+        adj = g.induced_adjacency(vset_from_flags(labels == c))
+        alive = (1 << len(adj)) - 1
+        known -= nu_c
+        parts.append((adj, max(nu_c + 1, _lp_bound(adj, alive)[0]),
+                      _vc_greedy(adj, alive)))
     return known, parts
 
 

@@ -123,6 +123,13 @@ def brute_vertex_cover(g: Graph) -> int:
     return g.n
 
 
+def brute_is_bipartite(g: Graph) -> bool:
+    """Whether some 2-colouring of the vertices leaves no edge monochrome."""
+    edges = g.edge_list()
+    return any(all((side >> u ^ side >> v) & 1 for u, v in edges)
+               for side in range(1 << g.n))
+
+
 def brute_independence_number(g: Graph) -> int:
     best = 0
     for mask in range(1 << g.n):
@@ -271,3 +278,53 @@ def rescan_vc_kernel(adj: list[int], mask: int, taken: int) -> tuple[int, int]:
             if changed:
                 break
     return mask, taken
+
+
+def components_by_union_find(g: Graph, removed: int = 0) -> list[list[int]]:
+    """Connected components of G minus ``removed`` by union-find over the
+    edge list: sorted member lists, ordered by smallest member."""
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edge_list():
+        if not (removed >> u & 1 or removed >> v & 1):
+            parent[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        if not removed >> v & 1:
+            groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def labels_from_components(n: int, comps: list[list[int]]) -> list[int]:
+    """The label array of a partition: the index of each vertex's component,
+    -1 for vertices in none."""
+    labels = [-1] * n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            labels[v] = i
+    return labels
+
+
+def isolated_p3_by_union_find(g: Graph) -> tuple[int, list[tuple[int, int, int]]]:
+    """Isolated 3-paths from the union-find components: a component of
+    three vertices and two edges, whose middle vertex has degree 2."""
+    comps = components_by_union_find(g)
+    degree = [0] * g.n
+    for u, v in g.edge_list():
+        degree[u] += 1
+        degree[v] += 1
+    count, witnesses = 0, []
+    for comp in comps:
+        if len(comp) == 3 and sum(degree[v] for v in comp) == 4:
+            mid = next(v for v in comp if degree[v] == 2)
+            a, b = (v for v in comp if v != mid)
+            count += 1
+            if len(witnesses) < 2:
+                witnesses.append((a, mid, b))
+    return count, witnesses

@@ -278,7 +278,35 @@ class TestGoldenHashes:
         assert sha256(out) == summary_hash
 
 
+class TestImportCost:
+    def test_no_sparse_graph_modules(self):
+        # scipy.sparse adds tens of milliseconds to every import of the package
+        code = ("import sys, eg_matchlab; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.sparse')))")
+        env = dict(os.environ)
+        src = str(Path(eg_matchlab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestCertify:
+    def test_sparse_pin(self, capsys, tmp_path):
+        # recorded with the bitmask breadth-first search that component
+        # label arrays replaced
+        path = write_graph(tmp_path, gen_gnp(GnpParams(3000, 0.0005, 77)))
+        code, out, _ = run(capsys, ["certify", path, "--verify"])
+        assert code == 0
+        assert out == (
+            '{"certificate_present": false, "direct_check": {"nu": 1035, '
+            '"tau": 1035, "verdict": "holds"}, "m": 2216, "n": 3000, '
+            '"p3_count": 30, "p3_witnesses": [[128, 36, 1991], '
+            '[53, 1198, 315]], "reason": "an empty half-set exists"}\n')
+
     def test_failing_instance(self, capsys, tmp_path):
         blob = [(6 + u, 6 + v) for u, v in itertools.combinations(range(5), 2)]
         g = Graph(11, [(0, 1), (1, 2), (3, 4), (4, 5)] + blob)

@@ -7,6 +7,7 @@ from eg_matchlab import graph_core
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset
 
 from conftest import complete_graph, path_graph
+from oracles import components_by_union_find, labels_from_components
 
 
 def small_graphs():
@@ -220,6 +221,85 @@ class TestComponents:
         removed = raw_mask & g.full_mask()
         comps = g.components(removed)
         assert sum(c.bit_count() for c in comps) == g.n - removed.bit_count()
+
+
+def check_labels(g: Graph, removed: int = 0) -> None:
+    """component_labels against the union-find partition: the count, the
+    partition and the numbering by smallest member."""
+    comps = components_by_union_find(g, removed)
+    count, labels = g.component_labels(removed)
+    assert labels.dtype == np.int32 and labels.shape == (g.n,)
+    assert count == len(comps)
+    assert labels.tolist() == labels_from_components(g.n, comps)
+
+
+def path_edges(order: np.ndarray) -> np.ndarray:
+    """The edges of the path visiting vertices in the given order."""
+    return np.stack([order[:-1], order[1:]], axis=1)
+
+
+class TestComponentLabels:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=90),
+        st.integers(0, (1 << n) - 1))))
+    def test_matches_union_find(self, case):
+        n, edges, removed = case
+        g = Graph(n, edges)
+        check_labels(g)
+        check_labels(g, removed)
+        assert g.components(removed) == [
+            vset(c) for c in components_by_union_find(g, removed)]
+
+    def test_cached_and_read_only(self):
+        g = Graph(5, [(3, 4), (0, 2)])
+        count, labels = g.component_labels()
+        assert (count, labels.tolist()) == (3, [0, 1, 0, 2, 2])
+        assert g.component_labels() is g.component_labels(0)
+        with pytest.raises(ValueError):
+            labels[0] = 1
+        count, labels = Graph(0).component_labels()
+        assert (count, labels.tolist()) == (0, [])
+
+    def test_sparse_above_bitset_limit(self):
+        n = graph_core.BITSET_ADJ_LIMIT + 1000
+        g = gen_gnp(GnpParams(n, 1.5 / n, 11))
+        assert not g.has_bitset_adjacency()
+        rng = np.random.default_rng(11)
+        removed = vset(rng.choice(n, size=n // 10, replace=False).tolist())
+        check_labels(g)
+        check_labels(g, removed)
+        comps = components_by_union_find(g, removed)
+        assert g.components(removed) == [vset(c) for c in comps]
+        # the edge counts over boolean masks agree with a count per edge
+        rest = g.full_mask() & ~removed
+        edges = g.edge_list()
+        assert g.edges_within(rest) == sum(
+            1 for u, v in edges if rest >> u & 1 and rest >> v & 1)
+        assert g.edges_between(removed, rest) == sum(
+            1 for u, v in edges if (removed >> u & 1) != (removed >> v & 1))
+
+    @pytest.mark.parametrize("shape", ["sorted", "zigzag", "shuffled"])
+    def test_long_paths(self, shape):
+        # paths are the deepest trees: vertex ids rising, alternating low and
+        # high, or shuffled along them; hooking that does not at least halve
+        # the trees each round shows here as a slow test
+        n = 10 ** 5
+        if shape == "sorted":
+            order = np.arange(n)
+        elif shape == "zigzag":
+            order = np.empty(n, dtype=np.int64)
+            order[0::2] = np.arange((n + 1) // 2)
+            order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+        else:
+            order = np.random.default_rng(5).permutation(n)
+        count, labels = Graph(n, path_edges(order)).component_labels()
+        assert count == 1 and not labels.any()
+        half = n // 2
+        check_labels(Graph(n, np.concatenate([path_edges(order[:half]),
+                                              path_edges(order[half:])])))
 
 
 class TestSerialization:

@@ -6,6 +6,7 @@ import pytest
 
 from eg_matchlab.errors import InputError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
+from eg_matchlab.matching import is_forest
 from eg_matchlab.harness import (CSV_COLUMNS, RegimeSpec,
                                  build_failure_certificate, count_isolated_p3,
                                  density_audit, eg_fails_at_nu, has_empty_half,
@@ -13,7 +14,8 @@ from eg_matchlab.harness import (CSV_COLUMNS, RegimeSpec,
                                  run_trials, splitmix64, trial_seed,
                                  wilson_interval)
 from conftest import complete_graph, cycle, path_graph
-from oracles import count_isolated_p3_packed, sample_p3_counts
+from oracles import (count_isolated_p3_packed, isolated_p3_by_union_find,
+                     sample_p3_counts)
 
 
 class TestSeeds:
@@ -65,6 +67,62 @@ class TestIsolatedP3:
         a = sample_p3_counts(8, 0.2, 5000, seed=7)
         b = sample_p3_counts(8, 0.2, 5000, seed=7)
         assert (a == b).all()
+
+    def test_union_find_oracle_at_1e5(self):
+        g = gen_gnp(GnpParams(100_000, 2 / 100_000, 100_000))
+        assert count_isolated_p3(g) == isolated_p3_by_union_find(g)
+
+
+# (isolated 3-path count, witnesses, is_forest) on the trial graphs of the
+# mc-forest5k (n = 5000, p = 0.1/n) and mc-middle1k (n = 1000, p = 3/n)
+# benchmark pools, recorded with the bitmask breadth-first search that
+# component label arrays replaced
+POOL_PINS = {
+    (0xF05E57, 5000, 0.1 / 5000): [
+        (23, [(33, 326, 2629), (52, 204, 3449)], True),
+        (20, [(0, 372, 3951), (128, 2608, 1353)], True),
+        (19, [(11, 1838, 1744), (98, 3439, 3968)], True),
+        (15, [(26, 3639, 2992), (72, 1119, 3866)], True),
+        (14, [(1109, 17, 2264), (458, 966, 4532)], True),
+        (20, [(33, 4294, 2717), (646, 289, 4242)], True),
+        (15, [(130, 3507, 3772), (152, 4787, 2771)], True),
+        (13, [(121, 2180, 1782), (216, 184, 2174)], True),
+    ],
+    (0x3DD1E, 1000, 3 / 1000): [
+        (0, [], False),
+        (0, [], False),
+        (1, [(329, 774, 983)], False),
+        (0, [], False),
+        (0, [], False),
+        (0, [], False),
+        (0, [], False),
+        (2, [(190, 257, 679), (365, 352, 634)], False),
+        (1, [(72, 329, 293)], False),
+        (0, [], False),
+        (0, [], False),
+        (1, [(646, 389, 805)], False),
+        (0, [], False),
+        (1, [(936, 336, 993)], False),
+        (1, [(153, 692, 763)], False),
+        (0, [], False),
+    ],
+}
+
+
+class TestComponentPins:
+    @pytest.mark.parametrize("base,n,p,j,pin", [
+        (base, n, p, j, pin) for (base, n, p), pins in POOL_PINS.items()
+        for j, pin in enumerate(pins)])
+    def test_pool_graph(self, base, n, p, j, pin):
+        g = gen_gnp(GnpParams(n, p, trial_seed(trial_seed(base, j), 0)))
+        count, witnesses = count_isolated_p3(g)
+        assert (count, witnesses, is_forest(g)) == pin
+
+    def test_sparse_60000(self):
+        g = gen_gnp(GnpParams(60_000, 2 / 60_000, 6000))
+        assert count_isolated_p3(g) == (
+            299, [(10453, 62, 52086), (19849, 75, 20845)])
+        assert not is_forest(g)
 
 
 class TestEmptyHalf:
@@ -140,6 +198,14 @@ class TestEgFailsAtNu:
         assert v.verdict == "fails"
         assert v.nu == 3 and v.tau == 4
         assert not v.form_a and v.form_b is False
+
+    def test_support_counts_vertices_of_positive_degree(self):
+        # one 3-path: 3 support vertices <= 2 nu + 1 = 3; two: 6 > 5; the
+        # isolated vertices on either side do not count
+        one = Graph(9, [(2, 3), (3, 4)])
+        two = Graph(9, [(2, 3), (3, 4), (6, 7), (7, 8)])
+        assert eg_fails_at_nu(one).form_a is True
+        assert eg_fails_at_nu(two).form_a is False
 
     def test_unknown_when_tau_blocked(self):
         g = gen_gnp(GnpParams(26, 0.5, 3))
@@ -287,6 +353,18 @@ class TestRunTrials:
                           master_seed=4, checks=("nu", "p3", "empty_half"))
         records, summary = run_trials(spec)
         assert summary["flags"]["middle_feasible"] is False
+
+    def test_forest_and_middle_build_no_bitset_adjacency(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("bitset adjacency built")
+
+        monkeypatch.setattr(Graph, "adj_bits", property(refuse))
+        for spec in (RegimeSpec(n=2000, p_rule="forest", trials=3,
+                                master_seed=1, forest_c=0.5),
+                     RegimeSpec(n=200, p_rule="middle", p_explicit=0.015,
+                                trials=3, master_seed=9)):
+            records, _ = run_trials(spec)
+            assert all(r.tau is not None for r in records)
 
     def test_move_stats_check(self):
         spec = RegimeSpec(n=24, p_rule="custom", p_explicit=0.4, trials=3,

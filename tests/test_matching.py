@@ -14,8 +14,9 @@ from eg_matchlab.matching import (_vc_kernel, is_bipartite, is_forest,
 from eg_matchlab.harness import has_empty_half, trial_seed
 
 from conftest import cycle, path_graph
-from oracles import (brute_independence_number, brute_matching_number,
-                     brute_vertex_cover, gallai_edmonds_by_deletion,
+from oracles import (brute_independence_number, brute_is_bipartite,
+                     brute_matching_number, brute_vertex_cover,
+                     gallai_edmonds_by_deletion,
                      has_augmenting_path, random_forest, rescan_vc_kernel,
                      tb_max_over_subsets)
 
@@ -306,6 +307,13 @@ class TestVertexCover:
             nu = matching_number(g)
             tau = vertex_cover_number(g)
             assert nu <= tau <= 2 * nu
+
+    def test_is_bipartite_equals_brute_force(self):
+        graphs = [random_graph(tag) for tag in range(60)]
+        graphs += [gen_gnp(GnpParams(12, 0.12, seed)) for seed in range(30)]
+        graphs += [cycle(4), cycle(5), cycle(6), Graph(0), Graph(3)]
+        for i, g in enumerate(graphs):
+            assert is_bipartite(g) == brute_is_bipartite(g), i
 
     def test_konig_on_bipartite(self):
         for tag in range(60):
