@@ -298,13 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", default="auto",
                        help="edge probability or 'auto' (= 8 ln n / n)")
         p.add_argument("--eps", type=float, default=0.5)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--lam", type=float, default=0.0)
-        p.add_argument("--K", type=float, default=1.0)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--side", choices=("gt", "ge", "lt", "le"),
-                       default="gt")
+        if name == "bounds":
+            p.add_argument("--m", type=int, default=None)
+            p.add_argument("--q", type=float, default=None)
+            p.add_argument("--lam", type=float, default=0.0)
+            p.add_argument("--K", type=float, default=1.0)
+            p.add_argument("--t", type=float, default=None)
+            p.add_argument("--side", choices=("gt", "ge", "lt", "le"),
+                           default="gt")
         p.add_argument("--out")
         p.set_defaults(fn=_cmd_bounds if name == "bounds" else _cmd_budget)
 
@@ -319,13 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forest-c", type=float, default=0.1)
     p.add_argument("--checks", default=None,
                    help="comma list: nu,forest,p3,empty_half,tau,eg,density,moves")
-    p.add_argument("--eg-cutoff", type=int, default=12)
+    p.add_argument("--eg-cutoff", type=int,
+                   default=decomposition.DEFAULT_N_EXACT_EXTREMAL)
     p.add_argument("--out", help="CSV file (summary JSON still on stdout)")
     p.set_defaults(fn=_cmd_montecarlo)
 
     p = sub.add_parser("certify", help="failure certificate at k = nu")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=harness.DEFAULT_IS_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--verify", action="store_true",
                    help="also run the direct support/cover check")
     p.add_argument("--out")

@@ -32,6 +32,9 @@ from .matching import max_matching, matching_number
 
 DEFAULT_N_EXACT_EXTREMAL = 12
 DEFAULT_FORM_ENUM_BUDGET = 200_000
+# the 1-swap local search above the enumeration budget makes at most this
+# many improving swaps
+SWAP_PASSES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +311,9 @@ def _greedy_dense_set(g: Graph, size: int) -> int:
     return mask
 
 
-def _swap_improve(g: Graph, mask: int, objective, max_passes: int = 20):
+def _swap_improve(g: Graph, mask: int, objective):
     val = objective(mask)
-    for _ in range(max_passes):
+    for _ in range(SWAP_PASSES):
         improved = False
         inside = vset_members(mask)
         outside = [v for v in range(g.n) if not mask >> v & 1]
@@ -373,7 +376,7 @@ def extremal(g: Graph, k: int, mode: str = "exact",
             raise CapabilityError(
                 f"exact extremal search limited to n <= {n_exact} (got {g.n})")
         return _extremal_exact(g, k)
-    if mode in ("heur", "heuristic"):
+    if mode == "heur":
         return _extremal_heuristic(g, k, seed)
     raise InputError(f"unknown mode {mode!r}")
 

@@ -177,8 +177,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        if self.has_bitset_adjacency():
-            return bool(self.adj_bits[u] >> v & 1)
         lst = self.adj_lists[u]
         i = bisect.bisect_left(lst, v)
         return i < len(lst) and lst[i] == v

@@ -21,7 +21,6 @@ from .matching import (_cover_at_most, _env_budget, is_forest,
                        matching_number, vertex_cover_number)
 
 SCHEMA = "eg-matchlab/1"
-DEFAULT_IS_NODE_BUDGET = 100_000_000
 CSV_COLUMNS = ("trial", "seed", "n", "p", "m", "nu", "is_forest", "p3_count",
                "empty_half", "tau_eq_nu", "eg_all", "notes")
 
@@ -68,8 +67,7 @@ def has_empty_half(g: Graph, node_budget: int | None = None):
     number is at least ceil(n/2), i.e. tau(G) <= floor(n/2); 'unknown'
     carries the budget reason.  Answered without search when tau = nu, since
     nu <= floor(n/2); otherwise by the vertex cover search as a decision."""
-    resolved = _env_budget(DEFAULT_IS_NODE_BUDGET if node_budget is None
-                           else node_budget)
+    resolved = _env_budget(node_budget)
     try:
         verdict = _cover_at_most(g, g.n // 2, resolved)
     except CapabilityError:
@@ -120,8 +118,7 @@ class FailureCertificate:
     conclusion: str = "eg_fails_at_nu"
 
 
-def build_failure_certificate(g: Graph,
-                              node_budget: int = DEFAULT_IS_NODE_BUDGET):
+def build_failure_certificate(g: Graph, node_budget: int | None = None):
     """Returns (certificate, reason); certificate is None with a reason when
     either half of the evidence is missing or undecided."""
     node_budget = _env_budget(node_budget)
@@ -241,6 +238,10 @@ def middle_regime_interval(n: int) -> tuple[float, float, bool]:
     return lo, hi, lo < hi
 
 
+# the density audit of every "density" check: its epsilon and sample count
+DENSITY_EPSILON = 0.5
+DENSITY_SAMPLES = 100
+
 DEFAULT_CHECKS = {
     "dense": ("nu", "forest", "p3", "eg", "density"),
     "forest": ("nu", "forest", "p3", "eg", "tau"),
@@ -260,11 +261,9 @@ class RegimeSpec:
     checks: tuple[str, ...] = ()
     p_explicit: float | None = None  # required for middle / custom
     forest_c: float = 0.1            # p = c / n in the forest regime
-    eg_exact_cutoff: int = 12
-    density_epsilon: float = 0.5
-    density_samples: int = 100
+    eg_exact_cutoff: int = dec.DEFAULT_N_EXACT_EXTREMAL
     vc_budget: int | None = None
-    is_budget: int = DEFAULT_IS_NODE_BUDGET
+    is_budget: int | None = None
 
     def __post_init__(self):
         for name in ("vc_budget", "is_budget"):
@@ -378,8 +377,7 @@ def run_trials(spec: RegimeSpec):
                 rec.notes.append(
                     f"exact eg check limited to n <= {spec.eg_exact_cutoff}")
         if "density" in checks:
-            audit = density_audit(g, p, spec.density_epsilon,
-                                  spec.density_samples,
+            audit = density_audit(g, p, DENSITY_EPSILON, DENSITY_SAMPLES,
                                   trial_seed(seed, 0xD0))
             rec.density = dict(audit.events)
         if "moves" in checks:

@@ -36,10 +36,12 @@ DEFAULT_VC_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EG_MATCHLAB_BUDGET"
 
 
-def _env_budget(budget: int) -> int:
+def _env_budget(budget: int | None) -> int:
     """The node budget to use: the environment override when set, else
-    ``budget``.  Both must be positive."""
-    if budget <= 0:
+    ``budget``, else DEFAULT_VC_NODE_BUDGET.  Both must be positive."""
+    if budget is None:
+        budget = DEFAULT_VC_NODE_BUDGET
+    elif budget <= 0:
         raise InputError(f"node budget must be positive (got {budget})")
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
@@ -355,7 +357,7 @@ def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
     max(nu_c + 1, ceil(LP)).  When the node budget runs out, CapabilityError
     carries the proved lower bound and the best upper bound on tau.
     """
-    budget = _env_budget(DEFAULT_VC_NODE_BUDGET if node_budget is None else node_budget)
+    budget = _env_budget(node_budget)
     known, parts = _cover_parts(g)
     lower = known + sum(lo for _, lo, _ in parts)
     upper = known + sum(hi for _, _, hi in parts)

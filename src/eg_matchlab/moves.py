@@ -2,10 +2,12 @@
 
 A decomposition that is not of canonical form 1 / form 2 falls into exactly
 one of seven cases, determined by the size of its largest block A_1, the
-excess y, |B| (vertices outside S and A_1), and |S|.  Each case has a
-transformation producing a new decomposition with the same r = d - |S|
-(hence the same matching-number budget) that, on graphs with the expected
-edge-density behavior, is strictly larger.  Where a choice is left open, we
+excess y, |B| (vertices outside S and A_1), and |S|.  The cutoffs between
+the cases are a function of n alone (``CaseThresholds.from_n``), and each
+move records them in its report.  Each case has a transformation producing
+a new decomposition with the same r = d - |S| (hence the same
+matching-number budget) that, on graphs with the expected edge-density
+behavior, is strictly larger.  Where a choice is left open, we
 pick the variant that maximizes the chance of improvement at finite n and
 record it in the report.
 
@@ -85,8 +87,7 @@ def is_canonical(pi: Decomposition) -> bool:
     return pi.s == 0 and pi.y == 0
 
 
-def classify_case(g: Graph, pi: Decomposition,
-                  thresholds: CaseThresholds | None = None) -> int:
+def classify_case(g: Graph, pi: Decomposition) -> int:
     """The unique case 1..7 whose guard matches a non-canonical decomposition.
 
     Integer-exact comparisons are used for the rational cutoffs (n/2000,
@@ -95,7 +96,7 @@ def classify_case(g: Graph, pi: Decomposition,
     """
     if is_canonical(pi):
         raise MoveError("decomposition is already canonical")
-    th = thresholds or CaseThresholds.from_n(pi.n)
+    th = CaseThresholds.from_n(pi.n)
     n = pi.n
     a1, y, s, b = pi.a1_size, pi.y, pi.s, pi.b_size
     if 2000 * a1 < n:
@@ -113,14 +114,11 @@ def classify_case(g: Graph, pi: Decomposition,
     return 6             # s == s_cut exactly: lower case wins
 
 
-def _guard_check(g: Graph, pi: Decomposition, case_id: int,
-                 thresholds: CaseThresholds | None) -> CaseThresholds:
-    th = thresholds or CaseThresholds.from_n(pi.n)
-    actual = classify_case(g, pi, th)
+def _guard_check(g: Graph, pi: Decomposition, case_id: int) -> None:
+    actual = classify_case(g, pi)
     if actual != case_id:
         raise MoveError(f"case {case_id} move applied to a case {actual} "
                         "decomposition")
-    return th
 
 
 def _in_block_degrees(g: Graph, pi: Decomposition) -> np.ndarray:
@@ -156,10 +154,11 @@ def _mask(n: int, vertices: np.ndarray) -> int:
 
 
 def _report(g: Graph, pi: Decomposition, case_id: int, owner: np.ndarray,
-            moved: np.ndarray, th: CaseThresholds) -> MoveReport:
+            moved: np.ndarray) -> MoveReport:
     pi2 = Decomposition(pi.n, owner)
     return MoveReport(case_id, pi, pi2, decomposition_size(g, pi),
-                      decomposition_size(g, pi2), _mask(pi.n, moved), th)
+                      decomposition_size(g, pi2), _mask(pi.n, moved),
+                      CaseThresholds.from_n(pi.n))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,7 @@ def _report(g: Graph, pi: Decomposition, case_id: int, owner: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _fold_into_a1(g: Graph, pi: Decomposition, case_id: int,
-                  keep_key: np.ndarray, th: CaseThresholds) -> MoveReport:
+                  keep_key: np.ndarray) -> MoveReport:
     """Every non-singleton block after A_1 keeps the member with the
     smallest ``keep_key`` as a singleton; the rest join A_1.  New
     singletons get labels d + v, distinct from every existing label."""
@@ -179,40 +178,35 @@ def _fold_into_a1(g: Graph, pi: Decomposition, case_id: int,
     new[excess] = 0
     new[keep] = pi.d + keep
     moved = np.setdiff1d(excess, keep, assume_unique=True)
-    return _report(g, pi, case_id, new, moved, th)
+    return _report(g, pi, case_id, new, moved)
 
 
-def _merge_excess(g: Graph, pi: Decomposition, case_id: int,
-                  thresholds: CaseThresholds | None) -> MoveReport:
-    th = _guard_check(g, pi, case_id, thresholds)
+def _merge_excess(g: Graph, pi: Decomposition, case_id: int) -> MoveReport:
+    _guard_check(g, pi, case_id)
     # keep the cheapest representative: fewest neighbours in its block
-    return _fold_into_a1(g, pi, case_id, _in_block_degrees(g, pi), th)
+    return _fold_into_a1(g, pi, case_id, _in_block_degrees(g, pi))
 
 
-def apply_case1(g: Graph, pi: Decomposition,
-                thresholds: CaseThresholds | None = None) -> MoveReport:
-    return _merge_excess(g, pi, 1, thresholds)
+def apply_case1(g: Graph, pi: Decomposition) -> MoveReport:
+    return _merge_excess(g, pi, 1)
 
 
-def apply_case4(g: Graph, pi: Decomposition,
-                thresholds: CaseThresholds | None = None) -> MoveReport:
-    return _merge_excess(g, pi, 4, thresholds)
+def apply_case4(g: Graph, pi: Decomposition) -> MoveReport:
+    return _merge_excess(g, pi, 4)
 
 
-def apply_case5(g: Graph, pi: Decomposition,
-                thresholds: CaseThresholds | None = None) -> MoveReport:
-    th = _guard_check(g, pi, 5, thresholds)
+def apply_case5(g: Graph, pi: Decomposition) -> MoveReport:
+    _guard_check(g, pi, 5)
     # keep the vertex least connected to A_1; the rest join A_1
-    return _fold_into_a1(g, pi, 5, g.degrees_into(pi.owner == 0), th)
+    return _fold_into_a1(g, pi, 5, g.degrees_into(pi.owner == 0))
 
 
 # ---------------------------------------------------------------------------
 # case 2: promote a well-connected singleton into S
 # ---------------------------------------------------------------------------
 
-def apply_case2(g: Graph, pi: Decomposition,
-                thresholds: CaseThresholds | None = None) -> MoveReport:
-    th = _guard_check(g, pi, 2, thresholds)
+def apply_case2(g: Graph, pi: Decomposition) -> MoveReport:
+    _guard_check(g, pi, 2)
     owner = pi.owner
     size_of = _block_size_of(pi)
     singles = np.flatnonzero(size_of == 1)
@@ -240,7 +234,7 @@ def apply_case2(g: Graph, pi: Decomposition,
     new[x] = -1
     new[v1] = pi.d + v1
     new[v2] = pi.d + v2
-    return _report(g, pi, 2, new, np.array([x, v1, v2]), th)
+    return _report(g, pi, 2, new, np.array([x, v1, v2]))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +242,8 @@ def apply_case2(g: Graph, pi: Decomposition,
 # ---------------------------------------------------------------------------
 
 def apply_case3(g: Graph, pi: Decomposition, rng=None,
-                thresholds: CaseThresholds | None = None,
                 seed: int = 0) -> MoveReport:
-    th = _guard_check(g, pi, 3, thresholds)
+    _guard_check(g, pi, 3)
     if rng is None:
         rng = np.random.Generator(np.random.Philox(key=seed))
     members = np.flatnonzero(pi.owner == 0)
@@ -259,16 +252,15 @@ def apply_case3(g: Graph, pi: Decomposition, rng=None,
     new = pi.owner.copy()
     new[members] = pi.d + members
     new[a11] = -1
-    return _report(g, pi, 3, new, a11, th)
+    return _report(g, pi, 3, new, a11)
 
 
 # ---------------------------------------------------------------------------
 # cases 6 and 7: dissolve S into A_1 (with an M from B to fix parity)
 # ---------------------------------------------------------------------------
 
-def _absorb_s(g: Graph, pi: Decomposition, case_id: int,
-              thresholds: CaseThresholds | None) -> MoveReport:
-    th = _guard_check(g, pi, case_id, thresholds)
+def _absorb_s(g: Graph, pi: Decomposition, case_id: int) -> MoveReport:
+    _guard_check(g, pi, case_id)
     owner = pi.owner
     b = np.flatnonzero(owner > 0)
     if pi.s > b.size:
@@ -282,32 +274,30 @@ def _absorb_s(g: Graph, pi: Decomposition, case_id: int,
     new[b] = pi.d + b
     new[owner < 0] = 0
     new[m] = 0
-    return _report(g, pi, case_id, new, m, th)
+    return _report(g, pi, case_id, new, m)
 
 
-def apply_case6(g: Graph, pi: Decomposition,
-                thresholds: CaseThresholds | None = None) -> MoveReport:
-    return _absorb_s(g, pi, 6, thresholds)
+def apply_case6(g: Graph, pi: Decomposition) -> MoveReport:
+    return _absorb_s(g, pi, 6)
 
 
-def apply_case7(g: Graph, pi: Decomposition,
-                thresholds: CaseThresholds | None = None) -> MoveReport:
-    return _absorb_s(g, pi, 7, thresholds)
+def apply_case7(g: Graph, pi: Decomposition) -> MoveReport:
+    return _absorb_s(g, pi, 7)
 
 
 _APPLY = {1: apply_case1, 2: apply_case2, 4: apply_case4,
           5: apply_case5, 6: apply_case6, 7: apply_case7}
 
 
-def apply_case(g: Graph, pi: Decomposition, case_id: int, rng=None,
-               thresholds: CaseThresholds | None = None) -> MoveReport:
+def apply_case(g: Graph, pi: Decomposition, case_id: int,
+               rng=None) -> MoveReport:
     if case_id == 3:
-        return apply_case3(g, pi, rng=rng, thresholds=thresholds)
+        return apply_case3(g, pi, rng=rng)
     try:
         fn = _APPLY[case_id]
     except KeyError:
         raise InputError(f"unknown case id {case_id}") from None
-    return fn(g, pi, thresholds=thresholds)
+    return fn(g, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +313,6 @@ def improve(g: Graph, pi: Decomposition, max_steps: int = 100,
     accepted steps.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    thresholds = CaseThresholds.from_n(pi.n) if pi.n >= 2 else None
     trace: list[MoveReport] = []
     start_size = decomposition_size(g, pi)
     cur = pi
@@ -333,10 +322,9 @@ def improve(g: Graph, pi: Decomposition, max_steps: int = 100,
         if is_canonical(cur):
             reason = "canonical"
             break
-        case_id = classify_case(g, cur, thresholds)
+        case_id = classify_case(g, cur)
         try:
-            report = apply_case(g, cur, case_id, rng=rng,
-                                thresholds=thresholds)
+            report = apply_case(g, cur, case_id, rng=rng)
         except MoveError:
             # structurally impossible move (e.g. |S| = |B| + 1 at r = 0):
             # stop with a flag rather than raising

@@ -45,11 +45,18 @@ def petersen():
     return Graph(10, outer + inner + spokes)
 
 
+@pytest.fixture
+def no_adj_bits(monkeypatch):
+    """Refuse every read of ``Graph.adj_bits`` for the test's duration."""
+    def refuse(g):
+        raise AssertionError("bitset adjacency built")
+
+    monkeypatch.setattr(Graph, "adj_bits", property(refuse))
+
+
 @pytest.fixture(scope="session")
 def dense20000():
     """The single big dense-regime graph shared by the move tests."""
     n = 20000
     p = 8 * math.log(n) / n
-    g = gen_gnp(GnpParams(n, p, 987654321))
-    g.adj_bits  # build once up front
-    return g
+    return gen_gnp(GnpParams(n, p, 987654321))

@@ -27,13 +27,15 @@ from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, binom_tail_exact,
                                 chernoff_lower, chernoff_upper,
                                 eg_size_formula, large_deviation, p3_moments,
                                 union_budget)
-from eg_matchlab.decomposition import Decomposition, extremal, eg_check, eg_check_all
+from eg_matchlab.decomposition import (Decomposition, _random_decomposition,
+                                       eg_check, eg_check_all, extremal)
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
 from eg_matchlab.harness import (RegimeSpec, build_failure_certificate,
                                  records_to_csv, run_trials, trial_seed)
 from eg_matchlab.matching import (matching_number, odd_components,
                                   tutte_berge_witness, vertex_cover_number)
-from eg_matchlab.moves import CaseThresholds, apply_case, classify_case
+from eg_matchlab.moves import (CaseThresholds, apply_case, classify_case,
+                               improve)
 
 from conftest import complete_graph
 from oracles import (extremal_by_edge_subsets, random_forest,
@@ -184,6 +186,19 @@ class TestCriterion4Moves:
         report(4, ok, f"(case {case_id}: {improved}/100 strict improvements)")
         assert ok, f"case {case_id}: only {improved}/100 improved"
 
+    def test_moves_read_no_bitset_adjacency(self, dense20000, no_adj_bits):
+        """Classifying, every move and the improvement loop at n = 20000
+        work from the label array and the edge array alone."""
+        g = dense20000
+        for case_id, shape in sorted(CASE_SHAPES.items()):
+            rng = np.random.Generator(np.random.Philox(key=case_id))
+            pi = scatter_partition(g.n, shape["a1"], shape["extra"],
+                                   shape["s"], rng)
+            assert classify_case(g, pi) == case_id
+            apply_case(g, pi, case_id, rng=rng)
+        rng = np.random.Generator(np.random.Philox(key=7))
+        improve(g, _random_decomposition(g.n, 5000, rng), seed=7)
+
     def test_case5_guard_unsatisfiable_at_n20000(self, dense20000):
         """No decomposition at n = 20000 is case 5.  classify_case sends a
         shape to case 4 when 10_000 y >= n (integer-exact) and to case 5 only
@@ -195,7 +210,7 @@ class TestCriterion4Moves:
         th = CaseThresholds.from_n(g.n)
         rng = np.random.Generator(np.random.Philox(key=1))
         pi = scatter_partition(g.n, 19001, [3], 0, rng)   # smallest y > 0
-        case = classify_case(g, pi, th)
+        case = classify_case(g, pi)
         ok = th.y_small == 2.0 and pi.y == 2 and case == 4
         report(4, ok, f"(case-5 guard at n=20000: y_small {th.y_small}, "
                       f"minimal-y shape classifies as case {case})")
@@ -211,7 +226,6 @@ class TestCriterion4Moves:
         n = 20002
         p = 8 * math.log(n) / n
         g = gen_gnp(GnpParams(n, p, 665544))
-        g.adj_bits
         improved = 0
         for trial in range(100):
             rng = np.random.Generator(np.random.Philox(

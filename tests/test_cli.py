@@ -1,3 +1,5 @@
+import argparse
+import ast
 import hashlib
 import itertools
 import json
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import eg_matchlab
+from eg_matchlab import cli
 from eg_matchlab.cli import main
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
 from eg_matchlab.matching import matching_number
@@ -188,6 +191,27 @@ class TestBoundsCli:
         assert obj["tag"] == "P24a"
         assert obj["value_log10"] < -6
 
+    def test_budget_bytes(self, capsys):
+        code, out, _ = run(capsys, ["budget", "--tag", "P24a",
+                                    "--n", "16384", "--p", "auto",
+                                    "--eps", "0.5"])
+        assert code == 0
+        assert out == (
+            '{"eps": 0.5, "n": 16384, "notes": {"exponent": "eps^2/2 * '
+            'C(w,2) * p (summation form; the pointwise statement uses '
+            'eps^2/3)", "w_min": 8193}, "p": 0.004738310804609001, '
+            '"tag": "P24a", "vacuous": false, '
+            '"value_log10": -3702.312118299865}\n')
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--m", "5"), ("--q", "0.5"), ("--lam", "1"), ("--K", "2"),
+        ("--t", "3"), ("--side", "lt")])
+    def test_budget_rejects_tail_bound_flags(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["budget", "--tag", "CUT", "--n", "1024", flag, value])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bounds_alias_accepts_tag(self, capsys):
         code, out, _ = run(capsys, ["bounds", "--tag", "CUT", "--n", "1024",
                                     "--p", "auto"])
@@ -241,6 +265,53 @@ class TestMonteCarlo:
         assert code == 0
         assert out.splitlines()[0].startswith("trial,seed")
         assert json.loads(err)["schema"] == "eg-matchlab/1"
+
+
+class TestNoOpFlags:
+    """Every flag a subcommand declares is read as ``args.<dest>`` by its
+    handler or by a ``cli`` function the handler calls."""
+
+    @staticmethod
+    def _functions():
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        return {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef)}
+
+    @staticmethod
+    def _reads(name, functions, seen):
+        """The ``args`` fields read by ``name`` and by the module-level
+        functions it calls, as ``args.x`` or ``getattr(args, "x", ...)``."""
+        if name in seen or name not in functions:
+            return set()
+        seen.add(name)
+        reads = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if (node.func.id == "getattr" and len(node.args) >= 2
+                        and isinstance(node.args[0], ast.Name)
+                        and node.args[0].id == "args"
+                        and isinstance(node.args[1], ast.Constant)):
+                    reads.add(node.args[1].value)
+                reads |= TestNoOpFlags._reads(node.func.id, functions, seen)
+        return reads
+
+    def test_every_flag_is_read(self):
+        functions = self._functions()
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        unread = {}
+        for command, parser in sub.choices.items():
+            reads = self._reads(parser.get_default("fn").__name__,
+                                functions, set())
+            dests = {a.dest for a in parser._actions
+                     if not isinstance(a, argparse._HelpAction)}
+            if dests - reads:
+                unread[command] = sorted(dests - reads)
+        assert unread == {}
 
 
 def sha256(text: str) -> str:

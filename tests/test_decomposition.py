@@ -357,6 +357,10 @@ class TestExtremalHeuristic:
         assert res.lower_bound_only
         assert res.size > 0
 
+    def test_mode_has_one_spelling(self):
+        with pytest.raises(InputError):
+            extremal(gen_gnp(GnpParams(9, 0.5, 77)), 1, mode="heuristic")
+
 
 class TestEgCheck:
     def test_two_triangles_k1_holds(self):

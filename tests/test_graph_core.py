@@ -355,3 +355,11 @@ class TestBigN:
         comps = big.components()
         assert sum(c.bit_count() for c in comps) == big.n
         assert big.degree(70000) == 2
+
+    def test_has_edge_reads_no_bitset_adjacency(self, no_adj_bits):
+        # n = 30000 lies below the bitset limit, where one bitset row
+        # lookup would build all n rows
+        g = gen_gnp(GnpParams(30000, 2 / 30000, 4))
+        u, v = g.edge_list()[0]
+        assert g.has_edge(u, v) and g.has_edge(v, u)
+        assert not g.has_edge(u, u)

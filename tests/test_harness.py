@@ -4,9 +4,11 @@ import math
 
 import pytest
 
-from eg_matchlab.errors import InputError
+from eg_matchlab import matching
+from eg_matchlab.errors import CapabilityError, InputError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
-from eg_matchlab.matching import is_forest
+from eg_matchlab.matching import (BUDGET_ENV_VAR, is_forest,
+                                  vertex_cover_number)
 from eg_matchlab.harness import (CSV_COLUMNS, RegimeSpec,
                                  build_failure_certificate, count_isolated_p3,
                                  density_audit, eg_fails_at_nu, has_empty_half,
@@ -149,6 +151,21 @@ class TestEmptyHalf:
         verdict, reason = has_empty_half(g, node_budget=2)
         assert verdict == "unknown"
         assert "budget" in reason
+
+    def test_one_default_budget(self, monkeypatch):
+        # the graph of test_budget_unknown, and the same graph with two
+        # isolated 3-paths added so that the certificate asks for the
+        # empty half-set too
+        monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+        monkeypatch.setattr(matching, "DEFAULT_VC_NODE_BUDGET", 2)
+        g = gen_gnp(GnpParams(200, 0.015, 3))
+        g2 = Graph(206, g.edge_list() + [(200, 201), (201, 202),
+                                         (203, 204), (204, 205)])
+        out = "vertex cover node budget 2 exceeded"
+        assert has_empty_half(g) == ("unknown", out)
+        assert build_failure_certificate(g2) == (None, out)
+        with pytest.raises(CapabilityError, match="after 2 nodes"):
+            vertex_cover_number(g)
 
     @pytest.mark.parametrize("budget", [0, -4])
     def test_non_positive_budget_is_input_error(self, budget):
@@ -354,11 +371,7 @@ class TestRunTrials:
         records, summary = run_trials(spec)
         assert summary["flags"]["middle_feasible"] is False
 
-    def test_forest_and_middle_build_no_bitset_adjacency(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("bitset adjacency built")
-
-        monkeypatch.setattr(Graph, "adj_bits", property(refuse))
+    def test_forest_and_middle_build_no_bitset_adjacency(self, no_adj_bits):
         for spec in (RegimeSpec(n=2000, p_rule="forest", trials=3,
                                 master_seed=1, forest_c=0.5),
                      RegimeSpec(n=200, p_rule="middle", p_explicit=0.015,
