@@ -366,7 +366,30 @@ def _budget_cut(n, p, eps):
 
 _C7_WINDOW = 256          # parity steps kept around the dominant end
                           # (per-step decay of the omitted tails exceeds
-                          # 1 nat, so truncation error is below e^-250)
+                          # 1 nat, so truncation error is below e^-250; at
+                          # p <= 1/n event 2 rises in s instead and event 1
+                          # dominates: tests check against the full sum)
+_C7_MARGIN = 40.0         # rows dropped this far (plus ln #rows) below the
+                          # largest term add under e^-40 of the sum, which
+                          # moves its log by less than 4.3e-18
+
+
+def _c7_event1(table, n, p, k1, bs, s):
+    """log C(n,s) C(n,b) exp(-k1 a b p), a = n - s - b: event 1 of row b."""
+    a = n - s - bs
+    return table[s] + table[bs] - k1 * a * bs * p
+
+
+def _c7_event2_exponent(n, p, big, bs, s):
+    """E(s) in the event-2 term log C(n,s) - E(s) of row b.  E(s)/s = p h(a)
+    with h increasing in a = n - s - b (lambda = 0.9a - b > 0 as a > 3.99 b;
+    a > 10 b when b < n/1000), so E(s)/s never rises with s."""
+    a = n - s - bs
+    if big:
+        lam_part = 0.9 * a - bs
+        return s * p * lam_part * lam_part / (2.0 * (bs + lam_part / 3.0))
+    ratio = a / (10.0 * math.e * bs)
+    return 0.1 * a * s * p * np.log(ratio)
 
 
 def _budget_case7(n, p, big):
@@ -374,7 +397,26 @@ def _budget_case7(n, p, big):
     all excess in A_1, and A_1 > 3.99 |B|.  For every (k, s) pair the middle
     part B has size b = n + s - 2k - 1; two of k, s, a, b determine the rest.
     ``big`` selects b > 1e-3 n (events at 0.9abp / 0.9asp), else b < 1e-3 n
-    (events at 0.1abp / 0.1asp)."""
+    (events at 0.1abp / 0.1asp).
+
+    One row per b sums a window of W = _C7_WINDOW parity steps per event:
+    event 1 descending from the largest valid s, event 2 ascending from the
+    parity floor.  Only the rows that can reach float64 precision are
+    summed, chosen by a bound on every term of each row:
+
+    * s <= b + 1 and a > 3.99 b give s <= (n + 5)/5.99, so s stays at or
+      below n/2 where log C(n, s) rises; event 1 rises in s and its head
+      (window start) is the row maximum.
+    * Event 2 lies below the line log C(n,s) - s E(s_top)/s_top, s_top the
+      window's last s, since E(s)/s never rises.  The line is concave in
+      s: its maximum is at the floor when its first step falls, and at most
+      log C(n, s_top) minus the floor's linear term otherwise.
+
+    Both heads are terms of the sum, so with M the largest head the sum is
+    at least e^M.  Over R rows, a row whose bound U has
+    U + ln(2W) < M - 40 - ln R is dropped: the dropped rows add less than
+    e^-40 of the sum, which moves the log by under 4.3e-18, below half an
+    ulp of any log-value of magnitude 1/16 or more."""
     s_cut_hi = math.ceil(n / math.sqrt(math.log(n))) - 1   # s < n/sqrt(ln n)
     if big:
         b_lo = math.floor(1e-3 * n) + 1
@@ -403,41 +445,47 @@ def _budget_case7(n, p, big):
     s_hi = s_hi[keep]
     if bs_all.size == 0:
         return -math.inf, {"empty_range": True}
-
-    total = -math.inf
-    offs = np.arange(_C7_WINDOW, dtype=np.int64) * 2
-    table = _log_comb_table(n)
-    for lo_idx in range(0, bs_all.size, 4096):
-        bs = bs_all[lo_idx:lo_idx + 4096]
-        shi = s_hi[lo_idx:lo_idx + 4096]
-        logc_b = table[bs]
-        # event 1 terms grow with s: window descends from s_hi
-        s1 = shi[:, None] - offs[None, :]
-        valid1 = s1 >= 1
-        s1 = np.where(valid1, s1, 1)
-        a1 = n - s1 - bs[:, None]
-        t1 = table[s1] + logc_b[:, None] - k1 * a1 * bs[:, None] * p
-        t1 = np.where(valid1, t1, -np.inf)
-        # event 2 terms fall with s: window ascends from the parity floor
-        s_lo = np.where((shi & 1) == 1, 1, 2)
-        s2 = s_lo[:, None] + offs[None, :]
-        valid2 = s2 <= shi[:, None]
-        s2 = np.where(valid2, s2, 1)
-        a2 = n - s2 - bs[:, None]
-        if big:
-            lam_part = 0.9 * a2 - bs[:, None]
-            expo = (s2 * p * lam_part * lam_part
-                    / (2.0 * (bs[:, None] + lam_part / 3.0)))
-        else:
-            ratio = a2 / (10.0 * math.e * bs[:, None])
-            expo = 0.1 * a2 * s2 * p * np.log(ratio)
-        t2 = table[s2] - expo
-        t2 = np.where(valid2, t2, -np.inf)
-        chunk = logsumexp(np.concatenate([t1.ravel(), t2.ravel()]))
-        total = np.logaddexp(total, chunk)
     notes = {"b_lo": b_lo, "b_hi": int(bs_all[-1]),
              "s_window": _C7_WINDOW,
              "events": ("0.9abp/0.9asp" if big else "0.1abp/0.1asp")}
+
+    table = _log_comb_table(n)
+    s_lo_all = np.where((s_hi & 1) == 1, 1, 2)
+    head1 = _c7_event1(table, n, p, k1, bs_all, s_hi)
+    head2 = table[s_lo_all] - _c7_event2_exponent(n, p, big, bs_all, s_lo_all)
+    s_top = np.minimum(s_lo_all + 2 * (_C7_WINDOW - 1), s_hi)
+    slope = _c7_event2_exponent(n, p, big, bs_all, s_top) / s_top
+    line_lo = table[s_lo_all] - s_lo_all * slope
+    s_next = np.minimum(s_lo_all + 2, s_top)
+    bound2 = np.where(table[s_next] - s_next * slope <= line_lo, line_lo,
+                      table[s_top] - s_lo_all * slope)
+    cutoff = (max(head1.max(), head2.max()) - _C7_MARGIN
+              - math.log(bs_all.size) - math.log(2 * _C7_WINDOW))
+    rows = np.maximum(head1, bound2) >= cutoff
+    bs_all = bs_all[rows]
+    s_hi = s_hi[rows]
+    s_lo_all = s_lo_all[rows]
+    notes["b_rows"] = int(bs_all.size)
+
+    total = -math.inf
+    offs = np.arange(_C7_WINDOW, dtype=np.int64) * 2
+    for lo_idx in range(0, bs_all.size, 4096):
+        bs = bs_all[lo_idx:lo_idx + 4096, None]
+        shi = s_hi[lo_idx:lo_idx + 4096, None]
+        # event 1 terms grow with s: window descends from s_hi
+        s1 = shi - offs
+        valid1 = s1 >= 1
+        s1 = np.where(valid1, s1, 1)
+        t1 = np.where(valid1, _c7_event1(table, n, p, k1, bs, s1), -np.inf)
+        # event 2 terms fall with s for p >= 50/n: window ascends from the
+        # parity floor
+        s2 = s_lo_all[lo_idx:lo_idx + 4096, None] + offs
+        valid2 = s2 <= shi
+        s2 = np.where(valid2, s2, 1)
+        t2 = table[s2] - _c7_event2_exponent(n, p, big, bs, s2)
+        t2 = np.where(valid2, t2, -np.inf)
+        chunk = logsumexp(np.concatenate([t1.ravel(), t2.ravel()]))
+        total = np.logaddexp(total, chunk)
     return float(total), notes
 
 

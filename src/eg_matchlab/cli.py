@@ -8,6 +8,7 @@ Randomized subcommands require an explicit --seed so results replay.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -233,37 +234,40 @@ def _cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching anywhere: a mistyped or removed flag must not turn
+    # into another flag that it happens to abbreviate
     ap = argparse.ArgumentParser(
-        prog="eg-matchlab",
+        prog="eg-matchlab", allow_abbrev=False,
         description="matching-number extremal subgraphs, bounds, experiments")
     sub = ap.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen", help="sample G(n,p) to edge-list text")
+    p = add_parser("gen", help="sample G(n,p) to edge-list text")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("nu", help="maximum matching size")
+    p = add_parser("nu", help="maximum matching size")
     p.add_argument("file")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_nu)
 
-    p = sub.add_parser("tau", help="vertex cover number (exact)")
+    p = add_parser("tau", help="vertex cover number (exact)")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tau)
 
-    p = sub.add_parser("tb-witness",
-                       help="Tutte-Berge witness: the Gallai-Edmonds barrier A(G)")
+    p = add_parser("tb-witness",
+                   help="Tutte-Berge witness: the Gallai-Edmonds barrier A(G)")
     p.add_argument("file")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tb_witness)
 
-    p = sub.add_parser("extremal",
-                       help="largest subgraph with matching number k")
+    p = add_parser("extremal",
+                   help="largest subgraph with matching number k")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "heur"), default="exact")
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_extremal)
 
-    p = sub.add_parser("egcheck", help="canonical-forms verdict per k")
+    p = add_parser("egcheck", help="canonical-forms verdict per k")
     p.add_argument("file")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n-exact", type=int,
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_egcheck)
 
-    p = sub.add_parser("improve", help="run improvement moves on a decomposition")
+    p = add_parser("improve", help="run improvement moves on a decomposition")
     p.add_argument("file")
     p.add_argument("--pi", required=True,
                    help='JSON: {"S": [...], "blocks": [[...], ...]}')
@@ -291,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_improve)
 
     for name in ("bounds", "budget"):
-        p = sub.add_parser(name, help="tail bounds / union-bound budgets")
+        p = add_parser(name, help="tail bounds / union-bound budgets")
         p.add_argument("--tag", choices=bounds.BUDGET_TAGS, default=None,
                        required=(name == "budget"))
         p.add_argument("--n", type=int, default=1024)
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.set_defaults(fn=_cmd_bounds if name == "bounds" else _cmd_budget)
 
-    p = sub.add_parser("montecarlo", help="seeded trial batches")
+    p = add_parser("montecarlo", help="seeded trial batches")
     p.add_argument("--regime", choices=("dense", "forest", "middle", "custom"),
                    required=True)
     p.add_argument("--n", type=int, required=True)
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV file (summary JSON still on stdout)")
     p.set_defaults(fn=_cmd_montecarlo)
 
-    p = sub.add_parser("certify", help="failure certificate at k = nu")
+    p = add_parser("certify", help="failure certificate at k = nu")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--verify", action="store_true",

@@ -33,10 +33,10 @@ class CaseThresholds:
     """Cutoffs separating the seven cases, all functions of n (natural log)."""
 
     n: int
-    frac_small: float       # n / 2000
+    frac_den: int           # |A_1| and y vs n / 2000
     ratio_num: int          # |A_1| vs (399/100) * |B|
     ratio_den: int
-    y_small: float          # 1e-4 * n
+    y_den: int              # y vs 1e-4 * n = n / 10000
     log_half: float         # sqrt(ln n)
     s_cut: float            # n / sqrt(ln n)
 
@@ -45,8 +45,17 @@ class CaseThresholds:
         if n < 2:
             raise InputError("case thresholds need n >= 2")
         root = math.sqrt(math.log(n))
-        return cls(n=n, frac_small=n / 2000.0, ratio_num=399, ratio_den=100,
-                   y_small=1e-4 * n, log_half=root, s_cut=n / root)
+        return cls(n=n, frac_den=2000, ratio_num=399, ratio_den=100,
+                   y_den=10_000, log_half=root, s_cut=n / root)
+
+    @property
+    def frac_small(self) -> float:
+        return self.n / float(self.frac_den)
+
+    @property
+    def y_small(self) -> float:
+        # (1.0 / 10000) rounds to the same double as 1e-4, so this is 1e-4 * n
+        return (1.0 / self.y_den) * self.n
 
     def as_dict(self) -> dict:
         return {"n": self.n, "frac_small": self.frac_small,
@@ -91,7 +100,8 @@ def classify_case(g: Graph, pi: Decomposition) -> int:
     """The unique case 1..7 whose guard matches a non-canonical decomposition.
 
     Integer-exact comparisons are used for the rational cutoffs (n/2000,
-    399/100, 1e-4 n); at the 6/7 boundary (s exactly n/sqrt(ln n)) the
+    399/100, 1e-4 n), multiplied out by the denominators in
+    ``CaseThresholds``; at the 6/7 boundary (s exactly n/sqrt(ln n)) the
     lower-numbered case wins.
     """
     if is_canonical(pi):
@@ -99,11 +109,11 @@ def classify_case(g: Graph, pi: Decomposition) -> int:
     th = CaseThresholds.from_n(pi.n)
     n = pi.n
     a1, y, s, b = pi.a1_size, pi.y, pi.s, pi.b_size
-    if 2000 * a1 < n:
-        return 1 if 2000 * y >= n else 2
+    if th.frac_den * a1 < n:
+        return 1 if th.frac_den * y >= n else 2
     if th.ratio_den * a1 <= th.ratio_num * b:
         return 3
-    if 10_000 * y >= n:
+    if th.y_den * y >= n:
         return 4
     if y > 0:
         return 5

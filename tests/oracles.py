@@ -9,8 +9,10 @@ bitmaps) so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
 from eg_matchlab.errors import InputError
 from eg_matchlab.graph_core import (Graph, iter_bits, popcount, vset,
@@ -328,3 +330,103 @@ def isolated_p3_by_union_find(g: Graph) -> tuple[int, list[tuple[int, int, int]]
             if len(witnesses) < 2:
                 witnesses.append((a, mid, b))
     return count, witnesses
+
+
+def _log_comb_table(n: int) -> np.ndarray:
+    ks = np.arange(n + 1, dtype=np.float64)
+    return gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+
+
+def full_window_case7(n: int, p: float, big: bool) -> float:
+    """The C7a/C7b log-value with every b-row summed: each row adds a window
+    of 256 parity steps per event, event 1 descending from the largest
+    valid s, event 2 ascending from the parity floor, in 4096-row chunks."""
+    window = 256
+    s_cut_hi = math.ceil(n / math.sqrt(math.log(n))) - 1
+    if big:
+        b_lo = math.floor(1e-3 * n) + 1
+        b_hi = (100 * (n - 1) - 1) // 499
+        k1 = 0.1 * 0.1 / 2.0
+    else:
+        b_lo = 1
+        b_hi = math.ceil(1e-3 * n) - 1
+        k1 = 0.9 * 0.9 / 2.0
+    if b_lo > b_hi or s_cut_hi < 1:
+        return -math.inf
+    bs_all = np.arange(b_lo, b_hi + 1, dtype=np.int64)
+    s_hi = np.minimum.reduce([
+        np.full_like(bs_all, s_cut_hi),
+        bs_all + 1,
+        (100 * (n - bs_all) - 399 * bs_all - 1) // 100,
+        n - bs_all - 3,
+    ])
+    want = (n - bs_all - 1) & 1
+    s_hi = np.where((s_hi & 1) == want, s_hi, s_hi - 1)
+    keep = s_hi >= 1
+    bs_all = bs_all[keep]
+    s_hi = s_hi[keep]
+    if bs_all.size == 0:
+        return -math.inf
+
+    total = -math.inf
+    offs = np.arange(window, dtype=np.int64) * 2
+    table = _log_comb_table(n)
+    for lo_idx in range(0, bs_all.size, 4096):
+        bs = bs_all[lo_idx:lo_idx + 4096]
+        shi = s_hi[lo_idx:lo_idx + 4096]
+        logc_b = table[bs]
+        s1 = shi[:, None] - offs[None, :]
+        valid1 = s1 >= 1
+        s1 = np.where(valid1, s1, 1)
+        a1 = n - s1 - bs[:, None]
+        t1 = table[s1] + logc_b[:, None] - k1 * a1 * bs[:, None] * p
+        t1 = np.where(valid1, t1, -np.inf)
+        s_lo = np.where((shi & 1) == 1, 1, 2)
+        s2 = s_lo[:, None] + offs[None, :]
+        valid2 = s2 <= shi[:, None]
+        s2 = np.where(valid2, s2, 1)
+        a2 = n - s2 - bs[:, None]
+        if big:
+            lam_part = 0.9 * a2 - bs[:, None]
+            expo = (s2 * p * lam_part * lam_part
+                    / (2.0 * (bs[:, None] + lam_part / 3.0)))
+        else:
+            ratio = a2 / (10.0 * math.e * bs[:, None])
+            expo = 0.1 * a2 * s2 * p * np.log(ratio)
+        t2 = table[s2] - expo
+        t2 = np.where(valid2, t2, -np.inf)
+        chunk = logsumexp(np.concatenate([t1.ravel(), t2.ravel()]))
+        total = np.logaddexp(total, chunk)
+    return float(total)
+
+
+def case7_rows(n: int, p: float, big: bool):
+    """Every row of the final-case sum with all of its valid s, no window:
+    yields (b, s, event-1 terms, event-2 terms).  The pair (b, s) is valid
+    when s < n/sqrt(ln n), s <= b + 1, a = n - s - b is odd with a >= 3 and
+    a > 3.99 b, and b lies on the side of n/1000 that ``big`` selects."""
+    table = _log_comb_table(n)
+    s_cut = n / math.sqrt(math.log(n))
+    k1 = 0.1 * 0.1 / 2.0 if big else 0.9 * 0.9 / 2.0
+    for b in range(1, n):
+        if (1000 * b > n) != big or 1000 * b == n:
+            continue
+        s = np.arange(1, min(n, b + 2), dtype=np.int64)
+        a = n - s - b
+        s = s[(s < s_cut) & (a % 2 == 1) & (a >= 3) & (100 * a > 399 * b)]
+        if s.size == 0:
+            continue
+        a = n - s - b
+        t1 = table[s] + table[b] - k1 * a * b * p
+        if big:
+            lam = 0.9 * a - b
+            t2 = table[s] - s * p * lam * lam / (2.0 * (b + lam / 3.0))
+        else:
+            t2 = table[s] - 0.1 * a * s * p * np.log(a / (10.0 * math.e * b))
+        yield b, s, t1, t2
+
+
+def exact_case7(n: int, p: float, big: bool) -> float:
+    """The final-case sum over every valid (b, s) pair, with no window."""
+    rows = [np.concatenate([t1, t2]) for _, _, t1, t2 in case7_rows(n, p, big)]
+    return float(logsumexp(np.concatenate(rows))) if rows else -math.inf

@@ -9,9 +9,18 @@ from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, binom_tail_exact,
                                 phi, union_budget)
 from eg_matchlab.errors import InputError
 
+from oracles import case7_rows, exact_case7, full_window_case7
+
 
 def auto_p(n):
     return min(1.0, 8 * math.log(n) / n)
+
+
+def p_grid(n):
+    return (1e-9, 1.0 / n, auto_p(n), min(1.0, 50.0 / n), 0.3, 1.0)
+
+
+C7_SIDES = (("C7a", True), ("C7b", False))
 
 
 class TestPhi:
@@ -189,6 +198,56 @@ class TestUnionBudget:
             "CUT", 2 ** 10, auto_p(2 ** 10)).log_value
         with pytest.raises(InputError):
             BudgetQuery("bogus", 2 ** 10, 0.5)
+
+
+class TestCase7:
+    """C7a and C7b sum a window of parity steps per b-row, and only over the
+    rows whose term bound comes within float64 reach of the largest term."""
+
+    @pytest.mark.parametrize("e", range(10, 17))
+    def test_bit_identical_to_every_row_summed(self, e):
+        n = 2 ** e
+        for p in p_grid(n):
+            for tag, big in C7_SIDES:
+                got = union_budget(tag, n, p).log_value
+                assert got == full_window_case7(n, p, big), (tag, p)
+
+    @pytest.mark.parametrize("e", (10, 11, 12))
+    def test_window_matches_exact_sum(self, e):
+        # relative 1e-12 on the sum is 1e-12 on its log
+        n = 2 ** e
+        for p in p_grid(n):
+            for tag, big in C7_SIDES:
+                got = union_budget(tag, n, p).log_value
+                assert abs(got - exact_case7(n, p, big)) <= 1e-12, (tag, p)
+
+    @pytest.mark.parametrize("e", (10, 11, 12))
+    def test_row_maximum_at_window_head(self, e):
+        """Event 1 peaks at the largest valid s of every row, where its
+        window starts.  Event 2 peaks at the parity floor for p >= 50/n;
+        at p <= 1/n it rises in s instead, and there the window still
+        matches the exact sum (test above) as event 1's terms dominate."""
+        n = 2 ** e
+        for p in p_grid(n):
+            for _, big in C7_SIDES:
+                for b, s, t1, t2 in case7_rows(n, p, big):
+                    assert t1.argmax() == s.size - 1, (b, p)
+                    if p >= 50.0 / n:
+                        assert t2.argmax() == 0, (b, p)
+
+    def test_notes_keep_full_range_and_count_rows(self):
+        n = 2 ** 12
+        for tag, big in C7_SIDES:
+            notes = union_budget(tag, n, auto_p(n)).notes
+            rows = [b for b, *_ in case7_rows(n, auto_p(n), big)]
+            assert (notes["b_lo"], notes["b_hi"]) == (rows[0], rows[-1])
+            assert 1 <= notes["b_rows"] <= len(rows)
+            if big:
+                assert notes["b_rows"] < len(rows) // 10   # 24 of 816
+
+    def test_rows_summed_at_2_20(self):
+        n = 2 ** 20
+        assert union_budget("C7a", n, auto_p(n)).notes["b_rows"] <= 4096
 
 
 class TestEgSizeFormula:

@@ -80,6 +80,16 @@ class TestSubcommands:
         with pytest.raises(SystemExit):
             main(["tb-witness", path] + flag)
 
+    @pytest.mark.parametrize("argv,unknown", [
+        (["budget", "--tag", "CUT", "--n", "1024", "--t", "P25"], "--t P25"),
+        (["extremal", "GRAPH", "--k", "1", "--mo", "heur"], "--mo heur")])
+    def test_abbreviated_flag_rejected(self, capsys, tmp_path, argv, unknown):
+        path = write_graph(tmp_path, cycle(5))
+        with pytest.raises(SystemExit) as exc:
+            main([path if a == "GRAPH" else a for a in argv])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+
     def test_threads_flag_rejected(self, tmp_path):
         path = write_graph(tmp_path, cycle(5))
         with pytest.raises(SystemExit):
@@ -211,6 +221,11 @@ class TestBoundsCli:
             main(["budget", "--tag", "CUT", "--n", "1024", flag, value])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_budget_t_is_not_tag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["budget", "--t", "CUT", "--n", "1024"])
+        assert exc.value.code == 2
 
     def test_bounds_alias_accepts_tag(self, capsys):
         code, out, _ = run(capsys, ["bounds", "--tag", "CUT", "--n", "1024",
