@@ -17,13 +17,10 @@ from .decomposition import (Decomposition, ExtremalResult, best_form1,
                             eg_check, eg_check_all, extremal,
                             nu_of_decomposition)
 from .moves import (CaseThresholds, ImproveResult, MoveReport, apply_case,
-                    apply_case1, apply_case2, apply_case3, apply_case4,
-                    apply_case5, apply_case6, apply_case7, classify_case,
-                    improve, is_canonical)
-from .bounds import (BoundPair, BudgetQuery, BudgetResult, TailQuery,
-                     binom_tail_exact, chernoff_lower, chernoff_upper,
-                     eg_size_formula, large_deviation, p3_moments, phi,
-                     union_budget)
+                    classify_case, improve, is_canonical)
+from .bounds import (BoundPair, BudgetResult, TailQuery, binom_tail_exact,
+                     chernoff_lower, chernoff_upper, eg_size_formula,
+                     large_deviation, p3_moments, phi, union_budget)
 from .harness import (DensityAuditReport, FailureCertificate, RegimeSpec,
                       TrialRecord, between_event_holds,
                       build_failure_certificate, cap300_event_holds,

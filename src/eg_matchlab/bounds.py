@@ -9,6 +9,7 @@ term-exactly in log space with log-gamma binomials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,8 +39,10 @@ class TailQuery:
             raise InputError("m must be >= 1")
         if not (0.0 <= self.q <= 1.0):
             raise InputError("q must lie in [0, 1]")
-        if self.lam < 0:
-            raise InputError("lambda must be >= 0")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise InputError("lambda must be finite and >= 0")
+        if not math.isfinite(self.k_factor):
+            raise InputError("K must be finite")
 
     @property
     def mu(self) -> float:
@@ -125,6 +128,8 @@ def binom_tail_exact(m: int, q: float, t: float, side: str) -> float:
         raise InputError("m must be >= 0")
     if not (0.0 <= q <= 1.0):
         raise InputError("q must lie in [0, 1]")
+    if not math.isfinite(t):
+        raise InputError("t must be finite")
     if side == "gt":
         j0, j1 = math.floor(t) + 1, m
     elif side == "ge":
@@ -155,41 +160,12 @@ def _log_comb(n, k):
     return gammaln(n_arr + 1) - gammaln(k_arr + 1) - gammaln(n_arr - k_arr + 1)
 
 
-def _log_comb_table(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n, as an indexable array."""
-    ks = np.arange(n + 1, dtype=np.float64)
-    return gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-
-
 # ---------------------------------------------------------------------------
 # union-bound budgets
 # ---------------------------------------------------------------------------
 
 BUDGET_TAGS = ("P24a", "P24b", "P25", "P26", "P27a", "P27b", "CUT",
                "C7a", "C7b")
-
-
-@dataclass(frozen=True)
-class BudgetQuery:
-    """One union-bound budget question: which sum, at which (n, p, eps)."""
-
-    tag: str
-    n: int
-    p: float
-    epsilon: float = 0.5
-
-    def __post_init__(self):
-        if self.tag not in BUDGET_TAGS:
-            raise InputError(f"unknown budget tag {self.tag!r}")
-        if self.n < 2:
-            raise InputError("budgets need n >= 2")
-        if not (0.0 < self.p <= 1.0):
-            raise InputError("budgets need 0 < p <= 1")
-        if not (0.0 < self.epsilon < 1.0):
-            raise InputError("budgets need 0 < epsilon < 1")
-
-    def evaluate(self) -> "BudgetResult":
-        return union_budget(self.tag, self.n, self.p, self.epsilon)
 
 
 @dataclass
@@ -299,25 +275,16 @@ def _budget_p26(n, p, eps):
     return float(total), notes
 
 
-def _budget_p27a(n, p, eps):
-    b0 = math.floor(math.sqrt(math.log(n))) + 1
-    a_stmt = math.floor(33 * n / 50) + 1          # a > 33n/50
+def _sum_falling_layers(n, layers):
+    """Log-sum of the layers that ``layers`` yields as (b, log-value) pairs,
+    in order, and the notes of where it stopped: {"b_stop": b}, or {} when
+    the layers ran out.  The sum stops once three layers have come in below
+    the largest so far and n - b copies of the last layer would add under
+    e^-46 of the total."""
     total = -math.inf
     peak = -math.inf
     decreasing = 0
-    notes = {"b_min": b0}
-    for b in range(b0, n):
-        a_min = max(a_stmt, b + 1)                 # b < a
-        c_hi = min(b + 1, n - b - a_min)           # c - 1 <= b
-        if c_hi < 0:
-            if n - b - a_min < 0 and b > n - a_stmt:
-                break
-            continue
-        cs = np.arange(0, c_hi + 1, dtype=np.float64)
-        a_vals = n - b - cs
-        layer = float(logsumexp(
-            float(_log_comb(n, b)) + _log_comb(n, cs)
-            - (0.81 / 2.0) * a_vals * b * p))
+    for b, layer in layers:
         total = np.logaddexp(total, layer)
         if layer >= peak:
             peak = layer
@@ -325,36 +292,48 @@ def _budget_p27a(n, p, eps):
         else:
             decreasing += 1
         if decreasing >= 3 and layer + math.log(max(n - b, 1)) < total - 46.0:
-            notes["b_stop"] = b
-            break
-    return float(total), notes
+            return float(total), {"b_stop": b}
+    return float(total), {}
+
+
+def _budget_p27a(n, p, eps):
+    b0 = math.floor(math.sqrt(math.log(n))) + 1
+    a_stmt = math.floor(33 * n / 50) + 1          # a > 33n/50
+
+    def layers():
+        for b in range(b0, n):
+            a_min = max(a_stmt, b + 1)             # b < a
+            c_hi = min(b + 1, n - b - a_min)       # c - 1 <= b
+            if c_hi < 0:
+                if n - b - a_min < 0 and b > n - a_stmt:
+                    return
+                continue
+            cs = np.arange(0, c_hi + 1, dtype=np.float64)
+            a_vals = n - b - cs
+            yield b, float(logsumexp(
+                float(_log_comb(n, b)) + _log_comb(n, cs)
+                - (0.81 / 2.0) * a_vals * b * p))
+
+    total, stop = _sum_falling_layers(n, layers())
+    return total, {"b_min": b0, **stop}
 
 
 def _budget_p27b(n, p, eps):
     lo = math.ceil(n / math.sqrt(math.log(n)))     # b, c >= n / sqrt(ln n)
-    total = -math.inf
-    peak = -math.inf
-    decreasing = 0
-    notes = {"bc_min": lo}
     if 2 * lo > n:
         return -math.inf, {"empty_range": True, "bc_min": lo}
-    for b in range(lo, n):
-        c_hi = min(b + 1, n - b)                   # a = n - b - c >= 0
-        if c_hi < lo:
-            break
-        cs = np.arange(lo, c_hi + 1, dtype=np.float64)
-        layer = float(logsumexp(
-            float(_log_comb(n, b)) + _log_comb(n, cs) - 1.2 * b * cs * p))
-        total = np.logaddexp(total, layer)
-        if layer >= peak:
-            peak = layer
-            decreasing = 0
-        else:
-            decreasing += 1
-        if decreasing >= 3 and layer + math.log(max(n - b, 1)) < total - 46.0:
-            notes["b_stop"] = b
-            break
-    return float(total), notes
+
+    def layers():
+        for b in range(lo, n):
+            c_hi = min(b + 1, n - b)               # a = n - b - c >= 0
+            if c_hi < lo:
+                return
+            cs = np.arange(lo, c_hi + 1, dtype=np.float64)
+            yield b, float(logsumexp(
+                float(_log_comb(n, b)) + _log_comb(n, cs) - 1.2 * b * cs * p))
+
+    total, stop = _sum_falling_layers(n, layers())
+    return total, {"bc_min": lo, **stop}
 
 
 def _budget_cut(n, p, eps):
@@ -392,7 +371,7 @@ def _c7_event2_exponent(n, p, big, bs, s):
     return 0.1 * a * s * p * np.log(ratio)
 
 
-def _budget_case7(n, p, big):
+def _budget_case7(n, p, eps, *, big):
     """Bad-event budget for the final case: decompositions with S nonempty,
     all excess in A_1, and A_1 > 3.99 |B|.  For every (k, s) pair the middle
     part B has size b = n + s - 2k - 1; two of k, s, a, b determine the rest.
@@ -449,7 +428,7 @@ def _budget_case7(n, p, big):
              "s_window": _C7_WINDOW,
              "events": ("0.9abp/0.9asp" if big else "0.1abp/0.1asp")}
 
-    table = _log_comb_table(n)
+    table = _log_comb(n, np.arange(n + 1))
     s_lo_all = np.where((s_hi & 1) == 1, 1, 2)
     head1 = _c7_event1(table, n, p, k1, bs_all, s_hi)
     head2 = table[s_lo_all] - _c7_event2_exponent(n, p, big, bs_all, s_lo_all)
@@ -489,14 +468,6 @@ def _budget_case7(n, p, big):
     return float(total), notes
 
 
-def _budget_c7a(n, p, eps):
-    return _budget_case7(n, p, big=True)
-
-
-def _budget_c7b(n, p, eps):
-    return _budget_case7(n, p, big=False)
-
-
 _BUDGET_FNS = {
     "P24a": _budget_p24a,
     "P24b": _budget_p24b,
@@ -505,8 +476,8 @@ _BUDGET_FNS = {
     "P27a": _budget_p27a,
     "P27b": _budget_p27b,
     "CUT": _budget_cut,
-    "C7a": _budget_c7a,
-    "C7b": _budget_c7b,
+    "C7a": functools.partial(_budget_case7, big=True),
+    "C7b": functools.partial(_budget_case7, big=False),
 }
 
 
@@ -551,11 +522,12 @@ def p3_moments(n: int, p: float) -> P3Moments:
     if n < 3 or p == 0.0 or p == 1.0:
         # p = 1 kills the (1-p)^(3n-8) isolation factor for every n >= 3
         return P3Moments(0.0, 0.0, None)
-    log_mean = (math.log(3) + _log_comb_int(n, 3) + 2 * math.log(p)
+    log_mean = (math.log(3) + float(_log_comb(n, 3)) + 2 * math.log(p)
                 + (3 * n - 8) * math.log1p(-p))
     mean = math.exp(log_mean)
     if n >= 6:
-        log_pair = (math.log(9) + _log_comb_int(n, 3) + _log_comb_int(n - 3, 3)
+        log_pair = (math.log(9) + float(_log_comb(n, 3))
+                    + float(_log_comb(n - 3, 3))
                     + 4 * math.log(p) + (6 * n - 25) * math.log1p(-p))
         second = mean + math.exp(log_pair)
     else:
@@ -563,8 +535,3 @@ def p3_moments(n: int, p: float) -> P3Moments:
     ratio = None if mean == 0.0 else second / (mean * mean)
     return P3Moments(mean, second, ratio)
 
-
-def _log_comb_int(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return -math.inf
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))

@@ -15,7 +15,8 @@ import sys
 
 from . import bounds, decomposition, harness, moves
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, GnpParams, gen_gnp, vset_members
+from .graph_core import (Graph, GnpParams, dense_regime_p, gen_gnp,
+                         vset_members)
 from .matching import (max_matching, tutte_berge_witness,
                        vertex_cover_number)
 
@@ -43,7 +44,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, sort_keys=True) + "\n")
+    # strict JSON: a NaN or infinity raises here instead of reaching stdout
+    _emit(args, json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +152,7 @@ def _cmd_improve(args) -> int:
 
 def _resolve_p(args) -> float:
     if args.p == "auto":
-        return min(1.0, 8.0 * math.log(args.n) / args.n)
+        return dense_regime_p(args.n)[0]
     try:
         return float(args.p)
     except ValueError as exc:
@@ -160,17 +162,15 @@ def _resolve_p(args) -> float:
 def _cmd_budget(args) -> int:
     p = _resolve_p(args)
     res = bounds.union_budget(args.tag, args.n, p, args.eps)
+    # an empty sum has log-value -inf, which JSON cannot hold
+    log10 = None if res.log_value == -math.inf else res.log10_value
     _emit_json(args, {"tag": res.tag, "n": res.n, "p": res.p,
-                      "eps": res.epsilon, "value_log10": res.log10_value,
+                      "eps": res.epsilon, "value_log10": log10,
                       "vacuous": res.vacuous, "notes": res.notes})
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    if args.tag is not None:
-        return _cmd_budget(args)
-    if args.m is None or args.q is None:
-        raise InputError("bounds needs either --tag or --m/--q")
     query = bounds.TailQuery(args.m, args.q, args.lam, args.K)
     upper = bounds.chernoff_upper(query)
     lower = bounds.chernoff_lower(query)
@@ -294,24 +294,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_improve)
 
-    for name in ("bounds", "budget"):
-        p = add_parser(name, help="tail bounds / union-bound budgets")
-        p.add_argument("--tag", choices=bounds.BUDGET_TAGS, default=None,
-                       required=(name == "budget"))
-        p.add_argument("--n", type=int, default=1024)
-        p.add_argument("--p", default="auto",
-                       help="edge probability or 'auto' (= 8 ln n / n)")
-        p.add_argument("--eps", type=float, default=0.5)
-        if name == "bounds":
-            p.add_argument("--m", type=int, default=None)
-            p.add_argument("--q", type=float, default=None)
-            p.add_argument("--lam", type=float, default=0.0)
-            p.add_argument("--K", type=float, default=1.0)
-            p.add_argument("--t", type=float, default=None)
-            p.add_argument("--side", choices=("gt", "ge", "lt", "le"),
-                           default="gt")
-        p.add_argument("--out")
-        p.set_defaults(fn=_cmd_bounds if name == "bounds" else _cmd_budget)
+    p = add_parser("bounds",
+                   help="Chernoff, large-deviation and exact tail bounds "
+                        "for X ~ Bin(m, q)")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--lam", type=float, default=0.0)
+    p.add_argument("--K", type=float, default=1.0)
+    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--side", choices=("gt", "ge", "lt", "le"), default="gt")
+    p.add_argument("--out")
+    p.set_defaults(fn=_cmd_bounds)
+
+    p = add_parser("budget", help="one finite-n union-bound budget")
+    p.add_argument("--tag", choices=bounds.BUDGET_TAGS, required=True)
+    p.add_argument("--n", type=int, default=1024)
+    p.add_argument("--p", default="auto",
+                   help="edge probability or 'auto' (= 8 ln n / n)")
+    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--out")
+    p.set_defaults(fn=_cmd_budget)
 
     p = add_parser("montecarlo", help="seeded trial batches")
     p.add_argument("--regime", choices=("dense", "forest", "middle", "custom"),

@@ -50,14 +50,14 @@ class Decomposition:
     ``block_sizes[i]`` is the size of block i.  The constructor takes any
     integer labels (-1 for S, any nonnegative id per block) and relabels
     them canonically, so equal partitions have equal ``owner`` arrays.
-    Instances are immutable; ``s_set``, ``blocks``, ``a1`` and ``b_mask``
-    are bitmask views (``blocks`` is built once, on first use).
+    Instances are immutable; ``s_set`` and ``blocks`` are bitmask views,
+    built on each read.
 
     Derived statistics: s = |S|, d = number of blocks, r = d - s,
     B = union of A_2..A_d, y = |B| - (d - 1) (the excess beyond singletons).
     """
 
-    __slots__ = ("n", "owner", "block_sizes", "s", "_blocks")
+    __slots__ = ("n", "owner", "block_sizes", "s")
 
     def __init__(self, n: int, owner):
         owner = np.asarray(owner)
@@ -87,7 +87,7 @@ class Decomposition:
         canon.flags.writeable = False
         sizes.flags.writeable = False
         for name, value in (("n", n), ("owner", canon), ("block_sizes", sizes),
-                            ("s", int(s)), ("_blocks", None)):
+                            ("s", int(s))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -138,19 +138,6 @@ class Decomposition:
 
     @property
     def blocks(self) -> tuple[int, ...]:
-        if self._blocks is None:
-            object.__setattr__(self, "_blocks", self._block_masks())
-        return self._blocks
-
-    @property
-    def a1(self) -> int:
-        return self.blocks[0]
-
-    @property
-    def b_mask(self) -> int:
-        return vset_from_flags(self.owner > 0)
-
-    def _block_masks(self) -> tuple[int, ...]:
         # canonical order puts the non-singleton blocks first and the
         # singletons after them, by vertex
         grouped = np.argsort(self.owner, kind="stable")[self.s:]

@@ -90,7 +90,7 @@ def max_matching(g: Graph) -> Matching:
 
 
 def matching_number(g: Graph) -> int:
-    return max_matching(g).size
+    return (g.n - _maximum_mate(g).count(-1)) // 2
 
 
 def _maximum_mate(g: Graph) -> list[int]:

@@ -124,13 +124,6 @@ def classify_case(g: Graph, pi: Decomposition) -> int:
     return 6             # s == s_cut exactly: lower case wins
 
 
-def _guard_check(g: Graph, pi: Decomposition, case_id: int) -> None:
-    actual = classify_case(g, pi)
-    if actual != case_id:
-        raise MoveError(f"case {case_id} move applied to a case {actual} "
-                        "decomposition")
-
-
 def _in_block_degrees(g: Graph, pi: Decomposition) -> np.ndarray:
     """For every vertex, its number of neighbours in its own block (0 for
     vertices of S)."""
@@ -191,32 +184,25 @@ def _fold_into_a1(g: Graph, pi: Decomposition, case_id: int,
     return _report(g, pi, case_id, new, moved)
 
 
-def _merge_excess(g: Graph, pi: Decomposition, case_id: int) -> MoveReport:
-    _guard_check(g, pi, case_id)
-    # keep the cheapest representative: fewest neighbours in its block
+def _merge_excess(g: Graph, pi: Decomposition, case_id: int,
+                  rng) -> MoveReport:
+    """Cases 1 and 4: keep the cheapest representative, the member with the
+    fewest neighbours in its block."""
     return _fold_into_a1(g, pi, case_id, _in_block_degrees(g, pi))
 
 
-def apply_case1(g: Graph, pi: Decomposition) -> MoveReport:
-    return _merge_excess(g, pi, 1)
-
-
-def apply_case4(g: Graph, pi: Decomposition) -> MoveReport:
-    return _merge_excess(g, pi, 4)
-
-
-def apply_case5(g: Graph, pi: Decomposition) -> MoveReport:
-    _guard_check(g, pi, 5)
-    # keep the vertex least connected to A_1; the rest join A_1
-    return _fold_into_a1(g, pi, 5, g.degrees_into(pi.owner == 0))
+def _merge_excess_by_a1(g: Graph, pi: Decomposition, case_id: int,
+                        rng) -> MoveReport:
+    """Case 5: keep the member least connected to A_1."""
+    return _fold_into_a1(g, pi, case_id, g.degrees_into(pi.owner == 0))
 
 
 # ---------------------------------------------------------------------------
 # case 2: promote a well-connected singleton into S
 # ---------------------------------------------------------------------------
 
-def apply_case2(g: Graph, pi: Decomposition) -> MoveReport:
-    _guard_check(g, pi, 2)
+def _promote_singleton(g: Graph, pi: Decomposition, case_id: int,
+                       rng) -> MoveReport:
     owner = pi.owner
     size_of = _block_size_of(pi)
     singles = np.flatnonzero(size_of == 1)
@@ -244,33 +230,32 @@ def apply_case2(g: Graph, pi: Decomposition) -> MoveReport:
     new[x] = -1
     new[v1] = pi.d + v1
     new[v2] = pi.d + v2
-    return _report(g, pi, 2, new, np.array([x, v1, v2]))
+    return _report(g, pi, case_id, new, np.array([x, v1, v2]))
 
 
 # ---------------------------------------------------------------------------
 # case 3: split A_1, half into S, half into singletons
 # ---------------------------------------------------------------------------
 
-def apply_case3(g: Graph, pi: Decomposition, rng=None,
-                seed: int = 0) -> MoveReport:
-    _guard_check(g, pi, 3)
+def _split_a1(g: Graph, pi: Decomposition, case_id: int,
+              rng) -> MoveReport:
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = np.random.Generator(np.random.Philox(key=0))
     members = np.flatnonzero(pi.owner == 0)
     half = members.size // 2
     a11 = members[rng.permutation(members.size)[:half]]
     new = pi.owner.copy()
     new[members] = pi.d + members
     new[a11] = -1
-    return _report(g, pi, 3, new, a11)
+    return _report(g, pi, case_id, new, a11)
 
 
 # ---------------------------------------------------------------------------
 # cases 6 and 7: dissolve S into A_1 (with an M from B to fix parity)
 # ---------------------------------------------------------------------------
 
-def _absorb_s(g: Graph, pi: Decomposition, case_id: int) -> MoveReport:
-    _guard_check(g, pi, case_id)
+def _absorb_s(g: Graph, pi: Decomposition, case_id: int,
+              rng) -> MoveReport:
     owner = pi.owner
     b = np.flatnonzero(owner > 0)
     if pi.s > b.size:
@@ -287,27 +272,26 @@ def _absorb_s(g: Graph, pi: Decomposition, case_id: int) -> MoveReport:
     return _report(g, pi, case_id, new, m)
 
 
-def apply_case6(g: Graph, pi: Decomposition) -> MoveReport:
-    return _absorb_s(g, pi, 6)
-
-
-def apply_case7(g: Graph, pi: Decomposition) -> MoveReport:
-    return _absorb_s(g, pi, 7)
-
-
-_APPLY = {1: apply_case1, 2: apply_case2, 4: apply_case4,
-          5: apply_case5, 6: apply_case6, 7: apply_case7}
+_MOVES = {1: _merge_excess, 2: _promote_singleton, 3: _split_a1,
+          4: _merge_excess, 5: _merge_excess_by_a1, 6: _absorb_s,
+          7: _absorb_s}
 
 
 def apply_case(g: Graph, pi: Decomposition, case_id: int,
                rng=None) -> MoveReport:
-    if case_id == 3:
-        return apply_case3(g, pi, rng=rng)
+    """The case-``case_id`` move on ``pi``.  Raises MoveError when ``pi`` is
+    canonical, lies in another case, or cannot take the move.  ``rng``
+    draws the half of A_1 that case 3 moves into S (a Philox generator
+    with key 0 when None); the other moves are deterministic."""
     try:
-        fn = _APPLY[case_id]
+        move = _MOVES[case_id]
     except KeyError:
         raise InputError(f"unknown case id {case_id}") from None
-    return fn(g, pi)
+    actual = classify_case(g, pi)
+    if actual != case_id:
+        raise MoveError(f"case {case_id} move applied to a case {actual} "
+                        "decomposition")
+    return move(g, pi, case_id, rng)
 
 
 # ---------------------------------------------------------------------------

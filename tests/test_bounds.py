@@ -192,12 +192,12 @@ class TestUnionBudget:
             assert res.tag == tag
 
     def test_query_object_round_trip(self):
-        from eg_matchlab.bounds import BudgetQuery
-        q = BudgetQuery("CUT", 2 ** 10, auto_p(2 ** 10))
-        assert q.evaluate().log_value == union_budget(
-            "CUT", 2 ** 10, auto_p(2 ** 10)).log_value
+        p = auto_p(2 ** 10)
+        res = union_budget("CUT", 2 ** 10, p)
+        assert (res.tag, res.n, res.p, res.epsilon) == ("CUT", 2 ** 10, p, 0.5)
+        assert res.log_value == union_budget("CUT", 2 ** 10, p).log_value
         with pytest.raises(InputError):
-            BudgetQuery("bogus", 2 ** 10, 0.5)
+            union_budget("bogus", 2 ** 10, 0.5)
 
 
 class TestCase7:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -227,10 +228,21 @@ class TestBoundsCli:
             main(["budget", "--t", "CUT", "--n", "1024"])
         assert exc.value.code == 2
 
-    def test_bounds_alias_accepts_tag(self, capsys):
-        code, out, _ = run(capsys, ["bounds", "--tag", "CUT", "--n", "1024",
+    @pytest.mark.parametrize("flag,value", [
+        ("--tag", "CUT"), ("--n", "1024"), ("--p", "auto"), ("--eps", "0.5")])
+    def test_bounds_rejects_budget_flags(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--m", "100", "--q", "0.5", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_budget_empty_sum_is_null(self, capsys):
+        code, out, _ = run(capsys, ["budget", "--tag", "P25", "--n", "1024",
                                     "--p", "auto"])
-        assert code == 0 and json.loads(out)["tag"] == "CUT"
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["value_log10"] is None and obj["notes"]["empty_range"]
+        assert "Infinity" not in out and "NaN" not in out
 
     def test_bounds_tail_query(self, capsys):
         code, out, _ = run(capsys, ["bounds", "--m", "100", "--q", "0.5",
@@ -242,8 +254,19 @@ class TestBoundsCli:
         assert obj["exact_tail"] <= obj["upper"]["phi"]
 
     def test_bounds_needs_input(self, capsys):
-        code, _, err = run(capsys, ["bounds"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds"])
+        assert exc.value.code == 2
+        assert "required: --m, --q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--t", "nan"), ("--t", "inf"), ("--lam", "nan"), ("--lam", "inf"),
+        ("--K", "nan"), ("--K", "inf")])
+    def test_bounds_non_finite_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, ["bounds", "--m", "100", "--q", "0.5",
+                                      flag, value])
+        assert code == 2 and out == ""
+        assert err.startswith("input error")
 
 
 class TestMonteCarlo:
@@ -327,6 +350,27 @@ class TestNoOpFlags:
             if dests - reads:
                 unread[command] = sorted(dests - reads)
         assert unread == {}
+
+
+class TestReadme:
+    def test_cli_block_parses(self, capsys):
+        """Every ``eg-matchlab`` line of README's CLI block parses, so a flag
+        renamed or removed in the parser fails here until README follows."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+        block = section.split("```bash\n")[1].split("```")[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.splitlines()
+                    if line.startswith("eg-matchlab ")]
+        assert len(commands) >= 10
+        parser = cli.build_parser()
+        rejected = []
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                rejected.append(shlex.join(argv))
+        assert rejected == [], capsys.readouterr().err
 
 
 def sha256(text: str) -> str:

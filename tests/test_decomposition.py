@@ -126,8 +126,8 @@ class TestDecompositionType:
         assert pi.s_set == vset([8])
         assert pi.blocks == (vset([0, 2, 4]), vset([1, 3, 7]), vset([5]),
                              vset([6]))
-        assert pi.a1 == vset([0, 2, 4])
-        assert pi.b_mask == vset([1, 3, 5, 6, 7])
+        assert pi.blocks[0] == vset([0, 2, 4])
+        assert np.flatnonzero(pi.owner > 0).tolist() == [1, 3, 5, 6, 7]
         assert pi.to_json_obj() == {"S": [8], "blocks": [[0, 2, 4],
                                                          [1, 3, 7], [5], [6]]}
 

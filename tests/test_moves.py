@@ -7,11 +7,8 @@ from eg_matchlab.decomposition import Decomposition, _random_decomposition
 from eg_matchlab.errors import MoveError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset
 from eg_matchlab.harness import trial_seed
-from eg_matchlab.moves import (CaseThresholds, apply_case,
-                               apply_case1, apply_case2, apply_case3,
-                               apply_case4, apply_case5, apply_case6,
-                               apply_case7, classify_case, improve,
-                               is_canonical)
+from eg_matchlab.moves import (CaseThresholds, apply_case, classify_case,
+                               improve, is_canonical)
 
 from oracles import decomposition_edges
 
@@ -34,6 +31,10 @@ def pi_with(n, a1_size, extra_blocks, s_size):
 
 def empty_graph(n):
     return Graph(n)
+
+
+def philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class TestThresholds:
@@ -153,7 +154,7 @@ class TestApplyMechanics:
         g = gen_gnp(GnpParams(12, 0.6, trial_seed(0xC3, 1)))
         pi = pi_with(12, 5, [3], 0)
         assert classify_case(g, pi) == 3
-        rep = apply_case3(g, pi, seed=5)
+        rep = apply_case(g, pi, 3, rng=philox(5))
         assert rep.pi_after.r == pi.r
         assert all(b.bit_count() % 2 for b in rep.pi_after.blocks)
         assert rep.pi_after.s == pi.s + 2          # floor(5/2)
@@ -162,17 +163,17 @@ class TestApplyMechanics:
     def test_case3_seeded_split_reproducible(self):
         g = gen_gnp(GnpParams(12, 0.6, trial_seed(0xC3, 2)))
         pi = pi_with(12, 5, [3], 0)
-        a = apply_case3(g, pi, seed=9)
-        b = apply_case3(g, pi, seed=9)
+        a = apply_case(g, pi, 3, rng=philox(9))
+        b = apply_case(g, pi, 3, rng=philox(9))
         assert a.pi_after == b.pi_after
-        c = apply_case3(g, pi, seed=10)
+        c = apply_case(g, pi, 3, rng=philox(10))
         assert c.pi_after.s_set != a.pi_after.s_set or c.pi_after == a.pi_after
 
     def test_case4_merge(self):
         g = gen_gnp(GnpParams(16, 0.5, trial_seed(0xC4, 1)))
         pi = pi_with(16, 13, [3], 0)
         assert classify_case(g, pi) == 4
-        rep = apply_case4(g, pi)
+        rep = apply_case(g, pi, 4)
         assert rep.pi_after.r == pi.r
         assert rep.pi_after.a1_size == 15          # A1 absorbs 2 of the 3
         assert rep.moved_set.bit_count() == 2
@@ -185,7 +186,7 @@ class TestApplyMechanics:
         g = gen_gnp(GnpParams(n, 0.002, trial_seed(0xC1, 1)))
         pi = pi_with(n, 3, [3] * 40, 0)
         assert classify_case(g, pi) == 1
-        rep = apply_case1(g, pi)
+        rep = apply_case(g, pi, 1)
         assert rep.pi_after.r == pi.r
         assert all(b.bit_count() % 2 for b in rep.pi_after.blocks)
         assert rep.moved_set.bit_count() == 80
@@ -196,7 +197,7 @@ class TestApplyMechanics:
         g = empty_graph(7000)
         pi = pi_with(7000, 3, [], 1)               # y = 0: case 2 territory
         with pytest.raises(MoveError):
-            apply_case1(g, pi)
+            apply_case(g, pi, 1)
 
     def test_case2_moves_best_singleton(self):
         n = 7000
@@ -205,7 +206,7 @@ class TestApplyMechanics:
         g = Graph(n, [(100, 0), (100, 1), (100, 3), (0, 1)])
         pi = pi_with(n, 3, [3], 0)                 # A1 = {0,1,2}, block {3,4,5}
         assert classify_case(g, pi) == 2
-        rep = apply_case2(g, pi)
+        rep = apply_case(g, pi, 2)
         assert rep.pi_after.r == pi.r
         assert rep.pi_after.s_set == vset([100])   # highest degree singleton
         assert rep.size_after == rep.size_before + 3 - 0
@@ -216,7 +217,7 @@ class TestApplyMechanics:
         n = 7000
         g = Graph(n, [(100, 0), (100, 1), (50, 3), (50, 4)])
         pi = pi_with(n, 3, [3], 0)
-        rep = apply_case2(g, pi)
+        rep = apply_case(g, pi, 2)
         assert rep.pi_after.s_set == vset([50])
 
     def test_case2_guard_implies_singletons_exist(self):
@@ -242,7 +243,7 @@ class TestApplyMechanics:
         g = Graph(n, [(0, 19002), (1, 19002), (2, 19002), (19002, 19003)])
         pi = pi_with(n, 19001, [3], 0)
         assert classify_case(g, pi) == 5
-        rep = apply_case5(g, pi)
+        rep = apply_case(g, pi, 5)
         assert rep.pi_after.r == pi.r
         assert rep.pi_after.y == 0
         assert rep.moved_set.bit_count() == pi.y == 2
@@ -253,7 +254,7 @@ class TestApplyMechanics:
         g = empty_graph(20002)
         pi = pi_with(20002, 19001, [], 1)          # y = 0: case 7 territory
         with pytest.raises(MoveError):
-            apply_case5(g, pi)
+            apply_case(g, pi, 5)
 
     def test_case6_parity_and_r(self):
         # valid case-6 instance: b = 1 < log_half(11)? sqrt(ln 11) = 1.548;
@@ -261,7 +262,7 @@ class TestApplyMechanics:
         g = gen_gnp(GnpParams(11, 0.5, trial_seed(0xC6, 1)))
         pi = pi_with(11, 9, [], 1)                 # b = 1, s = 1
         assert classify_case(g, pi) == 6
-        rep = apply_case6(g, pi)
+        rep = apply_case(g, pi, 6)
         assert rep.pi_after.a1_size == 9 + 2 * 1   # a + 2s, odd
         assert rep.pi_after.s == 0
         assert rep.pi_after.r == pi.r
@@ -273,13 +274,13 @@ class TestApplyMechanics:
         pi = pi_with(12, 9, [], 2)                 # b = 1 < s = 2
         assert classify_case(g, pi) == 6
         with pytest.raises(MoveError):
-            apply_case6(g, pi)
+            apply_case(g, pi, 6)
 
     def test_case7_builds_form_a(self):
         g = gen_gnp(GnpParams(12, 0.5, trial_seed(0xC7, 1)))
         pi = pi_with(12, 9, [], 1)                 # b = 2 >= log_half, s = 1
         assert classify_case(g, pi) == 7
-        rep = apply_case7(g, pi)
+        rep = apply_case(g, pi, 7)
         assert rep.pi_after.s == 0
         assert rep.pi_after.a1_size == 11
         assert rep.pi_after.r == pi.r
@@ -374,7 +375,7 @@ class TestImprove:
     def test_thresholds_recorded_in_reports(self):
         g = gen_gnp(GnpParams(12, 0.5, trial_seed(0xC7, 1)))
         pi = pi_with(12, 9, [], 1)
-        rep = apply_case7(g, pi)
+        rep = apply_case(g, pi, 7)
         assert rep.thresholds.n == 12
         assert rep.thresholds.as_dict()["ratio"] == 3.99
 
