@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -508,7 +509,8 @@ def eg_size_formula(n: int, k: int, l: int = 2) -> tuple[int, int]:
 class P3Moments:
     mean: float
     second_moment: float
-    ratio: float | None       # second / mean^2; None when the mean is 0
+    # second / mean^2; None when mean^2 is no normal float (0 or underflowed)
+    ratio: float | None
 
 
 def p3_moments(n: int, p: float) -> P3Moments:
@@ -532,6 +534,7 @@ def p3_moments(n: int, p: float) -> P3Moments:
         second = mean + math.exp(log_pair)
     else:
         second = mean
-    ratio = None if mean == 0.0 else second / (mean * mean)
+    square = mean * mean
+    ratio = second / square if square >= sys.float_info.min else None
     return P3Moments(mean, second, ratio)
 

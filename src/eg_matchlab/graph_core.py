@@ -78,7 +78,10 @@ def vset_flags(mask: int, n: int) -> np.ndarray:
 class Graph:
     """Immutable simple undirected graph with labeled vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj_bits", "_adj_lists", "_labels")
+    # _mate and _cover are the maximum matching and the Konig-Egervary split
+    # that ``matching`` computes once per graph and caches here
+    __slots__ = ("n", "_edges", "_adj_bits", "_adj_lists", "_labels",
+                 "_mate", "_cover")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -108,6 +111,8 @@ class Graph:
         self._adj_bits = None
         self._adj_lists = None
         self._labels = None
+        self._mate = None
+        self._cover = None
 
     # -- basic accessors ----------------------------------------------------
 

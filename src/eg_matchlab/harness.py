@@ -66,7 +66,8 @@ def has_empty_half(g: Graph, node_budget: int | None = None):
     """'yes' iff some ceil(n/2)-subset spans no edge, i.e. the independence
     number is at least ceil(n/2), i.e. tau(G) <= floor(n/2); 'unknown'
     carries the budget reason.  Answered without search when tau = nu, since
-    nu <= floor(n/2); otherwise by the vertex cover search as a decision."""
+    nu <= floor(n/2), or when an exact tau cached on ``g`` fits the budget;
+    otherwise by the vertex cover search as a decision."""
     resolved = _env_budget(node_budget)
     try:
         verdict = _cover_at_most(g, g.n // 2, resolved)
@@ -248,6 +249,8 @@ DEFAULT_CHECKS = {
     "middle": ("nu", "forest", "p3", "empty_half", "tau"),
     "custom": ("nu", "forest", "p3"),
 }
+CHECK_NAMES = ("nu", "forest", "p3", "empty_half", "tau", "eg", "density",
+               "moves")
 
 
 @dataclass(frozen=True)
@@ -270,6 +273,10 @@ class RegimeSpec:
             budget = getattr(self, name)
             if budget is not None and budget <= 0:
                 raise InputError(f"{name} must be positive (got {budget})")
+        unknown = [c for c in self.checks if c not in CHECK_NAMES]
+        if unknown:
+            raise InputError(f"unknown checks {unknown}; known: "
+                             f"{', '.join(CHECK_NAMES)}")
 
     def resolve_p(self) -> tuple[float, dict]:
         flags = {}
@@ -353,18 +360,23 @@ def run_trials(spec: RegimeSpec):
             rec.is_forest = is_forest(g)
         if "p3" in checks:
             rec.p3_count = count_isolated_p3(g)[0]
+        # tau before the empty half-set, which an exact tau answers with no
+        # search; the empty half-set's note still comes first
+        tau_note = None
+        if "tau" in checks:
+            try:
+                rec.tau = vertex_cover_number(g, spec.vc_budget)
+                nu = matching_number(g)
+                rec.tau_eq_nu = "yes" if rec.tau == nu else "no"
+            except CapabilityError as exc:
+                rec.tau_eq_nu = "unknown"
+                tau_note = f"tau budget exceeded ({exc})"
         if "empty_half" in checks:
             rec.empty_half, why = has_empty_half(g, spec.is_budget)
             if why:
                 rec.notes.append(why)
-        if "tau" in checks:
-            try:
-                rec.tau = vertex_cover_number(g, spec.vc_budget)
-                nu = rec.nu if rec.nu is not None else matching_number(g)
-                rec.tau_eq_nu = "yes" if rec.tau == nu else "no"
-            except CapabilityError as exc:
-                rec.tau_eq_nu = "unknown"
-                rec.notes.append(f"tau budget exceeded ({exc})")
+        if tau_note:
+            rec.notes.append(tau_note)
         if "eg" in checks:
             if spec.n <= spec.eg_exact_cutoff:
                 verdicts = dec.eg_check_all(g, n_exact=spec.eg_exact_cutoff)

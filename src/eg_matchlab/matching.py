@@ -19,6 +19,12 @@ The same pass, run per component, leaves branch and bound only for the
 components that fail it, and there it gives a root bound of nu_c + 1 next
 to the half-integral LP bound (Nemhauser & Trotter 1975).  One search
 serves the exact tau and the decision tau <= k behind the empty half-set.
+
+Each graph gets one maximum matching and one Konig-Egervary split, both
+computed on first use and cached on the Graph, read-only.  The exact tau is
+cached with the number of nodes its search took, and answers the decision
+tau <= k whenever that number fits the decision's node budget (see
+``_cover_at_most``).
 """
 
 from __future__ import annotations
@@ -85,12 +91,20 @@ class TBWitness:
 
 def max_matching(g: Graph) -> Matching:
     """Maximum matching via augmenting-path search with blossom contraction."""
-    mate = _maximum_mate(g)
+    mate = _cached_mate(g)
     return Matching(tuple(sorted((u, w) for u, w in enumerate(mate) if w > u)))
 
 
 def matching_number(g: Graph) -> int:
-    return (g.n - _maximum_mate(g).count(-1)) // 2
+    return (g.n - _cached_mate(g).count(-1)) // 2
+
+
+def _cached_mate(g: Graph) -> tuple[int, ...]:
+    """The mate array of ``_maximum_mate``, computed once per graph and
+    cached on it as a tuple, so that no caller can change it."""
+    if g._mate is None:
+        g._mate = tuple(_maximum_mate(g))
+    return g._mate
 
 
 def _maximum_mate(g: Graph) -> list[int]:
@@ -240,7 +254,7 @@ def tutte_berge_witness(g: Graph) -> TBWitness:
     empty set attains the same deficiency 1.
     """
     adj = g.adj_lists
-    mate = _maximum_mate(g)
+    mate = list(_cached_mate(g))            # a search may write to its mate
     d = _alternating_forest([v for v in range(g.n) if mate[v] == -1], adj,
                             mate, *_fresh_labels(g.n))
     in_d = [False] * g.n
@@ -356,9 +370,15 @@ def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
     stops as soon as it finds a cover of its root bound
     max(nu_c + 1, ceil(LP)).  When the node budget runs out, CapabilityError
     carries the proved lower bound and the best upper bound on tau.
+
+    The answer is cached on ``g`` with the node count of its search; a later
+    call returns it when that count fits its own budget, and otherwise
+    searches again, so that it fails exactly as a call on a fresh graph.
     """
     budget = _env_budget(node_budget)
-    known, parts = _cover_parts(g)
+    known, parts, tau, nodes = _cached_cover(g)
+    if tau is not None and nodes <= budget:
+        return tau
     lower = known + sum(lo for _, lo, _ in parts)
     upper = known + sum(hi for _, _, hi in parts)
     counter = [0]
@@ -370,6 +390,7 @@ def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
                                   upper=upper - hi + exc.upper) from None
         lower += tau_c - lo
         upper += tau_c - hi
+    g._cover = (known, parts, lower, counter[0])
     return lower
 
 
@@ -377,9 +398,18 @@ def _cover_at_most(g: Graph, k: int, budget: int) -> bool:
     """Whether tau(G) <= k, by the same search run as a decision: the
     failing components are solved exactly, smallest first, and the largest
     is asked only for a cover within what is left of k.  Raises
-    CapabilityError when the node budget runs out."""
-    known, parts = _cover_parts(g)
-    parts.sort(key=lambda part: len(part[0]))
+    CapabilityError when the node budget runs out.
+
+    When the exact tau is cached and its search took at most ``budget``
+    nodes, the answer is tau <= k with no search.  That is the answer the
+    search would give within the budget: it solves the same components with
+    the same bounds, the last one from a starting best cap + 1 no larger
+    than the greedy bound, and never prunes a cover of size <= cap, so it
+    visits a subset of the exact search's nodes."""
+    known, parts, tau, nodes = _cached_cover(g)
+    if tau is not None and nodes <= budget:
+        return tau <= k
+    parts = sorted(parts, key=lambda part: len(part[0]))
     slack = k - known - sum(lo for _, lo, _ in parts)
     counter = [0]
     for i, (adj, lo, hi) in enumerate(parts):
@@ -393,17 +423,28 @@ def _cover_at_most(g: Graph, k: int, budget: int) -> bool:
     return slack >= 0
 
 
-def _cover_parts(g: Graph) -> tuple[int, list[tuple[list[int], int, int]]]:
+def _cached_cover(g: Graph) -> tuple:
+    """(known, parts, tau, nodes): the ``_cover_parts`` split of ``g``,
+    computed once per graph and cached on it, with the exact tau and the
+    search nodes it took once ``vertex_cover_number`` has found it (None
+    and None until then)."""
+    if g._cover is None:
+        g._cover = (*_cover_parts(g), None, None)
+    return g._cover
+
+
+def _cover_parts(g: Graph
+                 ) -> tuple[int, tuple[tuple[list[int], int, int], ...]]:
     """The Konig-Egervary test per component: (the summed nu_c of the
     components that pass it, one (bitmask adjacency, lower bound, greedy
     upper bound) triple per component that fails it)."""
-    mate = _maximum_mate(g)
+    mate = _cached_mate(g)
     scc = _cover_literal_sccs(g.adj_lists, mate)
     matched = [v for v, w in enumerate(mate) if w != -1]
     failing = [v for v in matched if scc[v] == scc[mate[v]]]
     known = len(matched) // 2
     if not failing:
-        return known, []
+        return known, ()
     count, labels = g.component_labels()
     matched_in = np.bincount(labels[matched], minlength=count)
     parts = []
@@ -414,7 +455,7 @@ def _cover_parts(g: Graph) -> tuple[int, list[tuple[list[int], int, int]]]:
         known -= nu_c
         parts.append((adj, max(nu_c + 1, _lp_bound(adj, alive)[0]),
                       _vc_greedy(adj, alive)))
-    return known, parts
+    return known, tuple(parts)
 
 
 def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],

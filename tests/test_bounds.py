@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +303,13 @@ class TestP3Moments:
     def test_small_n_second_term_absent(self):
         m = p3_moments(5, 0.2)
         assert m.second_moment == m.mean
+
+    @pytest.mark.parametrize("n,p", [(59, 0.9), (365, 0.3), (399, 0.3)])
+    def test_ratio_none_when_mean_squared_underflows(self, n, p):
+        # the mean is positive, but its square is below the normal floats
+        m = p3_moments(n, p)
+        assert 0.0 < m.mean and m.mean * m.mean < sys.float_info.min
+        assert m.ratio is None
 
     def test_ratio_tends_to_one(self):
         n = 10 ** 6

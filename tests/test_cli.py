@@ -296,6 +296,14 @@ class TestMonteCarlo:
                                     "--seed", "1"])
         assert code == 2
 
+    def test_unknown_check_exit_2(self, capsys):
+        code, out, err = run(capsys, ["montecarlo", "--regime", "middle",
+                                      "--n", "100", "--p", "0.03",
+                                      "--trials", "1", "--seed", "1",
+                                      "--checks", "nu,tua"])
+        assert (code, out) == (2, "")
+        assert "unknown checks ['tua']" in err
+
     def test_stdout_csv_without_out(self, capsys):
         code, out, err = run(capsys, ["montecarlo", "--regime", "forest",
                                       "--n", "100", "--trials", "2",

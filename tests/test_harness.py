@@ -311,6 +311,12 @@ class TestRegimes:
         with pytest.raises(InputError):
             spec.resolve_p()
 
+    @pytest.mark.parametrize("checks", [("nu", "tua"), ("",), ("Tau",)])
+    def test_unknown_check_is_input_error(self, checks):
+        with pytest.raises(InputError, match="unknown checks"):
+            RegimeSpec(n=10, p_rule="forest", trials=1, master_seed=1,
+                       checks=checks)
+
     @pytest.mark.parametrize("field", ["vc_budget", "is_budget"])
     @pytest.mark.parametrize("budget", [0, -4])
     def test_non_positive_budget_is_input_error(self, field, budget):

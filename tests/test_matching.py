@@ -5,13 +5,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eg_matchlab import cli, matching
 from eg_matchlab.errors import CapabilityError, InputError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset_members
 from eg_matchlab.matching import (_vc_kernel, is_bipartite, is_forest,
                                   konig_egervary, matching_number,
                                   max_matching, odd_components,
                                   tutte_berge_witness, vertex_cover_number)
-from eg_matchlab.harness import has_empty_half, trial_seed
+from eg_matchlab.harness import (RegimeSpec, has_empty_half, run_trials,
+                                 trial_seed)
 
 from conftest import cycle, path_graph
 from oracles import (brute_independence_number, brute_is_bipartite,
@@ -401,3 +403,84 @@ class TestForest:
         hits = sum(is_forest(gen_gnp(GnpParams(1000, 0.0001, seed)))
                    for seed in range(30))
         assert hits >= 28
+
+
+def fresh(g: Graph) -> Graph:
+    """A copy of ``g`` with nothing cached."""
+    return Graph(g.n, g.edge_array())
+
+
+def cover_outcome(g: Graph, budget: int):
+    """vertex_cover_number(g, budget), or the bounds of its budget failure."""
+    try:
+        return vertex_cover_number(g, budget)
+    except CapabilityError as exc:
+        return "exceeded", exc.lower, exc.upper
+
+
+class TestOncePerGraph:
+    """The maximum matching and the Konig-Egervary split are computed once
+    per graph, read-only, and the cached tau answers only what a search
+    within the caller's budget would."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"_maximum_mate": 0, "_cover_parts": 0}
+        for name in counts:
+            original = getattr(matching, name)
+
+            def counted(g, name=name, original=original):
+                counts[name] += 1
+                return original(g)
+
+            monkeypatch.setattr(matching, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("regime,extra", [
+        ("forest", {}), ("middle", {"p_explicit": 0.015})])
+    def test_one_trial(self, calls, regime, extra):
+        spec = RegimeSpec(n=200, p_rule=regime, trials=1, master_seed=9,
+                          **extra)
+        (rec,), _ = run_trials(spec)
+        assert rec.tau is not None
+        assert calls == {"_maximum_mate": 1, "_cover_parts": 1}
+
+    def test_certify_verify(self, calls, capsys, tmp_path):
+        # two isolated 3-paths and a K5, on which tau = 4 > nu = 2
+        blob = [(6 + u, 6 + v) for u in range(5) for v in range(u + 1, 5)]
+        g = Graph(11, [(0, 1), (1, 2), (3, 4), (4, 5)] + blob)
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        assert cli.main(["certify", str(path), "--verify"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["certificate_present"]
+        assert obj["direct_check"]["tau"] == 6
+        assert calls == {"_maximum_mate": 1, "_cover_parts": 1}
+
+    def test_cached_mate_is_read_only(self, petersen):
+        g = fresh(petersen)
+        pairs = max_matching(g).pairs
+        mate = matching._cached_mate(g)
+        tutte_berge_witness(g)
+        assert matching._cached_mate(g) is mate
+        assert tuple(sorted((u, w) for u, w in enumerate(mate) if w > u)) \
+            == pairs
+        with pytest.raises(TypeError):
+            mate[0] = -1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 60), st.floats(2.0, 6.0), st.integers(0, 2 ** 32),
+           st.integers(1, 40), st.integers(1, 40), st.booleans())
+    def test_budgets_as_on_fresh_graphs(self, n, c, seed, b1, b2,
+                                        cover_first):
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        want = cover_outcome(fresh(g), b1), has_empty_half(fresh(g), b2)
+        if cover_first:
+            got_cover = cover_outcome(g, b1)
+            got_half = has_empty_half(g, b2)
+        else:
+            got_half = has_empty_half(g, b2)
+            got_cover = cover_outcome(g, b1)
+        assert (got_cover, got_half) == want
+        # a tau cached under budget b1 must not answer under budget b2
+        assert cover_outcome(g, b2) == cover_outcome(fresh(g), b2)
