@@ -9,9 +9,9 @@ seeded Monte Carlo harness over sparse / dense random-graph regimes.
 from .errors import CapabilityError, InputError, MoveError
 from .graph_core import (Graph, GnpParams, gen_gnp, dense_regime_p, vset,
                          vset_members)
-from .matching import (Matching, TBWitness, is_bipartite, is_forest,
-                       konig_egervary, matching_number, max_matching,
-                       tutte_berge_witness, vertex_cover_number)
+from .matching import (Matching, TBWitness, is_forest, konig_egervary,
+                       matching_number, max_matching, tutte_berge_witness,
+                       vertex_cover_number)
 from .decomposition import (Decomposition, ExtremalResult, best_form1,
                             best_form2, decomposition_size, edge_set,
                             eg_check, eg_check_all, extremal,

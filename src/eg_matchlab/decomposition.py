@@ -355,6 +355,8 @@ def extremal(g: Graph, k: int, mode: str = "exact",
     contains a subgraph of matching number exactly k; that level's
     qualifying edge sets are precisely the maximizers.
     """
+    if g.n < 1:
+        raise InputError("extremal search needs n >= 1")
     nu_g = matching_number(g)
     if k < 0 or k > nu_g:
         raise InputError(f"k={k} outside 0..nu(g)={nu_g}")

@@ -17,7 +17,7 @@ from . import decomposition as dec
 from .errors import CapabilityError, InputError
 from .graph_core import (Graph, GnpParams, RNG_NAME, dense_regime_p, gen_gnp,
                          popcount, vset, vset_members)
-from .matching import (_cover_at_most, _env_budget, is_forest,
+from .matching import (_cover_at_most, _env_budget, _tau_is_nu, is_forest,
                        matching_number, vertex_cover_number)
 
 SCHEMA = "eg-matchlab/1"
@@ -82,31 +82,27 @@ def has_empty_half(g: Graph, node_budget: int | None = None):
 
 @dataclass(frozen=True)
 class EgAtNuVerdict:
-    verdict: str               # "holds" | "fails" | "unknown"
+    verdict: str               # "holds" | "fails"
     form_a: bool               # all edges fit inside some (2 nu + 1)-set
-    form_b: bool | None        # tau == nu (None when tau unknown)
+    form_b: bool | None        # tau == nu (None when form_a settles it)
     nu: int
-    tau: int | None
+    tau: int | None            # nu when form_b holds, else None
     reason: str | None = None
 
 
-def eg_fails_at_nu(g: Graph, vc_budget: int | None = None) -> EgAtNuVerdict:
+def eg_fails_at_nu(g: Graph) -> EgAtNuVerdict:
     """At k = nu(G) the unique largest subgraph is G itself, so the property
-    holds iff G's edges fit in a (2 nu + 1)-set or tau(G) = nu(G)."""
+    holds iff G's edges fit in a (2 nu + 1)-set or tau(G) = nu(G).  Whether
+    tau = nu is read off the cached Konig-Egervary split, with no search."""
     nu = matching_number(g)
     nonisolated = int(np.count_nonzero(np.bincount(g.edge_array().ravel())))
     form_a = (2 * nu + 1 <= g.n) and (nonisolated <= 2 * nu + 1)
     if form_a:
         return EgAtNuVerdict("holds", True, None, nu, None,
                              "edge support fits in a (2 nu + 1)-set")
-    try:
-        tau = vertex_cover_number(g, vc_budget)
-    except CapabilityError as exc:
-        return EgAtNuVerdict("unknown", False, None, nu, None,
-                             f"vertex cover budget exceeded: {exc}")
-    form_b = (tau == nu)
-    verdict = "holds" if form_b else "fails"
-    return EgAtNuVerdict(verdict, form_a, form_b, nu, tau)
+    if _tau_is_nu(g):
+        return EgAtNuVerdict("holds", False, True, nu, nu)
+    return EgAtNuVerdict("fails", False, False, nu, None)
 
 
 @dataclass(frozen=True)
@@ -249,8 +245,7 @@ DEFAULT_CHECKS = {
     "middle": ("nu", "forest", "p3", "empty_half", "tau"),
     "custom": ("nu", "forest", "p3"),
 }
-CHECK_NAMES = ("nu", "forest", "p3", "empty_half", "tau", "eg", "density",
-               "moves")
+CHECK_NAMES = ("nu", "forest", "p3", "empty_half", "tau", "eg", "density")
 
 
 @dataclass(frozen=True)
@@ -269,6 +264,14 @@ class RegimeSpec:
     is_budget: int | None = None
 
     def __post_init__(self):
+        if self.trials < 0:
+            raise InputError(f"trials must be >= 0 (got {self.trials})")
+        if not (0 <= self.master_seed < 1 << 64):
+            raise InputError("master seed must be a 64-bit unsigned integer "
+                             f"(got {self.master_seed})")
+        if self.eg_exact_cutoff < 0:
+            raise InputError("eg_exact_cutoff must be >= 0 "
+                             f"(got {self.eg_exact_cutoff})")
         for name in ("vc_budget", "is_budget"):
             budget = getattr(self, name)
             if budget is not None and budget <= 0:
@@ -320,11 +323,9 @@ class TrialRecord:
     p3_count: int | None = None
     empty_half: str = ""             # yes | no | unknown | ""
     tau: int | None = None
-    tau_eq_nu: str = ""              # yes | no | unknown | ""
+    tau_eq_nu: str = ""              # yes | no | ""
     eg_all: str = ""                 # holds | fails | skipped | ""
-    eg_per_k: dict | None = None
     density: dict | None = None
-    move_stats: dict | None = None
     notes: list[str] = field(default_factory=list)
 
     def csv_row(self) -> str:
@@ -364,12 +365,11 @@ def run_trials(spec: RegimeSpec):
         # search; the empty half-set's note still comes first
         tau_note = None
         if "tau" in checks:
+            # decided by the cached split; only the value of tau is searched
+            rec.tau_eq_nu = "yes" if _tau_is_nu(g) else "no"
             try:
                 rec.tau = vertex_cover_number(g, spec.vc_budget)
-                nu = matching_number(g)
-                rec.tau_eq_nu = "yes" if rec.tau == nu else "no"
             except CapabilityError as exc:
-                rec.tau_eq_nu = "unknown"
                 tau_note = f"tau budget exceeded ({exc})"
         if "empty_half" in checks:
             rec.empty_half, why = has_empty_half(g, spec.is_budget)
@@ -380,7 +380,6 @@ def run_trials(spec: RegimeSpec):
         if "eg" in checks:
             if spec.n <= spec.eg_exact_cutoff:
                 verdicts = dec.eg_check_all(g, n_exact=spec.eg_exact_cutoff)
-                rec.eg_per_k = {k: v.verdict for k, v in verdicts.items()}
                 rec.eg_all = ("holds" if all(v.verdict == "holds"
                                              for v in verdicts.values())
                               else "fails")
@@ -392,28 +391,9 @@ def run_trials(spec: RegimeSpec):
             audit = density_audit(g, p, DENSITY_EPSILON, DENSITY_SAMPLES,
                                   trial_seed(seed, 0xD0))
             rec.density = dict(audit.events)
-        if "moves" in checks:
-            rec.move_stats = _move_improvement_stats(g, seed)
         records.append(rec)
     summary = _summarize(spec, p, flags, records)
     return records, summary
-
-
-def _move_improvement_stats(g: Graph, seed: int) -> dict:
-    from . import moves
-
-    rng = np.random.Generator(np.random.Philox(key=trial_seed(seed, 0x40)))
-    nu = matching_number(g)
-    if nu == 0:
-        return {"skipped": "nu = 0"}
-    k = int(rng.integers(1, nu + 1))
-    pi = dec._random_decomposition(g.n, k, rng)
-    if pi is None:
-        return {"skipped": f"no decomposition for k={k}"}
-    result = moves.improve(g, pi, max_steps=100,
-                           seed=trial_seed(seed, 0x41))
-    return {"k": k, "steps": len(result.trace), "reason": result.reason,
-            "gain": result.final_size - result.start_size}
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96):

@@ -266,40 +266,31 @@ def tutte_berge_witness(g: Graph) -> TBWitness:
 
 
 # ---------------------------------------------------------------------------
-# forests / bipartite
+# forests
 # ---------------------------------------------------------------------------
 
 def is_forest(g: Graph) -> bool:
     return g.m == g.n - g.component_labels()[0]
 
 
-def is_bipartite(g: Graph) -> bool:
-    """Whether G has no odd cycle: a component lifts to two components of
-    the bipartite double cover (copies v and v + n, each edge joining the
-    two copies) when it has none, and to one otherwise."""
-    u, v = g.edge_array().T
-    cover = Graph(2 * g.n, np.concatenate([np.stack([u, v + g.n], axis=1),
-                                           np.stack([u + g.n, v], axis=1)]))
-    return cover.component_labels()[0] == 2 * g.component_labels()[0]
-
-
 # ---------------------------------------------------------------------------
 # vertex cover: the Konig-Egervary test, then branch and bound where it fails
 # ---------------------------------------------------------------------------
 
-def konig_egervary(g: Graph, mate: list[int]) -> list[int] | None:
+def konig_egervary(g: Graph) -> list[int] | None:
     """A vertex cover of size nu(G), sorted, when tau(G) = nu(G); else None.
 
-    ``mate`` is a maximum matching: mate[v] is the partner of v, -1 where v
-    is exposed.  A cover of size nu holds exactly one endpoint of every
-    matching edge and no exposed vertex, so it is a 2-SAT assignment with
-    one boolean per matching edge: each other edge is a clause, and a
-    neighbour of an exposed vertex is forced in (Deming 1979).  The answer
-    costs O(n + m), and so does checking the cover it returns.
+    A cover of size nu holds exactly one endpoint of every edge of the
+    cached maximum matching and no exposed vertex, so it is a 2-SAT
+    assignment with one boolean per matching edge: each other edge is a
+    clause, and a neighbour of an exposed vertex is forced in (Deming 1979).
+    The verdict is the cached split's (see ``_cover_parts``); the cover
+    costs one more O(n + m) pass, and so does checking it.
     """
-    scc = _cover_literal_sccs(g.adj_lists, mate)
-    if any(scc[v] == scc[w] for v, w in enumerate(mate) if w != -1):
+    if not _tau_is_nu(g):
         return None
+    mate = _cached_mate(g)
+    scc = _cover_literal_sccs(g.adj_lists, mate)
     return [v for v, w in enumerate(mate) if w != -1 and scc[v] < scc[w]]
 
 
@@ -431,6 +422,11 @@ def _cached_cover(g: Graph) -> tuple:
     if g._cover is None:
         g._cover = (*_cover_parts(g), None, None)
     return g._cover
+
+
+def _tau_is_nu(g: Graph) -> bool:
+    """Whether tau(G) = nu(G): no component fails the cached split."""
+    return not _cached_cover(g)[1]
 
 
 def _cover_parts(g: Graph

@@ -132,6 +132,16 @@ def brute_is_bipartite(g: Graph) -> bool:
                for side in range(1 << g.n))
 
 
+def is_bipartite(g: Graph) -> bool:
+    """Whether G has no odd cycle: a component lifts to two components of
+    the bipartite double cover (copies v and v + n, each edge joining the
+    two copies) when it has none, and to one otherwise."""
+    u, v = g.edge_array().T
+    cover = Graph(2 * g.n, np.concatenate([np.stack([u, v + g.n], axis=1),
+                                           np.stack([u + g.n, v], axis=1)]))
+    return cover.component_labels()[0] == 2 * g.component_labels()[0]
+
+
 def brute_independence_number(g: Graph) -> int:
     best = 0
     for mask in range(1 << g.n):

@@ -139,6 +139,14 @@ class TestSubcommands:
         code, _, err = run(capsys, ["extremal", path, "--k", "4"])
         assert code == 2 and "input" in err
 
+    @pytest.mark.parametrize("argv", [["extremal", "--k", "0"],
+                                      ["egcheck"], ["egcheck", "--k", "0"]])
+    def test_empty_graph_exit_2(self, capsys, tmp_path, argv):
+        path = write_graph(tmp_path, Graph(0))
+        code, out, err = run(capsys, [argv[0], path] + argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "input error: extremal search needs n >= 1\n"
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["nu", "/nonexistent/file.txt"])
         assert code == 2
@@ -304,6 +312,33 @@ class TestMonteCarlo:
         assert (code, out) == (2, "")
         assert "unknown checks ['tua']" in err
 
+    def test_moves_check_removed_exit_2(self, capsys):
+        code, out, err = run(capsys, ["montecarlo", "--regime", "forest",
+                                      "--n", "100", "--trials", "1",
+                                      "--seed", "1", "--checks", "nu,moves"])
+        assert (code, out) == (2, "")
+        assert "unknown checks ['moves']" in err
+
+    def test_checks_help_lists_check_names(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        checks = next(a for a in sub.choices["montecarlo"]._actions
+                      if a.dest == "checks")
+        assert checks.help == "comma list: " + ",".join(
+            eg_matchlab.harness.CHECK_NAMES)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--trials", "-3"), ("--seed", "-1"), ("--seed", str(1 << 64)),
+        ("--eg-cutoff", "-5")])
+    def test_out_of_range_exit_2(self, capsys, flag, value):
+        argv = {"--trials": "1", "--seed": "1"}
+        argv[flag] = value
+        code, out, err = run(capsys, ["montecarlo", "--regime", "forest",
+                                      "--n", "100"]
+                             + [x for kv in argv.items() for x in kv])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ")
+
     def test_stdout_csv_without_out(self, capsys):
         code, out, err = run(capsys, ["montecarlo", "--regime", "forest",
                                       "--n", "100", "--trials", "2",
@@ -453,7 +488,8 @@ class TestCertify:
         obj = json.loads(out)
         assert code == 0
         assert obj["certificate_present"]
-        assert obj["direct_check"]["verdict"] == "fails"
+        assert obj["direct_check"] == {"nu": 4, "tau": None,
+                                       "verdict": "fails"}
 
     def test_no_certificate(self, capsys, tmp_path):
         path = write_graph(tmp_path, complete_graph(6))

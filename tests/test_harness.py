@@ -213,7 +213,7 @@ class TestEgFailsAtNu:
         g = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (6, 8)])
         v = eg_fails_at_nu(g)
         assert v.verdict == "fails"
-        assert v.nu == 3 and v.tau == 4
+        assert v.nu == 3 and v.tau is None
         assert not v.form_a and v.form_b is False
 
     def test_support_counts_vertices_of_positive_degree(self):
@@ -224,11 +224,13 @@ class TestEgFailsAtNu:
         assert eg_fails_at_nu(one).form_a is True
         assert eg_fails_at_nu(two).form_a is False
 
-    def test_unknown_when_tau_blocked(self):
-        g = gen_gnp(GnpParams(26, 0.5, 3))
-        v = eg_fails_at_nu(g, vc_budget=1)
-        if not v.form_a:                      # dense: support is large
-            assert v.verdict == "unknown"
+    def test_decided_under_budget_one(self, monkeypatch):
+        # tau > nu is read off the Konig-Egervary split, so no node budget
+        # can leave the verdict open
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1")
+        v = eg_fails_at_nu(gen_gnp(GnpParams(26, 0.5, 3)))
+        assert not v.form_a                   # dense: support is large
+        assert (v.verdict, v.form_b, v.tau) == ("fails", False, None)
 
 
 class TestCertificate:
@@ -311,7 +313,8 @@ class TestRegimes:
         with pytest.raises(InputError):
             spec.resolve_p()
 
-    @pytest.mark.parametrize("checks", [("nu", "tua"), ("",), ("Tau",)])
+    @pytest.mark.parametrize("checks", [("nu", "tua"), ("",), ("Tau",),
+                                        ("moves",)])
     def test_unknown_check_is_input_error(self, checks):
         with pytest.raises(InputError, match="unknown checks"):
             RegimeSpec(n=10, p_rule="forest", trials=1, master_seed=1,
@@ -323,6 +326,22 @@ class TestRegimes:
         with pytest.raises(InputError):
             RegimeSpec(n=10, p_rule="forest", trials=1, master_seed=1,
                        **{field: budget})
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("trials", -3, "trials"),
+        ("master_seed", -1, "master seed"),
+        ("master_seed", 1 << 64, "master seed"),
+        ("eg_exact_cutoff", -5, "eg_exact_cutoff")])
+    def test_out_of_range_is_input_error(self, field, value, match):
+        fields = {"n": 10, "p_rule": "forest", "trials": 1, "master_seed": 1,
+                  field: value}
+        with pytest.raises(InputError, match=match):
+            RegimeSpec(**fields)
+
+    def test_range_ends_accepted(self):
+        spec = RegimeSpec(n=10, p_rule="forest", trials=0,
+                          master_seed=(1 << 64) - 1, eg_exact_cutoff=0)
+        assert run_trials(spec)[0] == []
 
 
 class TestRunTrials:
@@ -385,11 +404,17 @@ class TestRunTrials:
             records, _ = run_trials(spec)
             assert all(r.tau is not None for r in records)
 
-    def test_move_stats_check(self):
-        spec = RegimeSpec(n=24, p_rule="custom", p_explicit=0.4, trials=3,
-                          master_seed=8, checks=("nu", "moves"))
-        records, _ = run_trials(spec)
-        assert all(r.move_stats is not None for r in records)
+    def test_tau_budget_out_still_decides_tau_eq_nu(self):
+        # the split shows tau > nu; the search for tau's value runs out
+        spec = RegimeSpec(n=30, p_rule="custom", p_explicit=0.5, trials=1,
+                          master_seed=11, checks=("tau",), vc_budget=1)
+        (rec,), summary = run_trials(spec)
+        assert (rec.tau_eq_nu, rec.tau) == ("no", None)
+        assert len(rec.notes) == 1
+        assert rec.notes[0].startswith("tau budget exceeded (vertex cover "
+                                       "node budget exceeded after 1 nodes")
+        assert summary["rates"]["tau_eq_nu"]["count"] == 0
+        assert summary["rates"]["tau_eq_nu"]["trials"] == 1
 
 
 class TestWilson:

@@ -8,19 +8,19 @@ from hypothesis import given, settings, strategies as st
 from eg_matchlab import cli, matching
 from eg_matchlab.errors import CapabilityError, InputError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset_members
-from eg_matchlab.matching import (_vc_kernel, is_bipartite, is_forest,
-                                  konig_egervary, matching_number,
-                                  max_matching, odd_components,
-                                  tutte_berge_witness, vertex_cover_number)
-from eg_matchlab.harness import (RegimeSpec, has_empty_half, run_trials,
-                                 trial_seed)
+from eg_matchlab.matching import (_vc_kernel, is_forest, konig_egervary,
+                                  matching_number, max_matching,
+                                  odd_components, tutte_berge_witness,
+                                  vertex_cover_number)
+from eg_matchlab.harness import (RegimeSpec, eg_fails_at_nu, has_empty_half,
+                                 run_trials, trial_seed)
 
 from conftest import cycle, path_graph
 from oracles import (brute_independence_number, brute_is_bipartite,
                      brute_matching_number, brute_vertex_cover,
                      gallai_edmonds_by_deletion,
-                     has_augmenting_path, random_forest, rescan_vc_kernel,
-                     tb_max_over_subsets)
+                     has_augmenting_path, is_bipartite, random_forest,
+                     rescan_vc_kernel, tb_max_over_subsets)
 
 
 def random_graph(tag: int) -> Graph:
@@ -277,13 +277,6 @@ GRAPHS_UP_TO_14 = st.builds(
     st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8]), st.integers(0, 2 ** 32))
 
 
-def mate_array(g: Graph) -> list[int]:
-    mate = [-1] * g.n
-    for u, v in max_matching(g).pairs:
-        mate[u], mate[v] = v, u
-    return mate
-
-
 class TestVertexCover:
     def test_star(self, star4):
         assert vertex_cover_number(star4) == 1
@@ -342,12 +335,24 @@ class TestVertexCover:
     @given(GRAPHS_UP_TO_14)
     def test_konig_egervary_verdict_and_cover(self, g):
         nu = matching_number(g)
-        cover = konig_egervary(g, mate_array(g))
+        cover = konig_egervary(g)
         assert (cover is not None) == (brute_vertex_cover(g) == nu)
         if cover is not None:
             inside = set(cover)
             assert len(inside) == nu
             assert all(u in inside or v in inside for u, v in g.edge_list())
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRAPHS_UP_TO_14)
+    def test_eg_fails_at_nu_equals_brute_force(self, g):
+        v = eg_fails_at_nu(g)
+        tau_is_nu = brute_vertex_cover(g) == v.nu
+        assert v.verdict == ("holds" if v.form_a or tau_is_nu else "fails")
+        if v.form_a:
+            assert (v.form_b, v.tau) == (None, None)
+        else:
+            assert (v.form_b, v.tau) == (tau_is_nu,
+                                         v.nu if tau_is_nu else None)
 
     @settings(max_examples=200, deadline=None)
     @given(GRAPHS_UP_TO_14)
@@ -454,8 +459,29 @@ class TestOncePerGraph:
         assert cli.main(["certify", str(path), "--verify"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["certificate_present"]
-        assert obj["direct_check"]["tau"] == 6
+        assert obj["direct_check"]["tau"] is None
         assert calls == {"_maximum_mate": 1, "_cover_parts": 1}
+
+    def test_tau_eq_nu_takes_no_search(self, monkeypatch, capsys, tmp_path):
+        # every budget is one node, yet nothing runs out: the split decides
+        # tau = nu, and on two 3-paths and a triangle the root bounds alone
+        # show the empty half-set
+        searches = []
+        original = matching._vc_search
+        monkeypatch.setattr(matching, "_vc_search",
+                            lambda *a: searches.append(1) or original(*a))
+        monkeypatch.setenv(matching.BUDGET_ENV_VAR, "1")
+        big = eg_fails_at_nu(gen_gnp(GnpParams(3000, 0.001, 1000)))
+        assert (big.verdict, big.form_b, big.tau) == ("fails", False, None)
+        g = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8), (6, 8)])
+        path = tmp_path / "g.txt"
+        path.write_text(g.to_edge_list_text())
+        assert cli.main(["certify", str(path), "--verify"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["reason"] == "an empty half-set exists"
+        assert obj["direct_check"] == {"nu": 3, "tau": None,
+                                       "verdict": "fails"}
+        assert searches == []
 
     def test_cached_mate_is_read_only(self, petersen):
         g = fresh(petersen)
