@@ -20,6 +20,15 @@ components that fail it, and there it gives a root bound of nu_c + 1 next
 to the half-integral LP bound (Nemhauser & Trotter 1975).  One search
 serves the exact tau and the decision tau <= k behind the empty half-set.
 
+A search node costs what changed since its parent.  The search runs depth
+first from an explicit stack, so a dive is as deep as it needs to be, and
+a child starts from its parent's kernel fixpoint (degrees and the vertices
+known to have no dominating neighbour) and its parent's LP matching.  The
+root LP is seeded from the cached maximum matching, and each component's
+search root starts from the LP matching of that bound.  A node reduces,
+bounds and branches as one computed afresh would, so none of this changes
+the search tree or its node count.
+
 Each graph gets one maximum matching and one Konig-Egervary split, both
 computed on first use and cached on the Graph, read-only.  The exact tau is
 cached with the number of nodes its search took, and answers the decision
@@ -370,12 +379,12 @@ def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
     known, parts, tau, nodes = _cached_cover(g)
     if tau is not None and nodes <= budget:
         return tau
-    lower = known + sum(lo for _, lo, _ in parts)
-    upper = known + sum(hi for _, _, hi in parts)
+    lower = known + sum(part[1] for part in parts)
+    upper = known + sum(part[2] for part in parts)
     counter = [0]
-    for adj, lo, hi in parts:
+    for adj, lo, hi, lp in parts:
         try:
-            tau_c = _vc_search(adj, hi, lo, counter, budget)
+            tau_c = _vc_search(adj, hi, lo, counter, budget, lp)
         except CapabilityError as exc:
             raise CapabilityError(str(exc), lower=lower,
                                   upper=upper - hi + exc.upper) from None
@@ -401,16 +410,16 @@ def _cover_at_most(g: Graph, k: int, budget: int) -> bool:
     if tau is not None and nodes <= budget:
         return tau <= k
     parts = sorted(parts, key=lambda part: len(part[0]))
-    slack = k - known - sum(lo for _, lo, _ in parts)
+    slack = k - known - sum(part[1] for part in parts)
     counter = [0]
-    for i, (adj, lo, hi) in enumerate(parts):
+    for i, (adj, lo, hi, lp) in enumerate(parts):
         if slack < 0:
             return False
         if i + 1 < len(parts):
-            slack -= _vc_search(adj, hi, lo, counter, budget) - lo
+            slack -= _vc_search(adj, hi, lo, counter, budget, lp) - lo
         elif hi > lo + slack:
             cap = lo + slack
-            slack -= _vc_search(adj, cap + 1, cap, counter, budget) - lo
+            slack -= _vc_search(adj, cap + 1, cap, counter, budget, lp) - lo
     return slack >= 0
 
 
@@ -429,11 +438,14 @@ def _tau_is_nu(g: Graph) -> bool:
     return not _cached_cover(g)[1]
 
 
-def _cover_parts(g: Graph
-                 ) -> tuple[int, tuple[tuple[list[int], int, int], ...]]:
+def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     """The Konig-Egervary test per component: (the summed nu_c of the
     components that pass it, one (bitmask adjacency, lower bound, greedy
-    upper bound) triple per component that fails it)."""
+    upper bound, LP matching) quadruple per component that fails it).
+
+    The LP bound is seeded from the cached maximum matching (see
+    ``_lp_seed``), and the LP matching it ends with is the warm start of
+    the component's search root."""
     mate = _cached_mate(g)
     scc = _cover_literal_sccs(g.adj_lists, mate)
     matched = [v for v, w in enumerate(mate) if w != -1]
@@ -443,56 +455,77 @@ def _cover_parts(g: Graph
         return known, ()
     count, labels = g.component_labels()
     matched_in = np.bincount(labels[matched], minlength=count)
+    mates = np.array(mate)
     parts = []
     for c in np.unique(labels[failing]).tolist():
         nu_c = int(matched_in[c]) // 2
-        adj = g.induced_adjacency(vset_from_flags(labels == c))
+        inside = labels == c
+        verts = np.flatnonzero(inside)      # local vertex i is verts[i]
+        outer = mates[verts]
+        local = np.where(outer == -1, -1, np.searchsorted(verts, outer))
+        adj = g.induced_adjacency(vset_from_flags(inside))
         alive = (1 << len(adj)) - 1
         known -= nu_c
-        parts.append((adj, max(nu_c + 1, _lp_bound(adj, alive)[0]),
-                      _vc_greedy(adj, alive)))
+        bound, lp = _lp_bound(adj, alive, _lp_seed(local.tolist(), alive))
+        parts.append((adj, max(nu_c + 1, bound), _vc_greedy(adj, alive), lp))
     return known, tuple(parts)
 
 
 def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
-               budget: int) -> int:
+               budget: int, warm: tuple | None = None) -> int:
     """The smallest vertex cover size below ``best`` of the graph with
     bitmask rows ``adj``, or ``best`` when there is none; the search stops
-    at the first cover of size at most ``stop_at``."""
-    best_box = [best]
+    at the first cover of size at most ``stop_at``.  ``warm`` warm-starts
+    the root's LP bound (see ``_lp_bound``).
 
-    def rec(mask: int, taken: int, warm: tuple | None) -> bool:
+    Depth first from an explicit stack, so no dive is limited by the
+    recursion limit: a node is popped, counted against ``budget``, reduced
+    by the kernel, pruned by ``best`` and the LP bound, and branched on the
+    first vertex v of maximum degree, with "v in the cover" pushed last so
+    that it is searched first and "all neighbours of v in" after it.
+
+    A child carries its parent's state instead of recomputing it: the
+    parent's kernel fixpoint, degree list and ``clean`` set, from which the
+    kernel drops the branched vertices and continues (see ``_vc_kernel``),
+    and the parent's LP matching, which warm-starts the child's LP bound.
+    The second child takes the parent's degree list itself, the first a
+    copy.  Every node reduces, bounds and branches as one computed afresh
+    would, so the search tree and its node count do not depend on this.
+    """
+    stack = [((1 << len(adj)) - 1, 0, 0, None, 0, warm)]
+    while stack:
+        mask, taken, gone, deg, clean, warm = stack.pop()
         counter[0] += 1
         if counter[0] > budget:
             raise CapabilityError(
                 f"vertex cover node budget exceeded after {budget} nodes",
-                upper=best_box[0])
-        mask, taken = _vc_kernel(adj, mask, taken)
-        if taken >= best_box[0]:
-            return False
-        v_max = -1
-        max_deg = 0
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest ^= rest & -rest
-            d = popcount(adj[v] & mask)
-            if d > max_deg:
-                max_deg = d
-                v_max = v
-        if v_max == -1:                     # edgeless
-            best_box[0] = taken
-            return taken <= stop_at
+                upper=best)
+        mask, taken, deg, clean = _vc_kernel(adj, mask, taken, deg, clean,
+                                             gone)
+        if taken >= best:
+            continue
+        if not mask:                        # a cover: no edge is left
+            best = taken
+            if taken <= stop_at:
+                break
+            continue
         bound, warm = _lp_bound(adj, mask, warm)
-        if taken + bound >= best_box[0]:
-            return False
-        nb = adj[v_max] & mask
-        # v_max in the cover, or else all its neighbours
-        return (rec(mask & ~(1 << v_max), taken + 1, warm)
-                or rec(mask & ~nb & ~(1 << v_max), taken + popcount(nb), warm))
+        if taken + bound >= best:
+            continue
+        d = max(deg)
+        v = deg.index(d)
+        stack.append((mask, taken + d, (1 << v) | (adj[v] & mask), deg, clean,
+                      warm))
+        stack.append((mask, taken + 1, 1 << v, deg[:], clean, warm))
+    return best
 
-    rec((1 << len(adj)) - 1, 0, None)
-    return best_box[0]
+
+def _lp_seed(mate: list[int], mask: int) -> tuple:
+    """The warm start for ``_lp_bound`` that a matching of the graph on
+    ``mask`` gives, ``mate[v]`` = -1 where v is exposed: each matched edge
+    uv is the two pairs u -> v and v -> u of the double cover."""
+    matched = vset(v for v, w in enumerate(mate) if w != -1)
+    return mask, mate, mate, matched, matched
 
 
 def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
@@ -502,11 +535,16 @@ def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
     (Nemhauser & Trotter 1975).  Returns the bound and the matching, which
     warm-starts the call for a subset of ``mask``.
 
-    The pairs of the warm start that survive in ``mask`` are kept, each
-    unmatched left copy takes its first free right copy, and the rest grow
-    the matching by breadth-first augmenting searches.  Right copies that a
-    failed search reached stay dead ends until the next augmentation, so
-    they are not searched again.
+    ``warm`` is (its mask, left, right, lmask, rmask) for any matching of
+    the double cover of a superset of ``mask``: a child node passes its
+    parent's, and ``_cover_parts`` one made by ``_lp_seed`` from the
+    maximum matching.  The maximum matching has one size whatever the
+    start, so every start gives the same bound.  The pairs of the warm
+    start that survive in ``mask`` are kept, each unmatched left copy takes
+    its first free right copy, and the rest grow the matching by
+    breadth-first augmenting searches.  Right copies that a failed search
+    reached stay dead ends until the next augmentation, so they are not
+    searched again.  The lists of ``warm`` are copied, never changed.
     """
     if warm is None:
         left = [-1] * len(adj)              # left copy -> right copy
@@ -579,30 +617,40 @@ def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
     return (lmask.bit_count() + 1) // 2, (mask, left, right, lmask, rmask)
 
 
-def _vc_kernel(adj: list[int], mask: int, taken: int) -> tuple[int, int]:
+def _vc_kernel(adj: list[int], mask: int, taken: int,
+               deg: list[int] | None = None, clean: int = 0, gone: int = 0
+               ) -> tuple[int, int, list[int], int]:
     """Apply the reduction rules to a fixpoint: sweeps in vertex order that
     drop a vertex of degree 0, or take the neighbour of one of degree 1,
     repeated while a sweep changes anything; then take the first u with
     N(v) inside N[u] for the first such v (a dominated vertex v), and start
-    over.
+    over.  Returns (mask, taken, deg, clean) at the fixpoint.
 
     Degrees are kept up to date as vertices leave, so a sweep visits only
-    vertices of degree at most 1; a vertex found to have no such u stays
-    known to have none until one of its neighbours leaves.  The reductions
-    and their order are those of rescanning every vertex after each change,
-    so the search tree does not depend on this bookkeeping.
+    vertices of degree at most 1; a vertex found to have no such u joins
+    ``clean``, and stays known to have none until one of its neighbours
+    leaves.  ``deg[v]`` is the degree of a live v and 0 for any other.  The
+    reductions and their order are those of rescanning every vertex after
+    each change, so the search tree does not depend on this bookkeeping.
+
+    With ``deg`` None the degrees are counted afresh.  Otherwise the call
+    continues from a fixpoint on ``mask``: ``deg`` and ``clean`` are what
+    that fixpoint returned, ``deg`` is updated in place, and the vertices
+    of ``gone`` leave first.  No live vertex of a fixpoint has degree 1 or
+    less, so only the neighbours of ``gone`` can be swept, and only they
+    lose their place in ``clean``.
     """
-    deg = [0] * len(adj)
     low = 0                                 # live vertices of degree <= 1
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        v = bit.bit_length() - 1
-        deg[v] = d = (adj[v] & mask).bit_count()
-        if d <= 1:
-            low |= bit
-    clean = 0                               # live vertices without such u
+    if deg is None:
+        deg = [0] * len(adj)
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            deg[v] = d = (adj[v] & mask).bit_count()
+            if d <= 1:
+                low |= bit
 
     def drop(gone: int) -> None:
         nonlocal mask, low, clean
@@ -610,7 +658,9 @@ def _vc_kernel(adj: list[int], mask: int, taken: int) -> tuple[int, int]:
         while gone:
             bit = gone & -gone
             gone ^= bit
-            near = adj[bit.bit_length() - 1] & mask
+            v = bit.bit_length() - 1
+            deg[v] = 0
+            near = adj[v] & mask
             clean &= ~near
             while near:
                 nbit = near & -near
@@ -620,6 +670,7 @@ def _vc_kernel(adj: list[int], mask: int, taken: int) -> tuple[int, int]:
                 if deg[w] <= 1:
                     low |= nbit
 
+    drop(gone)
     while True:
         while low & mask:                   # one sweep, in vertex order
             cand = low & mask
@@ -648,7 +699,7 @@ def _vc_kernel(adj: list[int], mask: int, taken: int) -> tuple[int, int]:
                 continue
             break
         else:
-            return mask, taken
+            return mask, taken, deg, clean
 
 
 def _vc_greedy(adj: list[int], alive: int) -> int:

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eg_matchlab import cli, matching
 from eg_matchlab.errors import CapabilityError, InputError
-from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset_members
+from eg_matchlab.graph_core import (Graph, GnpParams, gen_gnp, vset,
+                                   vset_members)
 from eg_matchlab.matching import (_vc_kernel, is_forest, konig_egervary,
                                   matching_number, max_matching,
                                   odd_components, tutte_berge_witness,
@@ -369,8 +371,54 @@ class TestVertexCover:
         # vertices need triangles, hence the denser graphs.
         g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
         mask = g.full_mask() & keep
-        assert _vc_kernel(g.adj_bits, mask, 3) == rescan_vc_kernel(
+        assert _vc_kernel(g.adj_bits, mask, 3)[:2] == rescan_vc_kernel(
             g.adj_bits, mask, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 80), st.sampled_from([3.0, 8.0, 16.0, 32.0]),
+           st.integers(0, 2 ** 32), st.integers(0, 2 ** 80 - 1),
+           st.lists(st.integers(0, 79), max_size=8), st.booleans())
+    def test_continued_kernel_equals_rescans(self, n, c, seed, keep, picks,
+                                             closed):
+        # a search node continues its parent's fixpoint after the branched
+        # vertices leave: one vertex, or one with its neighbours, or here
+        # any live set; it must reduce as a fresh kernel on the child mask
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        adj = g.adj_bits
+        mask, _, deg, clean = _vc_kernel(adj, g.full_mask() & keep, 0)
+        gone = vset(picks) & mask
+        if closed:
+            gone |= mask & vset(w for v in vset_members(gone)
+                                for w in vset_members(adj[v]))
+        child, taken, deg, _ = _vc_kernel(adj, mask, 3, deg, clean, gone)
+        assert (child, taken) == rescan_vc_kernel(adj, mask & ~gone, 3)
+        assert deg == [(adj[v] & child).bit_count() if child >> v & 1 else 0
+                       for v in range(n)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 12),
+                              st.sampled_from([0.15, 0.3, 0.5, 0.8]),
+                              st.integers(0, 2 ** 32)),
+                    min_size=1, max_size=3),
+           st.integers(0, 2 ** 36 - 1))
+    def test_lp_seed_gives_the_cold_bound(self, blocks, keep):
+        # the LP of a union of G(k, p) blocks (so several components, and
+        # exposed vertices), seeded from the maximum matching, on the whole
+        # graph and on a subset: the same double-cover matching size as a
+        # cold start, hence the same bound
+        edges, n = [], 0
+        for k, p, seed in blocks:
+            edges += [(n + u, n + v)
+                      for u, v in gen_gnp(GnpParams(k, p, seed)).edge_list()]
+            n += k
+        g = Graph(n, edges)
+        adj, full = g.adj_bits, g.full_mask()
+        warm = matching._lp_seed(list(matching._cached_mate(g)), full)
+        for mask in (full, full & keep):
+            seeded = matching._lp_bound(adj, mask, warm)
+            cold = matching._lp_bound(adj, mask)
+            assert seeded[0] == cold[0]
+            assert seeded[1][3].bit_count() == cold[1][3].bit_count()
 
     def test_forest_needs_no_search(self):
         # tau = nu is read off the 2-SAT test, so no node is spent
@@ -408,6 +456,64 @@ class TestForest:
         hits = sum(is_forest(gen_gnp(GnpParams(1000, 0.0001, seed)))
                    for seed in range(30))
         assert hits >= 28
+
+
+# the 16 mc-middle1k pool graphs, G(1000, 3/1000) from the master seeds
+# trial_seed(0x3DD1E, j): tau and the nodes its search takes
+POOL_TAU = [467, 472, 465, 458, 448, 465, 465, 462, 475, 468, 480, 467, 461,
+            472, 469, 454]
+POOL_NODES = [0, 5, 0, 17, 0, 25, 19, 11, 83, 9, 59, 0, 5, 131, 6, 5]
+
+
+def pool_graph(j: int) -> Graph:
+    return gen_gnp(GnpParams(1000, 3 / 1000,
+                             trial_seed(trial_seed(0x3DD1E, j), 0)))
+
+
+def frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestSearchTree:
+    """The branch and bound visits the same nodes in the same order however
+    a node's state is computed: node counts, tau and the bounds of a budget
+    failure are pinned."""
+
+    @pytest.mark.parametrize("j", range(16))
+    def test_middle_pool(self, j):
+        nodes = POOL_NODES[j]
+        assert vertex_cover_number(pool_graph(j), max(nodes, 1)) \
+            == POOL_TAU[j]
+        if nodes:
+            with pytest.raises(CapabilityError,
+                               match=f"after {nodes - 1} nodes"):
+                vertex_cover_number(pool_graph(j), nodes - 1)
+
+    @pytest.mark.parametrize("seed,budget,lower,upper", [
+        (1000, 100, 490, 526), (1000, 300, 490, 525), (1001, 300, 487, 530)])
+    def test_budget_out_bounds(self, seed, budget, lower, upper):
+        g = gen_gnp(GnpParams(1000, 4 / 1000, seed))
+        with pytest.raises(CapabilityError,
+                           match=f"after {budget} nodes") as err:
+            vertex_cover_number(g, budget)
+        assert (err.value.lower, err.value.upper) == (lower, upper)
+
+    def test_dive_deeper_than_the_recursion_limit(self):
+        # the first dive on this graph is 86 branchings deep; the search
+        # keeps its own stack, so a recursion limit 40 frames above this
+        # test does not stop it
+        g = gen_gnp(GnpParams(400, 6 / 400, 0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 40)
+        try:
+            with pytest.raises(CapabilityError) as err:
+                vertex_cover_number(g, 200)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (err.value.lower, err.value.upper) == (200, 240)
 
 
 def fresh(g: Graph) -> Graph:
