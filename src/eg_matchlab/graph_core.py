@@ -8,7 +8,9 @@ and counts over all vertices are bincount passes.  Sorted neighbour lists
 serve the traversals and the matching code; bitmask adjacency rows, built
 only for n <= BITSET_ADJ_LIMIT, serve the popcount counts over bitmask vertex
 sets that the exact small-n searches make.  Both come lazily from the edge
-array through one CSR pass.
+array through one CSR pass.  The neighbour lists pay for the edges and the
+non-isolated vertices (``Graph.support``, the one list of them): every
+isolated vertex shares one empty row.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class Graph:
 
     # _mate and _cover are the maximum matching and the Konig-Egervary split
     # that ``matching`` computes once per graph and caches here
-    __slots__ = ("n", "_edges", "_adj_bits", "_adj_lists", "_labels",
-                 "_mate", "_cover")
+    __slots__ = ("n", "_edges", "_adj_bits", "_adj_lists", "_support",
+                 "_labels", "_mate", "_cover")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -110,6 +112,7 @@ class Graph:
         self._edges = arr
         self._adj_bits = None
         self._adj_lists = None
+        self._support = None
         self._labels = None
         self._mate = None
         self._cover = None
@@ -149,28 +152,44 @@ class Graph:
 
     @property
     def adj_lists(self) -> list[list[int]]:
+        """Sorted neighbours of every vertex, read-only: the isolated
+        vertices all share one empty row, so the build pays for the edges
+        and the support, not for n."""
         if self._adj_lists is None:
-            indptr, indices = self._csr()
-            flat = indices.tolist()
-            bounds = indptr.tolist()
-            self._adj_lists = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+            self._build_lists()
         return self._adj_lists
+
+    @property
+    def support(self) -> list[int]:
+        """The non-isolated vertices, ascending, read-only."""
+        if self._support is None:
+            self._build_lists()
+        return self._support
+
+    def _build_lists(self) -> None:
+        indptr, indices = self._csr()
+        support = np.flatnonzero(np.diff(indptr))
+        flat = indices.tolist()
+        rows = [[]] * self.n
+        self._support = support.tolist()
+        for v, a, b in zip(self._support, indptr[support].tolist(),
+                           indptr[support + 1].tolist()):
+            rows[v] = flat[a:b]
+        self._adj_lists = rows
 
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted neighbours of every vertex as CSR arrays (indptr, indices):
         the neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
-        u = self._edges[:, 0].astype(np.int32)
-        v = self._edges[:, 1].astype(np.int32)
-        # edges are sorted by (u, v) with u < v: listing the arcs v -> u
-        # before the arcs u -> v and sorting stably by source leaves every
-        # row ascending (smaller neighbours, then larger ones)
-        src = np.concatenate((v, u))
-        dst = np.concatenate((u, v))
-        del u, v
-        indices = dst[np.argsort(src, kind="stable")]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-        return indptr, indices
+        n = self.n
+        u, v = self._edges[:, 0], self._edges[:, 1]
+        # each arc src -> dst as the key src * n + dst: sorted, the keys run
+        # through the rows in order, each row ascending
+        keys = np.concatenate((u * n + v, v * n + u))
+        keys.sort()
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._edges.ravel(), minlength=n),
+                  out=indptr[1:])
+        return indptr, keys % n
 
     def has_bitset_adjacency(self) -> bool:
         return self.n <= BITSET_ADJ_LIMIT

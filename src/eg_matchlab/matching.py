@@ -11,12 +11,18 @@ neighbourhood A(G) is an optimal witness S.
 A search costs what it touches: its labels live in arrays allocated once per
 maximum-matching computation, it resets only the vertices it labelled, and a
 blossom contraction relabels only the members of the blossoms it merges.
+Each per-graph pass pays for the edges and the non-isolated vertices (the
+support, ``Graph.support``), not for n: the warm start, the augmenting
+roots and the Tutte-Berge forest range over the support, and an isolated
+vertex, which no matching covers, is never visited.
 
 Every vertex cover has at least nu vertices.  One of exactly nu vertices
 exists iff a 2-SAT formula over the matching edges is satisfiable, which
 one strongly-connected-components pass decides in O(n + m) (Deming 1979).
-The same pass, run per component, leaves branch and bound only for the
-components that fail it, and there it gives a root bound of nu_c + 1 next
+A tree (m_c = n_c - 1) is bipartite and passes with no pass at all, so
+the split runs the pass only over the components with a cycle, found from
+two counts over the component labels; it leaves branch and bound only for
+the components that fail it, and there it gives a root bound of nu_c + 1 next
 to the half-integral LP bound (Nemhauser & Trotter 1975).  One search
 serves the exact tau and the decision tau <= k behind the empty half-set.
 
@@ -101,7 +107,7 @@ class TBWitness:
 def max_matching(g: Graph) -> Matching:
     """Maximum matching via augmenting-path search with blossom contraction."""
     mate = _cached_mate(g)
-    return Matching(tuple(sorted((u, w) for u, w in enumerate(mate) if w > u)))
+    return Matching(tuple((u, mate[u]) for u in g.support if mate[u] > u))
 
 
 def matching_number(g: Graph) -> int:
@@ -118,12 +124,15 @@ def _cached_mate(g: Graph) -> tuple[int, ...]:
 
 def _maximum_mate(g: Graph) -> list[int]:
     """mate[v] in a maximum matching, -1 where v is exposed: a greedy warm
-    start, then one augmenting search from each exposed vertex in turn
-    (an isolated vertex has nothing to search)."""
+    start, then one augmenting search from each exposed vertex in turn.
+    Both run over the support in ascending order: an isolated vertex can
+    be neither matched nor searched from, so skipping it finds the same
+    pairs a scan over all n vertices would."""
     n = g.n
     adj = g.adj_lists
+    support = g.support
     match = [-1] * n
-    for u in range(n):                      # cheap greedy warm start
+    for u in support:                       # cheap greedy warm start
         if match[u] == -1:
             for v in adj[u]:
                 if match[v] == -1:
@@ -131,8 +140,8 @@ def _maximum_mate(g: Graph) -> list[int]:
                     match[v] = u
                     break
     labels = _fresh_labels(n)
-    for root in range(n):
-        if match[root] == -1 and adj[root]:
+    for root in support:
+        if match[root] == -1:
             _alternating_forest([root], adj, match, *labels)
     return match
 
@@ -260,11 +269,13 @@ def tutte_berge_witness(g: Graph) -> TBWitness:
     counted on G - S, so the witness certifies itself.  A(G) is the same for
     every maximum matching and exact at every n, but it need not be a
     witness with the fewest vertices: on the path 0-1-2 it is {1}, while the
-    empty set attains the same deficiency 1.
+    empty set attains the same deficiency 1.  The forest is rooted at the
+    exposed vertices of the support only: an isolated vertex is in D but
+    has no neighbour to add to A(G).
     """
     adj = g.adj_lists
     mate = list(_cached_mate(g))            # a search may write to its mate
-    d = _alternating_forest([v for v in range(g.n) if mate[v] == -1], adj,
+    d = _alternating_forest([v for v in g.support if mate[v] == -1], adj,
                             mate, *_fresh_labels(g.n))
     in_d = [False] * g.n
     for v in d:
@@ -294,19 +305,24 @@ def konig_egervary(g: Graph) -> list[int] | None:
     assignment with one boolean per matching edge: each other edge is a
     clause, and a neighbour of an exposed vertex is forced in (Deming 1979).
     The verdict is the cached split's (see ``_cover_parts``); the cover
-    costs one more O(n + m) pass, and so does checking it.
+    needs the pass over every component, trees too, which costs one more
+    O(support + m) pass, and so does checking it.
     """
     if not _tau_is_nu(g):
         return None
     mate = _cached_mate(g)
-    scc = _cover_literal_sccs(g.adj_lists, mate)
-    return [v for v, w in enumerate(mate) if w != -1 and scc[v] < scc[w]]
+    scc = _cover_literal_sccs(g.adj_lists, mate, g.support)
+    return [v for v in g.support if mate[v] != -1 and scc[v] < scc[mate[v]]]
 
 
-def _cover_literal_sccs(adj: list[list[int]], mate: list[int]) -> list[int]:
+def _cover_literal_sccs(adj: list[list[int]], mate: list[int],
+                        roots: list[int]) -> list[int]:
     """Strongly connected component of the literal "v is in the cover", for
-    every matched v (-1 for exposed v), numbered sinks first (iterative
-    Tarjan).
+    every matched v in a component of one of ``roots`` (-1 elsewhere),
+    numbered sinks first (iterative Tarjan, rooted at each matched, not yet
+    visited vertex of ``roots`` in turn).  A literal implies only literals
+    of its own graph component, so within each component the pass finds
+    the strongly connected components a pass over the whole graph would.
 
     The negation of "v in" is "mate[v] in", so the literal nodes are the
     matched vertices themselves.  "v in" leaves w = mate[v] out, which puts
@@ -327,7 +343,7 @@ def _cover_literal_sccs(adj: list[list[int]], mate: list[int]) -> list[int]:
         w = mate[v]
         return (b if mate[b] != -1 else w for b in adj[w] if b != v)
 
-    for root in range(n):
+    for root in roots:
         if mate[root] == -1 or index[root] != -1:
             continue
         index[root] = low[root] = visits
@@ -443,25 +459,32 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     components that pass it, one (bitmask adjacency, lower bound, greedy
     upper bound, LP matching) quadruple per component that fails it).
 
-    The LP bound is seeded from the cached maximum matching (see
-    ``_lp_seed``), and the LP matching it ends with is the warm start of
-    the component's search root."""
+    A component with m_c = n_c - 1 edges is a tree, bipartite, so it passes
+    with tau_c = nu_c; the 2-SAT pass is rooted only at the matched
+    vertices of the components with a cycle, and a forest gets (nu, ())
+    with no pass at all.  The LP bound is seeded from the cached maximum
+    matching (see ``_lp_seed``), and the LP matching it ends with is the
+    warm start of the component's search root."""
     mate = _cached_mate(g)
-    scc = _cover_literal_sccs(g.adj_lists, mate)
-    matched = [v for v, w in enumerate(mate) if w != -1]
-    failing = [v for v in matched if scc[v] == scc[mate[v]]]
-    known = len(matched) // 2
+    known = matching_number(g)
+    count, labels = g.component_labels()
+    cyclic = (np.bincount(labels[g.edge_array()[:, 0]], minlength=count)
+              >= np.bincount(labels, minlength=count))
+    roots = [v for v in np.flatnonzero(cyclic[labels]).tolist()
+             if mate[v] != -1]
+    if not roots:
+        return known, ()
+    scc = _cover_literal_sccs(g.adj_lists, mate, roots)
+    failing = [v for v in roots if scc[v] == scc[mate[v]]]
     if not failing:
         return known, ()
-    count, labels = g.component_labels()
-    matched_in = np.bincount(labels[matched], minlength=count)
-    mates = np.array(mate)
+    matched_in = np.bincount(labels[roots], minlength=count)
     parts = []
     for c in np.unique(labels[failing]).tolist():
         nu_c = int(matched_in[c]) // 2
         inside = labels == c
         verts = np.flatnonzero(inside)      # local vertex i is verts[i]
-        outer = mates[verts]
+        outer = np.array([mate[v] for v in verts.tolist()])
         local = np.where(outer == -1, -1, np.searchsorted(verts, outer))
         adj = g.induced_adjacency(vset_from_flags(inside))
         alive = (1 << len(adj)) - 1

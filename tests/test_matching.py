@@ -3,6 +3,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -270,6 +271,47 @@ class TestTutteBerge:
         assert_barrier_is_deletion_oracle(g)
 
 
+# blocks of the mixed graphs, each on local ids 0..k-1
+TREE5 = [(0, 1), (1, 2), (1, 3), (3, 4)]
+STAR4 = [(0, 1), (0, 2), (0, 3)]
+PATH3 = [(0, 1), (1, 2)]
+EDGE = [(0, 1)]
+C4, C6 = cycle(4).edge_list(), cycle(6).edge_list()
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+K4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+# odd unicyclic, tau = nu and tau = nu + 1
+TRIANGLE_TAIL = TRIANGLE + [(2, 3)]
+C5_TAIL = cycle(5).edge_list() + [(4, 5), (5, 6)]
+
+
+def mixed_graph(blocks, isolated: int, seed: int) -> Graph:
+    """The disjoint union of ``blocks`` and ``isolated`` isolated vertices,
+    its vertex ids shuffled so that the components interleave."""
+    edges, n = [], 0
+    for block in blocks:
+        edges += [(n + u, n + v) for u, v in block]
+        n += 1 + max(max(e) for e in block)
+    n += isolated
+    perm = np.random.Generator(np.random.Philox(key=seed)).permutation(n)
+    return Graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+# trees, even cycles, triangles, K4s and odd-unicyclic components, n <= 14
+MIXED_GRAPHS = [mixed_graph(*spec, seed) for seed, spec in enumerate([
+    ([TREE5, TRIANGLE], 2), ([PATH3, C4, K4], 1),
+    ([STAR4, TRIANGLE_TAIL, TRIANGLE], 2), ([C5_TAIL, K4], 3),
+    ([C6, TRIANGLE, PATH3], 2), ([TREE5, STAR4], 3),
+    ([K4, K4, TRIANGLE], 1), ([C4, TRIANGLE_TAIL, EDGE], 4)])]
+
+
+def component_graph(g: Graph, comp: int) -> Graph:
+    """The component of ``g`` on the bitmask ``comp``, renumbered in
+    ascending order."""
+    local = {v: i for i, v in enumerate(vset_members(comp))}
+    return Graph(len(local), [(local[u], local[v]) for u, v in g.edge_list()
+                              if u in local])
+
+
 # G(n, p) on up to 10 vertices plus up to 4 isolated ones: isolated vertices
 # raise floor(n/2) without raising tau, so has_empty_half has to search
 GRAPHS_UP_TO_14 = st.builds(
@@ -292,11 +334,24 @@ class TestVertexCover:
             assert vertex_cover_number(f) == matching_number(f)
 
     def test_against_brute_force(self):
-        for tag in range(60):
-            g = random_graph(tag)
-            if g.n > 9:
-                continue
-            assert vertex_cover_number(g) == brute_vertex_cover(g), tag
+        # the split too, per component: the passing components' nu summed,
+        # and one part per failing component, its bounds around its tau
+        graphs = [g for g in map(random_graph, range(60)) if g.n <= 9]
+        for i, g in enumerate(graphs + MIXED_GRAPHS):
+            assert vertex_cover_number(g) == brute_vertex_cover(g), i
+            known, failing = 0, []
+            for comp in g.components():
+                c = component_graph(g, comp)
+                nu_c, tau_c = brute_matching_number(c), brute_vertex_cover(c)
+                if tau_c == nu_c:
+                    known += nu_c
+                else:
+                    failing.append((c.n, tau_c))
+            split_known, parts = matching._cover_parts(g)
+            assert split_known == known, i
+            assert [n_c for n_c, _ in failing] == [len(p[0]) for p in parts]
+            assert all(lo <= tau_c <= hi for (_, tau_c), (_, lo, hi, _)
+                       in zip(failing, parts)), i
 
     def test_nu_tau_sandwich(self):
         for tag in range(60):
@@ -532,7 +587,8 @@ def cover_outcome(g: Graph, budget: int):
 class TestOncePerGraph:
     """The maximum matching and the Konig-Egervary split are computed once
     per graph, read-only, and the cached tau answers only what a search
-    within the caller's budget would."""
+    within the caller's budget would.  Each pass pays for the edges and the
+    non-isolated vertices, not for n."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -588,6 +644,69 @@ class TestOncePerGraph:
         assert obj["direct_check"] == {"nu": 3, "tau": None,
                                        "verdict": "fails"}
         assert searches == []
+
+    @pytest.fixture
+    def scc_roots(self, monkeypatch):
+        """The roots of every 2-SAT pass, one list per pass."""
+        passes = []
+        original = matching._cover_literal_sccs
+
+        def recorded(adj, mate, roots):
+            passes.append(list(roots))
+            return original(adj, mate, roots)
+
+        monkeypatch.setattr(matching, "_cover_literal_sccs", recorded)
+        return passes
+
+    def test_forest_trial_takes_no_2sat_pass(self, scc_roots):
+        spec = RegimeSpec(n=5000, p_rule="forest", trials=1, master_seed=1,
+                          forest_c=0.1)
+        (rec,), _ = run_trials(spec)
+        assert rec.is_forest and rec.tau_eq_nu == "yes"
+        assert scc_roots == []
+
+    def test_2sat_pass_rooted_in_cyclic_components(self, scc_roots):
+        # trees, a triangle and isolated vertices, interleaved
+        g = mixed_graph([TREE5, STAR4, TRIANGLE, PATH3], 5, 7)
+        triangle = sorted(v for v in g.support if len(g.adj_lists[v]) == 2
+                          and g.has_edge(*g.adj_lists[v]))
+        mate = matching._cached_mate(g)
+        assert len(triangle) == 3
+        assert vertex_cover_number(g) == matching_number(g) + 1
+        assert scc_roots == [[v for v in triangle if mate[v] != -1]]
+        assert len(scc_roots[0]) == 2
+
+    def test_isolated_vertices_share_one_row(self):
+        g = mixed_graph([TREE5, TRIANGLE, C4], 6, 3)
+        rows = g.adj_lists
+        assert len(g.support) == g.n - 6
+        assert len({id(row) for row in rows}) == len(g.support) + 1
+        assert g.support == [v for v in range(g.n) if rows[v]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(GRAPHS_UP_TO_14, st.lists(st.integers(0, 3), max_size=15))
+    def test_isolated_padding_changes_nothing(self, g, gaps):
+        # gaps[v] isolated vertices go in before vertex v (gaps[n]: after
+        # the last), a monotone relabelling; the padded graph must give
+        # the unpadded results, mapped
+        gaps = (gaps + [0] * (g.n + 1))[:g.n + 1]
+        where = [v + sum(gaps[:v + 1]) for v in range(g.n)]
+        h = Graph(g.n + sum(gaps),
+                  [(where[u], where[v]) for u, v in g.edge_list()])
+        assert h.support == [where[v] for v in g.support]
+        assert max_matching(h).pairs == tuple(
+            (where[u], where[v]) for u, v in max_matching(g).pairs)
+        wg, wh = tutte_berge_witness(g), tutte_berge_witness(h)
+        assert wh.s_set == vset(where[v] for v in vset_members(wg.s_set))
+        assert wh.deficiency == wg.deficiency + sum(gaps)
+        cover = konig_egervary(g)
+        assert konig_egervary(h) == (None if cover is None
+                                     else [where[v] for v in cover])
+        (known_g, parts_g), (known_h, parts_h) = (
+            matching._cover_parts(g), matching._cover_parts(h))
+        assert known_h == known_g
+        assert [p[:3] for p in parts_h] == [p[:3] for p in parts_g]
+        assert vertex_cover_number(h) == vertex_cover_number(g)
 
     def test_cached_mate_is_read_only(self, petersen):
         g = fresh(petersen)
