@@ -3,14 +3,16 @@ bounds (Chernoff two ways, large deviations), exact binomial tails as the
 domination oracle, finite-n union-bound budgets for the density events, the
 extremal size formula, and the isolated-3-path moment formulas.
 
-All sums that can span hundreds of orders of magnitude are evaluated
-term-exactly in log space with log-gamma binomials.
+All sums that can span hundreds of orders of magnitude are evaluated in log
+space over one cached log C(n,·) row: every term is computed, and only those
+within e^-40 of the largest are summed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -161,6 +163,30 @@ def _log_comb(n, k):
     return gammaln(n_arr + 1) - gammaln(k_arr + 1) - gammaln(n_arr - k_arr + 1)
 
 
+@functools.lru_cache(maxsize=1)
+def _log_comb_row(n):
+    """log C(n, k) for k = 0..n, read-only, from one log-gamma call: the same
+    operations in the same order as _log_comb(n, k), so bitwise equal.  Only
+    the last n is kept, so the budget tags of one n share one row."""
+    g = gammaln(np.arange(n + 1, dtype=np.float64) + 1)
+    row = (g[n] - g) - g[::-1]
+    row.flags.writeable = False
+    return row
+
+
+_MARGIN = 40.0            # terms dropped this far (plus ln #terms) below the
+                          # largest add under e^-40 of the sum, which moves
+                          # its log by less than 4.3e-18
+
+
+def _log_sum(terms):
+    """log sum exp(terms), summing only the terms within float64 reach: every
+    term is at most the largest M, so those below M - 40 - ln(#terms) add
+    under e^-40 of the sum together."""
+    cutoff = terms.max() - _MARGIN - math.log(terms.size)
+    return float(logsumexp(terms[terms >= cutoff]))
+
+
 # ---------------------------------------------------------------------------
 # union-bound budgets
 # ---------------------------------------------------------------------------
@@ -203,6 +229,10 @@ def union_budget(tag: str, n: int, p: float, epsilon: float = 0.5) -> BudgetResu
     three-part-partition sums, CUT the no-crossing-edges partition sum,
     C7a/C7b the final-case bad-event sums (large and small middle part).
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InputError(f"budgets need an integer n, got {n!r}") from None
     if n < 2:
         raise InputError("budgets need n >= 2")
     if not (0.0 < p <= 1.0):
@@ -224,11 +254,12 @@ def _budget_p24a(n, p, eps):
     if w0 > n:
         return -math.inf, {"empty_range": True}
     ws = np.arange(w0, n + 1, dtype=np.float64)
-    terms = _log_comb(n, ws) - (eps * eps / 2.0) * (ws * (ws - 1) / 2.0) * p
+    terms = (_log_comb_row(n)[w0:]
+             - (eps * eps / 2.0) * (ws * (ws - 1) / 2.0) * p)
     note = {"w_min": w0,
             "exponent": "eps^2/2 * C(w,2) * p (summation form; the pointwise "
                         "statement uses eps^2/3)"}
-    return float(logsumexp(terms)), note
+    return _log_sum(terms), note
 
 
 def _budget_p24b(n, p, eps):
@@ -236,8 +267,8 @@ def _budget_p24b(n, p, eps):
     if w0 > n:
         return -math.inf, {"empty_range": True}
     ws = np.arange(w0, n + 1, dtype=np.float64)
-    terms = _log_comb(n, ws) - 700.0 * ws * (ws - 1) * p
-    return float(logsumexp(terms)), {"w_min": w0}
+    terms = _log_comb_row(n)[w0:] - 700.0 * ws * (ws - 1) * p
+    return _log_sum(terms), {"w_min": w0}
 
 
 def _budget_p25(n, p, eps):
@@ -245,34 +276,54 @@ def _budget_p25(n, p, eps):
     hi = math.floor(math.log(n) / (150.0 * p))
     if lo > hi:
         return -math.inf, {"empty_range": True, "w_lo": lo, "w_hi": hi}
-    ws = np.arange(lo, hi + 1, dtype=np.float64)
-    terms = _log_comb(n, ws) - 1.5 * ws * math.log(n)
-    return float(logsumexp(terms)), {"w_lo": lo, "w_hi": hi}
+    top = min(hi, n)                       # C(n, w) = 0 for w > n
+    ws = np.arange(lo, top + 1, dtype=np.float64)
+    terms = _log_comb_row(n)[lo:top + 1] - 1.5 * ws * math.log(n)
+    return _log_sum(terms), {"w_lo": lo, "w_hi": hi}
 
 
 def _budget_p26(n, p, eps):
+    """One layer per z, each summing y over y_min..n-z.  Layers shrink at
+    least geometrically once the binomial growth rate is beaten, which
+    bounds the truncated tail.  Before that, at sparse p, a layer is skipped
+    when a bound on it lies 40 + ln(#layers) nats below a term of the sum:
+    the skipped layers add under e^-40 of it, as in _log_sum."""
     y_min = math.floor(eps * n) + 1
     z_min = math.floor(n / math.sqrt(math.log(n))) + 1
     if y_min + z_min > n:
         return -math.inf, {"empty_range": True}
     c = eps * eps * p / 3.0
-    # one layer per z; layers shrink at least geometrically once the
-    # binomial growth rate is beaten, which bounds the truncated tail
+    row = _log_comb_row(n)
+    ys = np.arange(y_min, n - z_min + 1, dtype=np.float64)
+    zs = np.arange(z_min, n - y_min + 1)
+    # layer z: row[z] + row[y] - c z y over y_min <= y <= n - z.  Its terms
+    # at y_min and at y_peak, where row[y] peaks (row peaks at n/2), are
+    # terms of the sum; its largest row[y] is a prefix maximum.
+    y_peak = np.clip(n // 2, y_min, n - zs)
+    lower = max(float(np.max(row[zs] + row[y_min] - c * zs * y_min)),
+                float(np.max(row[zs] + row[y_peak] - c * zs * y_peak)))
+    row_y_max = np.maximum.accumulate(row[y_min:n - z_min + 1])[n - zs - y_min]
+    upper = (row[zs] + row_y_max - c * zs * y_min
+             + np.log(n - zs - y_min + 1.0))
+    kept = zs[upper >= lower - _MARGIN - math.log(zs.size)]
     gmax = math.log((n - z_min) / (z_min + 1.0))
     ratio_log = gmax - c * y_min
     total = -math.inf
     notes = {"y_min": y_min, "z_min": z_min}
-    for z in range(z_min, n - y_min + 1):
-        ys = np.arange(y_min, n - z + 1, dtype=np.float64)
-        layer = float(logsumexp(
-            _log_comb(n, ys) + float(_log_comb(n, z)) - c * z * ys))
+    z_last = n - y_min
+    for summed, z in enumerate(kept.tolist(), 1):
+        layer = _log_sum(row[y_min:n - z + 1] + row[z]
+                         - c * z * ys[:n - z - y_min + 1])
         total = np.logaddexp(total, layer)
         if ratio_log < 0:
             tail = layer + ratio_log - math.log1p(-math.exp(ratio_log))
             if tail < total - 46.0:
                 notes["z_stop"] = z
                 notes["tail_log_bound"] = tail
+                z_last = z
                 break
+    # layers up to the stop that the bound left out of the sum
+    notes["z_skipped"] = z_last - z_min + 1 - summed
     return float(total), notes
 
 
@@ -300,6 +351,7 @@ def _sum_falling_layers(n, layers):
 def _budget_p27a(n, p, eps):
     b0 = math.floor(math.sqrt(math.log(n))) + 1
     a_stmt = math.floor(33 * n / 50) + 1          # a > 33n/50
+    row = _log_comb_row(n)
 
     def layers():
         for b in range(b0, n):
@@ -311,9 +363,8 @@ def _budget_p27a(n, p, eps):
                 continue
             cs = np.arange(0, c_hi + 1, dtype=np.float64)
             a_vals = n - b - cs
-            yield b, float(logsumexp(
-                float(_log_comb(n, b)) + _log_comb(n, cs)
-                - (0.81 / 2.0) * a_vals * b * p))
+            yield b, _log_sum(row[b] + row[:c_hi + 1]
+                              - (0.81 / 2.0) * a_vals * b * p)
 
     total, stop = _sum_falling_layers(n, layers())
     return total, {"b_min": b0, **stop}
@@ -323,6 +374,7 @@ def _budget_p27b(n, p, eps):
     lo = math.ceil(n / math.sqrt(math.log(n)))     # b, c >= n / sqrt(ln n)
     if 2 * lo > n:
         return -math.inf, {"empty_range": True, "bc_min": lo}
+    row = _log_comb_row(n)
 
     def layers():
         for b in range(lo, n):
@@ -330,8 +382,7 @@ def _budget_p27b(n, p, eps):
             if c_hi < lo:
                 return
             cs = np.arange(lo, c_hi + 1, dtype=np.float64)
-            yield b, float(logsumexp(
-                float(_log_comb(n, b)) + _log_comb(n, cs) - 1.2 * b * cs * p))
+            yield b, _log_sum(row[b] + row[lo:c_hi + 1] - 1.2 * b * cs * p)
 
     total, stop = _sum_falling_layers(n, layers())
     return total, {"bc_min": lo, **stop}
@@ -339,9 +390,9 @@ def _budget_p27b(n, p, eps):
 
 def _budget_cut(n, p, eps):
     cs = np.arange(1, n // 2 + 1, dtype=np.float64)
-    terms = _log_comb(n, cs) - cs * (n - cs) * p
-    return float(logsumexp(terms)), {"c_max": n // 2,
-                                     "form": "C(n,c) exp(-|B||C| p)"}
+    terms = _log_comb_row(n)[1:n // 2 + 1] - cs * (n - cs) * p
+    return _log_sum(terms), {"c_max": n // 2,
+                             "form": "C(n,c) exp(-|B||C| p)"}
 
 
 _C7_WINDOW = 256          # parity steps kept around the dominant end
@@ -349,9 +400,6 @@ _C7_WINDOW = 256          # parity steps kept around the dominant end
                           # 1 nat, so truncation error is below e^-250; at
                           # p <= 1/n event 2 rises in s instead and event 1
                           # dominates: tests check against the full sum)
-_C7_MARGIN = 40.0         # rows dropped this far (plus ln #rows) below the
-                          # largest term add under e^-40 of the sum, which
-                          # moves its log by less than 4.3e-18
 
 
 def _c7_event1(table, n, p, k1, bs, s):
@@ -429,7 +477,7 @@ def _budget_case7(n, p, eps, *, big):
              "s_window": _C7_WINDOW,
              "events": ("0.9abp/0.9asp" if big else "0.1abp/0.1asp")}
 
-    table = _log_comb(n, np.arange(n + 1))
+    table = _log_comb_row(n)
     s_lo_all = np.where((s_hi & 1) == 1, 1, 2)
     head1 = _c7_event1(table, n, p, k1, bs_all, s_hi)
     head2 = table[s_lo_all] - _c7_event2_exponent(n, p, big, bs_all, s_lo_all)
@@ -439,7 +487,7 @@ def _budget_case7(n, p, eps, *, big):
     s_next = np.minimum(s_lo_all + 2, s_top)
     bound2 = np.where(table[s_next] - s_next * slope <= line_lo, line_lo,
                       table[s_top] - s_lo_all * slope)
-    cutoff = (max(head1.max(), head2.max()) - _C7_MARGIN
+    cutoff = (max(head1.max(), head2.max()) - _MARGIN
               - math.log(bs_all.size) - math.log(2 * _C7_WINDOW))
     rows = np.maximum(head1, bound2) >= cutoff
     bs_all = bs_all[rows]

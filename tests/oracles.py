@@ -440,3 +440,114 @@ def exact_case7(n: int, p: float, big: bool) -> float:
     """The final-case sum over every valid (b, s) pair, with no window."""
     rows = [np.concatenate([t1, t2]) for _, _, t1, t2 in case7_rows(n, p, big)]
     return float(logsumexp(np.concatenate(rows))) if rows else -math.inf
+
+
+def _log_comb(n, k):
+    k = np.asarray(k, dtype=np.float64)
+    return gammaln(n + 1.0) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def _sum_falling_layers(n, layers):
+    total = -math.inf
+    peak = -math.inf
+    decreasing = 0
+    for b, layer in layers:
+        total = np.logaddexp(total, layer)
+        if layer >= peak:
+            peak = layer
+            decreasing = 0
+        else:
+            decreasing += 1
+        if decreasing >= 3 and layer + math.log(max(n - b, 1)) < total - 46.0:
+            break
+    return float(total)
+
+
+def full_budget(tag: str, n: int, p: float, eps: float) -> float:
+    """The log-value of budget ``tag`` with log C(n, k) computed per call and
+    every term summed: one logsumexp over the whole range (per layer for
+    P26, P27a and P27b, which keep their early stops).  Tags P24a, P24b,
+    P25, P26, P27a, P27b and CUT; P25's range is cut at w = n, past which
+    C(n, w) = 0 and every term is -inf."""
+    if tag == "P24a":
+        w0 = math.floor(eps * n) + 1
+        ws = np.arange(w0, n + 1, dtype=np.float64)
+        terms = _log_comb(n, ws) - (eps * eps / 2.0) * (ws * (ws - 1) / 2.0) * p
+    elif tag == "P24b":
+        w0 = math.floor(math.log(n) / (150.0 * p)) + 1
+        ws = np.arange(w0, n + 1, dtype=np.float64)
+        terms = _log_comb(n, ws) - 700.0 * ws * (ws - 1) * p
+    elif tag == "P25":
+        lo = math.ceil(2.0 * math.log(n) / 3.0)
+        hi = min(n, math.floor(math.log(n) / (150.0 * p)))
+        ws = np.arange(lo, hi + 1, dtype=np.float64)
+        terms = _log_comb(n, ws) - 1.5 * ws * math.log(n)
+    elif tag == "CUT":
+        cs = np.arange(1, n // 2 + 1, dtype=np.float64)
+        terms = _log_comb(n, cs) - cs * (n - cs) * p
+    elif tag == "P26":
+        return _full_p26(n, p, eps)
+    elif tag == "P27a":
+        return _full_p27a(n, p)
+    elif tag == "P27b":
+        return _full_p27b(n, p)
+    else:
+        raise ValueError(tag)
+    return float(logsumexp(terms)) if terms.size else -math.inf
+
+
+def _full_p26(n, p, eps):
+    y_min = math.floor(eps * n) + 1
+    z_min = math.floor(n / math.sqrt(math.log(n))) + 1
+    if y_min + z_min > n:
+        return -math.inf
+    c = eps * eps * p / 3.0
+    ratio_log = math.log((n - z_min) / (z_min + 1.0)) - c * y_min
+    total = -math.inf
+    for z in range(z_min, n - y_min + 1):
+        ys = np.arange(y_min, n - z + 1, dtype=np.float64)
+        layer = float(logsumexp(
+            _log_comb(n, ys) + float(_log_comb(n, z)) - c * z * ys))
+        total = np.logaddexp(total, layer)
+        if ratio_log < 0:
+            tail = layer + ratio_log - math.log1p(-math.exp(ratio_log))
+            if tail < total - 46.0:
+                break
+    return float(total)
+
+
+def _full_p27a(n, p):
+    b0 = math.floor(math.sqrt(math.log(n))) + 1
+    a_stmt = math.floor(33 * n / 50) + 1
+
+    def layers():
+        for b in range(b0, n):
+            a_min = max(a_stmt, b + 1)
+            c_hi = min(b + 1, n - b - a_min)
+            if c_hi < 0:
+                if n - b - a_min < 0 and b > n - a_stmt:
+                    return
+                continue
+            cs = np.arange(0, c_hi + 1, dtype=np.float64)
+            yield b, float(logsumexp(
+                float(_log_comb(n, b)) + _log_comb(n, cs)
+                - (0.81 / 2.0) * (n - b - cs) * b * p))
+
+    return _sum_falling_layers(n, layers())
+
+
+def _full_p27b(n, p):
+    lo = math.ceil(n / math.sqrt(math.log(n)))
+    if 2 * lo > n:
+        return -math.inf
+
+    def layers():
+        for b in range(lo, n):
+            c_hi = min(b + 1, n - b)
+            if c_hi < lo:
+                return
+            cs = np.arange(lo, c_hi + 1, dtype=np.float64)
+            yield b, float(logsumexp(
+                float(_log_comb(n, b)) + _log_comb(n, cs) - 1.2 * b * cs * p))
+
+    return _sum_falling_layers(n, layers())

@@ -1,16 +1,18 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, binom_tail_exact,
+from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, _log_comb,
+                                _log_comb_row, binom_tail_exact,
                                 chernoff_lower, chernoff_upper,
                                 eg_size_formula, large_deviation, p3_moments,
                                 phi, union_budget)
 from eg_matchlab.errors import InputError
 
-from oracles import case7_rows, exact_case7, full_window_case7
+from oracles import case7_rows, exact_case7, full_budget, full_window_case7
 
 
 def auto_p(n):
@@ -22,6 +24,8 @@ def p_grid(n):
 
 
 C7_SIDES = (("C7a", True), ("C7b", False))
+FULL_TAGS = ("P24a", "P24b", "P25", "P26", "P27a", "P27b", "CUT")
+EPS_GRID = (0.1, 0.5, 0.9)
 
 
 class TestPhi:
@@ -185,6 +189,18 @@ class TestUnionBudget:
         with pytest.raises(InputError):
             union_budget("CUT", 16, 0.5, epsilon=1.0)
 
+    @pytest.mark.parametrize("n", (1024.0, 1024.5, "1024"))
+    def test_n_must_be_an_integer(self, n):
+        for tag in BUDGET_TAGS:
+            with pytest.raises(InputError):
+                union_budget(tag, n, 0.05)
+
+    def test_numpy_integer_n(self):
+        for tag in BUDGET_TAGS:
+            res = union_budget(tag, np.int64(1024), 0.05)
+            assert type(res.n) is int and res.n == 1024
+            assert res.log_value == union_budget(tag, 1024, 0.05).log_value
+
     def test_all_tags_evaluate(self):
         n = 2 ** 12
         for tag in BUDGET_TAGS:
@@ -199,6 +215,74 @@ class TestUnionBudget:
         assert res.log_value == union_budget("CUT", 2 ** 10, p).log_value
         with pytest.raises(InputError):
             union_budget("bogus", 2 ** 10, 0.5)
+
+
+class TestLogCombRow:
+    @pytest.mark.parametrize("n", (2, 3, 1024, 2 ** 16))
+    def test_bitwise_equal_to_log_comb(self, n):
+        row = _log_comb_row(n)
+        assert row.tobytes() == _log_comb(n, np.arange(n + 1)).tobytes()
+
+    def test_read_only(self):
+        row = _log_comb_row(1024)
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+    def test_one_row_held_after_ladder(self):
+        for e in (10, 12, 14):
+            for tag in BUDGET_TAGS:
+                union_budget(tag, 2 ** e, auto_p(2 ** e))
+        assert _log_comb_row.cache_info().currsize <= 1
+
+    def test_cache_hit_equals_cold_row(self):
+        n = 2 ** 12
+        for tag in BUDGET_TAGS:
+            _log_comb_row(n)
+            warm = union_budget(tag, n, auto_p(n)).log_value
+            _log_comb_row.cache_clear()
+            assert union_budget(tag, n, auto_p(n)).log_value == warm, tag
+
+
+def slow_full_sum(tag, n, p, eps):
+    """P26, P27a and P27b stop once their layers fall fast enough.  At
+    p <= 1/n, and for P26 at eps = 0.1 below p = 0.3, that takes O(n)
+    layers of O(n) terms."""
+    if tag == "P26":
+        return p <= 1.0 / n or (eps == 0.1 and p < 0.3)
+    return tag in ("P27a", "P27b") and p <= 1.0 / n
+
+
+class TestWithinReach:
+    """Every tag reads one cached log C(n,.) row and sums only the terms
+    within e^-40 of the largest; the oracle builds log C(n, k) per call and
+    sums every term."""
+
+    @pytest.mark.parametrize("e", range(10, 17))
+    def test_bit_identical_to_full_sum(self, e):
+        """Checked over p_grid, and for P24a and P26, the tags that read
+        eps, over eps in {0.1, 0.5, 0.9}.  Past 2^13 the slow full sums are
+        left out.  P26 entries that skip layers are held to 1e-12 relative
+        on the log, not to equality: a skipped layer is a whole summand left
+        out, which may change the rounding of the total."""
+        n = 2 ** e
+        for tag in FULL_TAGS:
+            for p in p_grid(n):
+                for eps in EPS_GRID if tag in ("P24a", "P26") else (0.5,):
+                    if e > 13 and slow_full_sum(tag, n, p, eps):
+                        continue
+                    res = union_budget(tag, n, p, eps)
+                    want = full_budget(tag, n, p, eps)
+                    if res.notes.get("z_skipped"):
+                        assert (abs(res.log_value - want)
+                                <= 1e-12 * max(1.0, abs(want))), (tag, p, eps)
+                    else:
+                        assert res.log_value == want, (tag, p, eps)
+
+    def test_p26_skips_layers_at_sparse_p(self):
+        n = 2 ** 13
+        notes = union_budget("P26", n, 1.0 / n).notes
+        assert "z_stop" not in notes
+        assert notes["z_skipped"] > 0
 
 
 class TestCase7:
