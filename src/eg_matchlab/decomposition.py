@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph_core import (Graph, popcount, vset, vset_from_flags,
-                         vset_members)
+from .graph_core import Graph, vset, vset_from_flags, vset_members
 from .matching import max_matching, matching_number
 
 DEFAULT_N_EXACT_EXTREMAL = 12
@@ -242,14 +241,13 @@ class FormResult:
     exact: bool
 
 
-def best_form1(g: Graph, k: int,
-               enum_budget: int = DEFAULT_FORM_ENUM_BUDGET) -> FormResult:
+def best_form1(g: Graph, k: int) -> FormResult:
     """Best W of size 2k+1 maximizing the edge count inside W."""
     n = g.n
     w_size = 2 * k + 1
     if k < 0 or w_size > n:
         raise InputError(f"form 1 needs 2k+1 <= n (k={k}, n={n})")
-    if _ncr(n, w_size) <= enum_budget:
+    if math.comb(n, w_size) <= DEFAULT_FORM_ENUM_BUDGET:
         best, best_mask = -1, 0
         for combo in itertools.combinations(range(n), w_size):
             mask = vset(combo)
@@ -257,20 +255,19 @@ def best_form1(g: Graph, k: int,
             if val > best:
                 best, best_mask = val, mask
         return FormResult(best_mask, best, exact=True)
-    mask = _greedy_dense_set(g, w_size)
+    mask = _grow_dense_set(g, w_size)
     mask, val = _swap_improve(g, mask, g.edges_within)
     return FormResult(mask, val, exact=False)
 
 
-def best_form2(g: Graph, k: int,
-               enum_budget: int = DEFAULT_FORM_ENUM_BUDGET) -> FormResult:
+def best_form2(g: Graph, k: int) -> FormResult:
     """Best T of size k maximizing the number of edges meeting T."""
     n = g.n
     if k < 0 or k > n:
         raise InputError(f"form 2 needs 0 <= k <= n (k={k}, n={n})")
     if k == 0:
         return FormResult(0, 0, exact=True)
-    if _ncr(n, k) <= enum_budget:
+    if math.comb(n, k) <= DEFAULT_FORM_ENUM_BUDGET:
         best, best_mask = -1, 0
         for combo in itertools.combinations(range(n), k):
             mask = vset(combo)
@@ -284,18 +281,14 @@ def best_form2(g: Graph, k: int,
     return FormResult(mask, val, exact=False)
 
 
-def _greedy_dense_set(g: Graph, size: int) -> int:
-    mask = 0
+def _grow_dense_set(g: Graph, size: int) -> int:
+    """``size`` vertices picked one at a time, each the first outside
+    vertex with the most neighbours among those already picked."""
+    inside = np.zeros(g.n, dtype=bool)
     for _ in range(size):
-        best_gain, best_v = -1, -1
-        for v in range(g.n):
-            if mask >> v & 1:
-                continue
-            gain = g.degree_into(v, mask)
-            if gain > best_gain:
-                best_gain, best_v = gain, v
-        mask |= 1 << best_v
-    return mask
+        gain = np.where(inside, -1, g.degrees_into(inside))
+        inside[np.argmax(gain)] = True
+    return vset_from_flags(inside)
 
 
 def _swap_improve(g: Graph, mask: int, objective):
@@ -317,12 +310,6 @@ def _swap_improve(g: Graph, mask: int, objective):
         if not improved:
             break
     return mask, val
-
-
-def _ncr(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +344,8 @@ def extremal(g: Graph, k: int, mode: str = "exact",
     """
     if g.n < 1:
         raise InputError("extremal search needs n >= 1")
+    if n_exact < 0:
+        raise InputError(f"n_exact must be >= 0 (got {n_exact})")
     nu_g = matching_number(g)
     if k < 0 or k > nu_g:
         raise InputError(f"k={k} outside 0..nu(g)={nu_g}")
@@ -386,13 +375,12 @@ def _extremal_exact(g: Graph, k: int) -> ExtremalResult:
     # only drop below it and pruning against certified cuts stays exact.
     state = {"cut": g.edges_meeting(t_mask), "certified": -1}
 
-    # value -> {edge_key: edges tuple}
-    buckets: dict[int, dict[bytes, tuple]] = {}
+    # value -> the distinct edge tuples reaching it
+    buckets: dict[int, set[tuple]] = {}
 
     def collect(s_mask: int, family: tuple[int, ...], value: int) -> None:
         edges = _edges_of(g, s_mask, family)
-        key = _edge_key(edges)
-        buckets.setdefault(value, {}).setdefault(key, edges)
+        buckets.setdefault(value, set()).add(edges)
         if value > state["certified"]:
             if matching_number(Graph(n, edges)) == k:
                 state["certified"] = value
@@ -410,7 +398,7 @@ def _extremal_exact(g: Graph, k: int) -> ExtremalResult:
             base = g.edges_meeting(s_mask)
             avail = full & ~s_mask
             comps = g.components(s_mask)
-            odd = sum(1 for c in comps if popcount(c) & 1)
+            odd = sum(1 for c in comps if c.bit_count() & 1)
             e_avail = g.m - base
             if odd >= d:
                 # components can be grouped whole into d odd blocks: the
@@ -428,8 +416,7 @@ def _extremal_exact(g: Graph, k: int) -> ExtremalResult:
 
     for value in sorted(buckets, reverse=True):
         winners = []
-        for key in sorted(buckets[value]):
-            edges = buckets[value][key]
+        for edges in sorted(buckets[value]):
             if matching_number(Graph(n, edges)) == k:
                 winners.append(edges)
         if winners:
@@ -523,11 +510,6 @@ def _edges_of(g: Graph, s_mask: int, family: tuple[int, ...]) -> tuple:
     return tuple(keep)
 
 
-def _edge_key(edges: tuple) -> bytes:
-    return b"".join(u.to_bytes(2, "big") + v.to_bytes(2, "big")
-                    for u, v in edges)
-
-
 def _extremal_heuristic(g: Graph, k: int, seed: int) -> ExtremalResult:
     from . import moves  # local import: moves depends on this module
 
@@ -596,7 +578,7 @@ def classify_forms(g: Graph, k: int, edges: tuple) -> dict:
         support |= (1 << u) | (1 << v)
     form1 = []
     w_size = 2 * k + 1
-    if w_size <= n and popcount(support) <= w_size:
+    if w_size <= n and support.bit_count() <= w_size:
         for combo in itertools.combinations(range(n), w_size):
             mask = vset(combo)
             if support & ~mask:

@@ -6,7 +6,7 @@ v in the set).  At scale the work runs on numpy over the canonical edge
 array: connected components are one int32 label array (``component_labels``)
 and counts over all vertices are bincount passes.  Sorted neighbour lists
 serve the traversals and the matching code; bitmask adjacency rows, built
-only for n <= BITSET_ADJ_LIMIT, serve the popcount counts over bitmask vertex
+only for n <= BITSET_ADJ_LIMIT, serve the bit counts over the bitmask vertex
 sets that the exact small-n searches make.  Both come lazily from the edge
 array through one CSR pass.  The neighbour lists pay for the edges and the
 non-isolated vertices (``Graph.support``, the one list of them): every
@@ -55,10 +55,6 @@ def iter_bits(mask: int) -> Iterator[int]:
 def vset_members(mask: int) -> list[int]:
     """Sorted vertex ids of a bitmask."""
     return list(iter_bits(mask))
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def vset_from_flags(flags: np.ndarray) -> int:
@@ -221,7 +217,7 @@ class Graph:
     def edges_within(self, mask: int) -> int:
         """Number of edges with both endpoints in ``mask``."""
         self._check_mask(mask)
-        if popcount(mask) <= 1:
+        if mask.bit_count() <= 1:
             return 0
         if self.has_bitset_adjacency():
             adj = self.adj_bits
@@ -229,7 +225,7 @@ class Graph:
             rest = mask
             while rest:
                 low = rest & -rest
-                total += popcount(adj[low.bit_length() - 1] & mask)
+                total += (adj[low.bit_length() - 1] & mask).bit_count()
                 rest ^= low
             return total // 2
         inside = vset_flags(mask, self.n)
@@ -244,24 +240,17 @@ class Graph:
             raise InputError("edges_between requires disjoint vertex sets")
         if self.has_bitset_adjacency():
             adj = self.adj_bits
-            small, other = (y, z) if popcount(y) <= popcount(z) else (z, y)
+            small, other = (y, z) if y.bit_count() <= z.bit_count() else (z, y)
             total = 0
             rest = small
             while rest:
                 low = rest & -rest
-                total += popcount(adj[low.bit_length() - 1] & other)
+                total += (adj[low.bit_length() - 1] & other).bit_count()
                 rest ^= low
             return total
         in_y, in_z = vset_flags(y, self.n), vset_flags(z, self.n)
         u, v = self._edges[:, 0], self._edges[:, 1]
         return int(np.count_nonzero((in_y[u] & in_z[v]) | (in_y[v] & in_z[u])))
-
-    def degree_into(self, v: int, mask: int) -> int:
-        """Number of neighbors of ``v`` inside ``mask``."""
-        self._check_vertex(v)
-        if self.has_bitset_adjacency():
-            return popcount(self.adj_bits[v] & mask)
-        return sum(1 for w in self.adj_lists[v] if mask >> w & 1)
 
     def degrees_into(self, inside: np.ndarray) -> np.ndarray:
         """Number of neighbours inside a vertex set, for every vertex at once;
@@ -317,7 +306,7 @@ class Graph:
         """Connected components of the graph induced on V minus ``removed``.
 
         Returns one bitmask per component, ordered by smallest member.  The
-        parity of a component is the parity of its popcount.  Above
+        parity of a component is the parity of its bit count.  Above
         BITSET_ADJ_LIMIT, the component label array grouped into bitmasks.
         """
         self._check_mask(removed)

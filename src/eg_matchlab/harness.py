@@ -16,7 +16,7 @@ import numpy as np
 from . import decomposition as dec
 from .errors import CapabilityError, InputError
 from .graph_core import (Graph, GnpParams, RNG_NAME, dense_regime_p, gen_gnp,
-                         popcount, vset, vset_members)
+                         vset, vset_members)
 from .matching import (_cover_at_most, _env_budget, _tau_is_nu, is_forest,
                        matching_number, vertex_cover_number)
 
@@ -136,25 +136,25 @@ def build_failure_certificate(g: Graph, node_budget: int | None = None):
 
 def interior_event_holds(g: Graph, p: float, eps: float, mask: int) -> bool:
     """|E(X)| = (1 +- eps) C(|X|,2) p, strict on both sides."""
-    w = popcount(mask)
+    w = mask.bit_count()
     expected = w * (w - 1) / 2.0 * p
     val = g.edges_within(mask)
     return (1 - eps) * expected < val < (1 + eps) * expected
 
 
 def cap300_event_holds(g: Graph, p: float, mask: int) -> bool:
-    w = popcount(mask)
+    w = mask.bit_count()
     return g.edges_within(mask) <= 300.0 * w * (w - 1) / 2.0 * p
 
 
 def sparse_event_holds(g: Graph, mask: int) -> bool:
-    w = popcount(mask)
+    w = mask.bit_count()
     return g.edges_within(mask) <= w * math.log(g.n) / 3.0
 
 
 def between_event_holds(g: Graph, p: float, eps: float,
                         y_mask: int, z_mask: int) -> bool:
-    expected = popcount(y_mask) * popcount(z_mask) * p
+    expected = y_mask.bit_count() * z_mask.bit_count() * p
     val = g.edges_between(y_mask, z_mask)
     return (1 - eps) * expected < val < (1 + eps) * expected
 
@@ -263,6 +263,11 @@ class RegimeSpec:
     is_budget: int | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InputError(f"n must be >= 1 (got {self.n})")
+        if self.p_rule not in DEFAULT_CHECKS:
+            raise InputError(f"unknown p_rule {self.p_rule!r}; known: "
+                             f"{', '.join(DEFAULT_CHECKS)}")
         if self.trials < 0:
             raise InputError(f"trials must be >= 0 (got {self.trials})")
         if not (0 <= self.master_seed < 1 << 64):
@@ -290,7 +295,7 @@ class RegimeSpec:
             p = self.forest_c / self.n
             if self.forest_c >= 1.0:
                 flags["forest_c_not_small"] = True
-        elif self.p_rule in ("middle", "custom"):
+        else:                        # middle or custom
             if self.p_explicit is None:
                 raise InputError(f"{self.p_rule} regime needs an explicit p")
             p = self.p_explicit
@@ -300,14 +305,12 @@ class RegimeSpec:
                 flags["middle_feasible"] = feasible
                 if feasible and not (lo < p < hi):
                     flags["p_outside_middle_interval"] = True
-        else:
-            raise InputError(f"unknown p_rule {self.p_rule!r}")
         if not (0.0 <= p <= 1.0):
             raise InputError(f"resolved p={p} outside [0, 1]")
         return p, flags
 
     def resolved_checks(self) -> tuple[str, ...]:
-        return self.checks or DEFAULT_CHECKS.get(self.p_rule, ("nu",))
+        return self.checks or DEFAULT_CHECKS[self.p_rule]
 
 
 @dataclass
@@ -414,6 +417,21 @@ def _rate_entry(successes: int, trials: int) -> dict:
             "wilson_low": lo, "wilson_high": hi}
 
 
+# a record's string answers as outcomes; any other string ("", "unknown",
+# "skipped") leaves the answer undecided
+_DECIDED = {"yes": True, "holds": True, "no": False, "fails": False}
+# each summary rate and a record's outcome for it: True (counted), False,
+# or None when the record did not decide it
+_RATE_OUTCOMES = (
+    ("is_forest", lambda r: r.is_forest),
+    ("eg_all_holds", lambda r: _DECIDED.get(r.eg_all)),
+    ("tau_eq_nu", lambda r: _DECIDED.get(r.tau_eq_nu)),
+    ("empty_half", lambda r: _DECIDED.get(r.empty_half)),
+    ("two_isolated_p3",
+     lambda r: None if r.p3_count is None else r.p3_count >= 2),
+)
+
+
 def _summarize(spec: RegimeSpec, p: float, flags: dict, records) -> dict:
     t = len(records)
     summary = {
@@ -429,25 +447,10 @@ def _summarize(spec: RegimeSpec, p: float, flags: dict, records) -> dict:
         "degenerate": t == 0,
     }
     rates = {}
-    if any(r.is_forest is not None for r in records):
-        rates["is_forest"] = _rate_entry(
-            sum(1 for r in records if r.is_forest), t)
-    if any(r.eg_all in ("holds", "fails") for r in records):
-        done = [r for r in records if r.eg_all in ("holds", "fails")]
-        rates["eg_all_holds"] = _rate_entry(
-            sum(1 for r in done if r.eg_all == "holds"), len(done))
-    if any(r.tau_eq_nu in ("yes", "no") for r in records):
-        done = [r for r in records if r.tau_eq_nu in ("yes", "no")]
-        rates["tau_eq_nu"] = _rate_entry(
-            sum(1 for r in done if r.tau_eq_nu == "yes"), len(done))
-    if any(r.empty_half in ("yes", "no") for r in records):
-        done = [r for r in records if r.empty_half in ("yes", "no")]
-        rates["empty_half"] = _rate_entry(
-            sum(1 for r in done if r.empty_half == "yes"), len(done))
-    if any(r.p3_count is not None for r in records):
-        done = [r for r in records if r.p3_count is not None]
-        rates["two_isolated_p3"] = _rate_entry(
-            sum(1 for r in done if r.p3_count >= 2), len(done))
+    for name, outcome in _RATE_OUTCOMES:
+        decided = [o for o in map(outcome, records) if o is not None]
+        if decided:
+            rates[name] = _rate_entry(decided.count(True), len(decided))
     if any(r.density is not None for r in records):
         checked = violated = 0
         for r in records:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, popcount, vset, vset_from_flags
+from .graph_core import Graph, vset, vset_from_flags
 
 DEFAULT_VC_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EG_MATCHLAB_BUDGET"
@@ -282,7 +282,7 @@ def tutte_berge_witness(g: Graph) -> TBWitness:
         in_d[v] = True
     s_mask = vset({w for v in d for w in adj[v] if not in_d[w]})
     o = odd_components(g, s_mask)
-    return TBWitness(s_mask, o, o - popcount(s_mask))
+    return TBWitness(s_mask, o, o - s_mask.bit_count())
 
 
 # ---------------------------------------------------------------------------

@@ -28,38 +28,48 @@ from .errors import InputError, MoveError
 from .graph_core import Graph, vset_from_flags
 
 
+# the rational cutoffs, compared multiplied out by their denominators
+FRAC_DEN = 2000                     # |A_1| and y vs n / 2000
+RATIO_NUM, RATIO_DEN = 399, 100     # |A_1| vs (399/100) * |B|
+Y_DEN = 10_000                      # y vs 1e-4 * n = n / 10000
+
+
 @dataclass(frozen=True)
 class CaseThresholds:
     """Cutoffs separating the seven cases, all functions of n (natural log)."""
 
     n: int
-    frac_den: int           # |A_1| and y vs n / 2000
-    ratio_num: int          # |A_1| vs (399/100) * |B|
-    ratio_den: int
-    y_den: int              # y vs 1e-4 * n = n / 10000
-    log_half: float         # sqrt(ln n)
-    s_cut: float            # n / sqrt(ln n)
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise InputError("case thresholds need n >= 2")
 
     @classmethod
     def from_n(cls, n: int) -> "CaseThresholds":
-        if n < 2:
-            raise InputError("case thresholds need n >= 2")
-        root = math.sqrt(math.log(n))
-        return cls(n=n, frac_den=2000, ratio_num=399, ratio_den=100,
-                   y_den=10_000, log_half=root, s_cut=n / root)
+        return cls(n)
 
     @property
     def frac_small(self) -> float:
-        return self.n / float(self.frac_den)
+        return self.n / float(FRAC_DEN)
 
     @property
     def y_small(self) -> float:
         # (1.0 / 10000) rounds to the same double as 1e-4, so this is 1e-4 * n
-        return (1.0 / self.y_den) * self.n
+        return (1.0 / Y_DEN) * self.n
+
+    @property
+    def log_half(self) -> float:
+        """sqrt(ln n)."""
+        return math.sqrt(math.log(self.n))
+
+    @property
+    def s_cut(self) -> float:
+        """n / sqrt(ln n)."""
+        return self.n / self.log_half
 
     def as_dict(self) -> dict:
         return {"n": self.n, "frac_small": self.frac_small,
-                "ratio": self.ratio_num / self.ratio_den,
+                "ratio": RATIO_NUM / RATIO_DEN,
                 "y_small": self.y_small, "log_half": self.log_half,
                 "s_cut": self.s_cut}
 
@@ -100,20 +110,19 @@ def classify_case(g: Graph, pi: Decomposition) -> int:
     """The unique case 1..7 whose guard matches a non-canonical decomposition.
 
     Integer-exact comparisons are used for the rational cutoffs (n/2000,
-    399/100, 1e-4 n), multiplied out by the denominators in
-    ``CaseThresholds``; at the 6/7 boundary (s exactly n/sqrt(ln n)) the
-    lower-numbered case wins.
+    399/100, 1e-4 n), multiplied out by their denominators; at the 6/7
+    boundary (s exactly n/sqrt(ln n)) the lower-numbered case wins.
     """
     if is_canonical(pi):
         raise MoveError("decomposition is already canonical")
     th = CaseThresholds.from_n(pi.n)
     n = pi.n
     a1, y, s, b = pi.a1_size, pi.y, pi.s, pi.b_size
-    if th.frac_den * a1 < n:
-        return 1 if th.frac_den * y >= n else 2
-    if th.ratio_den * a1 <= th.ratio_num * b:
+    if FRAC_DEN * a1 < n:
+        return 1 if FRAC_DEN * y >= n else 2
+    if RATIO_DEN * a1 <= RATIO_NUM * b:
         return 3
-    if th.y_den * y >= n:
+    if Y_DEN * y >= n:
         return 4
     if y > 0:
         return 5
@@ -306,6 +315,8 @@ def improve(g: Graph, pi: Decomposition, max_steps: int = 100,
     r is invariant across the whole trace; size never decreases across
     accepted steps.
     """
+    if max_steps < 0:
+        raise InputError(f"max_steps must be >= 0 (got {max_steps})")
     rng = np.random.Generator(np.random.Philox(key=seed))
     trace: list[MoveReport] = []
     start_size = decomposition_size(g, pi)

@@ -15,8 +15,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from eg_matchlab.errors import InputError
-from eg_matchlab.graph_core import (Graph, iter_bits, popcount, vset,
-                                   vset_members)
+from eg_matchlab.graph_core import Graph, iter_bits, vset, vset_members
 from eg_matchlab.matching import matching_number
 
 
@@ -99,6 +98,12 @@ def gallai_edmonds_by_deletion(g: Graph) -> int:
         if matching_number(Graph(g.n, rest)) == nu:
             d_mask |= 1 << v
     return d_mask
+
+
+def degree_into(g: Graph, v: int, mask: int) -> int:
+    """Number of neighbours of ``v`` inside ``mask``, read one vertex at a
+    time off its neighbour list."""
+    return sum(1 for w in g.adj_lists[v] if mask >> w & 1)
 
 
 def decomposition_edges(g: Graph, pi) -> list[tuple[int, int]]:
@@ -268,7 +273,7 @@ def rescan_vc_kernel(adj: list[int], mask: int, taken: int) -> tuple[int, int]:
             if not (mask >> v & 1):
                 continue
             nb = adj[v] & mask
-            d = popcount(nb)
+            d = nb.bit_count()
             if d == 0:
                 mask &= ~(1 << v)
                 changed = True

@@ -126,6 +126,22 @@ class TestSubcommands:
         assert obj["size"] == 2 and obj["maximizer_count"] == 5
         assert all(f["canonical"] for f in obj["forms"])
 
+    def test_extremal_json_pinned(self, capsys, tmp_path):
+        # six maximizers at k = 2: the forms list follows maximizer order
+        path = write_graph(tmp_path, gen_gnp(GnpParams(9, 0.5, 5)))
+        code, out, _ = run(capsys, ["extremal", path, "--k", "2"])
+        assert code == 0
+        assert out == (
+            '{"exact": true, "forms": ['
+            '{"canonical": true, "form1": [], "form2": [[0, 4]]}, '
+            '{"canonical": true, "form1": [], "form2": [[2, 4]]}, '
+            '{"canonical": true, "form1": [], "form2": [[2, 7]]}, '
+            '{"canonical": true, "form1": [], "form2": [[4, 5]]}, '
+            '{"canonical": true, "form1": [], "form2": [[4, 6]]}, '
+            '{"canonical": true, "form1": [], "form2": [[4, 7]]}], '
+            '"k": 2, "lower_bound_only": false, "maximizer_count": 6, '
+            '"size": 10}\n')
+
     def test_extremal_capability_exit_3(self, capsys, tmp_path):
         g = Graph(500, [(i, i + 1) for i in range(499)])
         path = write_graph(tmp_path, g)
@@ -138,6 +154,16 @@ class TestSubcommands:
         path = write_graph(tmp_path, cycle(5))
         code, _, err = run(capsys, ["extremal", path, "--k", "4"])
         assert code == 2 and "input" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--k", "1"], ["extremal", "--k", "1", "--mode", "heur"],
+        ["egcheck"], ["egcheck", "--k", "1"]])
+    def test_negative_n_exact_exit_2(self, capsys, tmp_path, argv):
+        path = write_graph(tmp_path, cycle(5))
+        code, out, err = run(capsys, [argv[0], path, *argv[1:],
+                                      "--n-exact", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "input error: n_exact must be >= 0 (got -1)\n"
 
     @pytest.mark.parametrize("argv", [["extremal", "--k", "0"],
                                       ["egcheck"], ["egcheck", "--k", "0"]])
@@ -161,6 +187,14 @@ class TestSubcommands:
         assert "final" in lines[-1]
         assert lines[-1]["reason"] in ("canonical", "no_improvement",
                                        "max_steps", "blocked")
+
+    def test_improve_negative_max_steps_exit_2(self, capsys, tmp_path):
+        path = write_graph(tmp_path, gen_gnp(GnpParams(6, 0.5, 1)))
+        pi = json.dumps({"S": [5], "blocks": [[0, 1, 2], [3], [4]]})
+        code, out, err = run(capsys, ["improve", path, "--pi", pi,
+                                      "--seed", "1", "--max-steps", "-3"])
+        assert (code, out) == (2, "")
+        assert err == "input error: max_steps must be >= 0 (got -3)\n"
 
     def test_improve_bad_pi_exit_2(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle(5))
@@ -338,6 +372,15 @@ class TestMonteCarlo:
                              + [x for kv in argv.items() for x in kv])
         assert (code, out) == (2, "")
         assert err.startswith("input error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--regime", "forest", "--n", "0", "--trials", "1"],
+        ["--regime", "middle", "--n", "0", "--p", "0.1", "--trials", "0"],
+        ["--regime", "dense", "--n", "0", "--trials", "0"]])
+    def test_n_below_one_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, ["montecarlo", *argv, "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert err == "input error: n must be >= 1 (got 0)\n"
 
     def test_stdout_csv_without_out(self, capsys):
         code, out, err = run(capsys, ["montecarlo", "--regime", "forest",

@@ -281,12 +281,18 @@ class TestForms:
         assert res.size == 0 and res.witness == 0
 
     def test_greedy_fallback_flagged(self):
+        # C(30, 13) and C(30, 6) both exceed DEFAULT_FORM_ENUM_BUDGET, so
+        # both forms take the greedy and swap fallback; witnesses pinned
         g = gen_gnp(GnpParams(30, 0.4, 3))
-        res = best_form1(g, 6, enum_budget=10)
+        res = best_form1(g, 6)
         assert not res.exact
-        assert res.witness.bit_count() == 13
-        res2 = best_form2(g, 6, enum_budget=10)
-        assert not res2.exact and res2.witness.bit_count() == 6
+        assert res.witness == vset([0, 3, 7, 9, 10, 12, 13, 15, 17, 18, 20,
+                                    22, 27])
+        assert res.size == 45 == g.edges_within(res.witness)
+        res2 = best_form2(g, 6)
+        assert not res2.exact
+        assert res2.witness == vset([3, 7, 15, 20, 22, 29])
+        assert res2.size == 73 == g.edges_meeting(res2.witness)
 
 
 class TestExtremalExact:

@@ -331,7 +331,9 @@ class TestRegimes:
         ("trials", -3, "trials"),
         ("master_seed", -1, "master seed"),
         ("master_seed", 1 << 64, "master seed"),
-        ("eg_exact_cutoff", -5, "eg_exact_cutoff")])
+        ("eg_exact_cutoff", -5, "eg_exact_cutoff"),
+        ("n", 0, "n must be >= 1"),
+        ("p_rule", "sparse", "unknown p_rule 'sparse'")])
     def test_out_of_range_is_input_error(self, field, value, match):
         fields = {"n": 10, "p_rule": "forest", "trials": 1, "master_seed": 1,
                   field: value}

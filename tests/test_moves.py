@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eg_matchlab.decomposition import Decomposition, _random_decomposition
-from eg_matchlab.errors import MoveError
+from eg_matchlab.errors import InputError, MoveError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset
 from eg_matchlab.harness import trial_seed
 from eg_matchlab.moves import (CaseThresholds, apply_case, classify_case,
@@ -47,9 +47,19 @@ class TestThresholds:
         assert round(th.log_half, 2) == 3.15
         assert round(th.s_cut) == 6355
 
+    def test_as_dict_pinned(self):
+        assert CaseThresholds.from_n(20000).as_dict() == {
+            "n": 20000, "frac_small": 10.0, "ratio": 3.99, "y_small": 2.0,
+            "log_half": 3.1469807041887194, "s_cut": 6355.297944273837}
+        assert CaseThresholds.from_n(11).as_dict() == {
+            "n": 11, "frac_small": 0.0055, "ratio": 3.99, "y_small": 0.0011,
+            "log_half": 1.5485138917033876, "s_cut": 7.1035849655180305}
+
     def test_small_n_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InputError):
             CaseThresholds.from_n(1)
+        with pytest.raises(InputError):
+            CaseThresholds(1)
 
 
 class TestCanonical:
