@@ -74,6 +74,8 @@ class TestSubcommands:
         assert code == 0
         assert obj["odd_count"] - len(obj["s_set"]) == obj["deficiency"]
         assert obj["deficiency"] == g.n - 2 * matching_number(g)
+        assert sha256(json.dumps(obj["s_set"])) == (
+            "049af791fa8182f2bc0b555d2e5ab541383961ccabc1b4e331672eb3e0ad55d1")
 
     @pytest.mark.parametrize("flag", [["--n-exact", "30"], ["--heuristic"]])
     def test_tb_witness_has_no_knobs(self, tmp_path, flag):

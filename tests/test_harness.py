@@ -291,6 +291,29 @@ class TestDensityAudit:
         b = density_audit(g, 0.2, 0.5, 50, seed=11)
         assert a.events == b.events
 
+    # (interior_eq, cap300, sparse_log, between_eq) as (checked, violated):
+    # the mixed outcomes show any change in which sets are drawn, or in
+    # the order of the draws
+    @pytest.mark.parametrize("n,p,eps,seed,events", [
+        (60, 0.05, 0.1, 0, ((30, 18), (30, 0), (0, 0), (30, 14))),
+        (60, 0.05, 0.1, 11, ((30, 15), (30, 0), (0, 0), (30, 16))),
+        (20, 0.3, 0.1, 0, ((30, 17), (30, 0), (0, 0), (30, 16))),
+        (20, 0.3, 0.1, 11, ((30, 21), (30, 0), (0, 0), (30, 17)))])
+    def test_event_counts_pinned(self, n, p, eps, seed, events):
+        g = gen_gnp(GnpParams(n, p, 7))
+        rep = density_audit(g, p, eps, 30, seed)
+        assert tuple(rep.events.values()) == events
+
+    def test_dense_event_counts_pinned(self):
+        # at n >= 1200 and p = 8 ln n / n every sample draws a sparse_log set
+        # as well, between the cap300 and the between_eq draws
+        n = 2400
+        p = 8 * math.log(n) / n
+        g = gen_gnp(GnpParams(n, p, 7))
+        rep = density_audit(g, p, 0.01, 20, seed=3)
+        assert rep.events == {"interior_eq": (20, 5), "cap300": (20, 0),
+                              "sparse_log": (20, 0), "between_eq": (20, 1)}
+
 
 class TestRegimes:
     def test_middle_interval_empty_small_n(self):
@@ -417,6 +440,17 @@ class TestRunTrials:
                                        "node budget exceeded after 1 nodes")
         assert summary["rates"]["tau_eq_nu"]["count"] == 0
         assert summary["rates"]["tau_eq_nu"]["trials"] == 1
+
+    def test_empty_half_budget_note_before_tau_note(self):
+        spec = RegimeSpec(n=100, p_rule="middle", p_explicit=0.04, trials=1,
+                          master_seed=0, vc_budget=1, is_budget=1)
+        (rec,), _ = run_trials(spec)
+        assert (rec.empty_half, rec.tau_eq_nu, rec.tau) == ("unknown", "no",
+                                                             None)
+        assert rec.notes == [
+            "vertex cover node budget 1 exceeded",
+            "tau budget exceeded (vertex cover node budget exceeded after 1 "
+            "nodes)"]
 
 
 class TestWilson:

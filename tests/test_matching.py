@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eg_matchlab import cli, matching
 from eg_matchlab.errors import CapabilityError, InputError
@@ -321,6 +322,30 @@ GRAPHS_UP_TO_14 = st.builds(
     st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8]), st.integers(0, 2 ** 32))
 
 
+def disjoint_union(parts: list[tuple[int, int]]) -> Graph:
+    """The graphs (n, edge bits) side by side: bit i of the edge bits is the
+    i-th pair of range(n) in lexicographic order."""
+    edges, start = [], 0
+    for n, bits in parts:
+        pairs = itertools.combinations(range(start, start + n), 2)
+        edges += [e for i, e in enumerate(pairs) if bits >> i & 1]
+        start += n
+    return Graph(start, edges)
+
+
+def dense_part(n: int):
+    """A graph on n vertices, each pair an edge with probability 3/4."""
+    bits = st.integers(0, 2 ** (n * (n - 1) // 2) - 1)
+    return st.tuples(st.just(n), st.builds(int.__or__, bits, bits))
+
+
+# 2-4 graphs on 3-5 vertices each: in about 45% of them two or more
+# components fail the Konig-Egervary test, so a decision solves all but
+# one of them exactly
+DISJOINT_UNIONS = st.lists(st.integers(3, 5).flatmap(dense_part),
+                           min_size=2, max_size=4).map(disjoint_union)
+
+
 class TestVertexCover:
     def test_star(self, star4):
         assert vertex_cover_number(star4) == 1
@@ -410,6 +435,16 @@ class TestVertexCover:
         else:
             assert (v.form_b, v.tau) == (tau_is_nu,
                                          v.nu if tau_is_nu else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(DISJOINT_UNIONS)
+    @example(disjoint_union([(3, 0b111), (4, 0b111111), (5, 0b1010011001)]))
+    def test_cover_at_most_equals_brute_force(self, g):
+        # on a fresh graph, with no exact tau cached to answer it
+        tau = brute_vertex_cover(g)
+        budget = matching.DEFAULT_VC_NODE_BUDGET
+        for k in (tau - 1, tau, tau + 1):
+            assert matching._cover_at_most(g, k, budget) == (k >= tau), k
 
     @settings(max_examples=200, deadline=None)
     @given(GRAPHS_UP_TO_14)
