@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error, 3 capability/budget error.  Output is
 machine-readable JSON on stdout (or --out FILE); diagnostics go to stderr.
-Randomized subcommands require an explicit --seed so results replay.
+``gen``, ``improve`` and ``montecarlo`` require an explicit --seed;
+``extremal`` defaults it to 0 and draws from it only in --mode heur.
 """
 
 from __future__ import annotations
@@ -43,9 +44,12 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+# strict JSON: a NaN or infinity raises here instead of reaching stdout
+_json = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
+
+
 def _emit_json(args, obj) -> None:
-    # strict JSON: a NaN or infinity raises here instead of reaching stdout
-    _emit(args, json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+    _emit(args, _json(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +136,20 @@ def _cmd_improve(args) -> int:
     result = moves.improve(g, pi, max_steps=args.max_steps, seed=args.seed)
     lines = []
     for rep in result.trace:
-        lines.append(json.dumps({
+        lines.append(_json({
             "case": rep.case_id,
             "size_before": rep.size_before,
             "size_after": rep.size_after,
             "moved": vset_members(rep.moved_set),
             "accepted": rep.accepted,
             "pi_after": rep.pi_after.to_json_obj(),
-        }, sort_keys=True))
-    lines.append(json.dumps({
+        }))
+    lines.append(_json({
         "final": result.final.to_json_obj(),
         "reason": result.reason,
         "start_size": result.start_size,
         "final_size": result.final_size,
-    }, sort_keys=True))
+    }))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -201,11 +205,11 @@ def _cmd_montecarlo(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-        sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
+        sys.stdout.write(_json(summary) + "\n")
     else:
         # keep stdout a single machine-readable document
         sys.stdout.write(csv_text)
-        sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
+        sys.stderr.write(_json(summary) + "\n")
     return EXIT_OK
 
 

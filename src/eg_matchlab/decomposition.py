@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, vset, vset_from_flags, vset_members
+from .graph_core import (Graph, philox_rng, vset, vset_from_flags,
+                         vset_members)
 from .matching import max_matching, matching_number
 
 DEFAULT_N_EXACT_EXTREMAL = 12
@@ -513,6 +514,7 @@ def _edges_of(g: Graph, s_mask: int, family: tuple[int, ...]) -> tuple:
 def _extremal_heuristic(g: Graph, k: int, seed: int) -> ExtremalResult:
     from . import moves  # local import: moves depends on this module
 
+    rng = philox_rng(seed)
     candidates = []
     if 2 * k + 1 <= g.n:
         f1 = best_form1(g, k)
@@ -523,7 +525,6 @@ def _extremal_heuristic(g: Graph, k: int, seed: int) -> ExtremalResult:
     best_label, best_witness, best_size = max(candidates, key=lambda c: c[2])
 
     # a couple of move-improved random starts can only raise the lower bound
-    rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(3):
         pi = _random_decomposition(g.n, k, rng)
         if pi is None:

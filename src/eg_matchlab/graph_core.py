@@ -2,7 +2,8 @@
 edge-counting primitives everything else is built on.
 
 Vertex sets are passed as Python ints used as bitmasks (bit v set <=> vertex
-v in the set).  At scale the work runs on numpy over the canonical edge
+v in the set); a set held as a numpy array of vertex ids becomes one through
+``vset_of``.  At scale the work runs on numpy over the canonical edge
 array: connected components are one int32 label array (``component_labels``)
 and counts over all vertices are bincount passes.  Sorted neighbour lists
 serve the traversals and the matching code; bitmask adjacency rows, built
@@ -33,6 +34,14 @@ ADJ_BITS_CHUNK_BYTES = 1 << 18
 RNG_NAME = "philox4x64-numpy"  # counter-based; recorded in experiment metadata
 
 
+def philox_rng(seed: int) -> np.random.Generator:
+    """The generator RNG_NAME names, keyed by ``seed``; every seeded draw
+    in the library comes from one of these."""
+    if not (0 <= seed < 1 << 64):
+        raise InputError(f"seed must be a 64-bit unsigned integer (got {seed})")
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 # ---------------------------------------------------------------------------
 # vertex-set (bitmask) helpers
 # ---------------------------------------------------------------------------
@@ -61,6 +70,14 @@ def vset_from_flags(flags: np.ndarray) -> int:
     """Bitmask of the vertices whose entry in a boolean array is set."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
                           "little")
+
+
+def vset_of(members: np.ndarray, n: int) -> int:
+    """Bitmask of an integer array of vertex ids below n, in O(n / 8) byte
+    operations whatever its size: how a vertex array becomes a bitmask."""
+    flags = np.zeros(n, dtype=bool)
+    flags[members] = True
+    return vset_from_flags(flags)
 
 
 def vset_flags(mask: int, n: int) -> np.ndarray:
@@ -238,16 +255,6 @@ class Graph:
         self._check_mask(z)
         if y & z:
             raise InputError("edges_between requires disjoint vertex sets")
-        if self.has_bitset_adjacency():
-            adj = self.adj_bits
-            small, other = (y, z) if y.bit_count() <= z.bit_count() else (z, y)
-            total = 0
-            rest = small
-            while rest:
-                low = rest & -rest
-                total += (adj[low.bit_length() - 1] & other).bit_count()
-                rest ^= low
-            return total
         in_y, in_z = vset_flags(y, self.n), vset_flags(z, self.n)
         u, v = self._edges[:, 0], self._edges[:, 1]
         return int(np.count_nonzero((in_y[u] & in_z[v]) | (in_y[v] & in_z[u])))
@@ -334,18 +341,15 @@ class Graph:
         bounds = np.cumsum(np.bincount(labels + 1, minlength=count + 1))
         return [vset(part.tolist()) for part in np.split(order, bounds)[1:-1]]
 
-    def induced_adjacency(self, mask: int) -> list[int]:
-        """Bitmask adjacency rows of the subgraph induced on ``mask``, its
-        vertices renumbered 0..k-1 in ascending order."""
-        verts = vset_members(mask)
-        local = {v: i for i, v in enumerate(verts)}
+    def induced_adjacency(self, verts: np.ndarray) -> list[int]:
+        """Bitmask adjacency rows of the subgraph induced on the ascending
+        vertex array ``verts``, vertex verts[i] renumbered i."""
+        local = np.full(self.n, -1)         # verts[i] -> i, -1 outside
+        local[verts] = np.arange(verts.size)
+        local = local.tolist()
         adj = self.adj_lists
-        rows = [0] * len(verts)
-        for i, v in enumerate(verts):
-            for w in adj[v]:
-                if mask >> w & 1:
-                    rows[i] |= 1 << local[w]
-        return rows
+        return [vset(i for w in adj[v] if (i := local[w]) >= 0)
+                for v in verts.tolist()]
 
     # -- serialization --------------------------------------------------------
 
@@ -419,7 +423,7 @@ def gen_gnp(params: GnpParams) -> Graph:
         u, v = np.triu_indices(n, k=1)
         order = np.argsort(u * n + v, kind="stable")
         return Graph(n, np.stack([u[order], v[order]], axis=1))
-    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    rng = philox_rng(params.seed)
     idx_chunks = []
     pos = -1
     expected = int(p * total) + 16

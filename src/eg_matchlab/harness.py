@@ -16,7 +16,7 @@ import numpy as np
 from . import decomposition as dec
 from .errors import CapabilityError, InputError
 from .graph_core import (Graph, GnpParams, RNG_NAME, dense_regime_p, gen_gnp,
-                         vset, vset_members)
+                         philox_rng, vset_of)
 from .matching import (_cover_at_most, _env_budget, _tau_is_nu, is_forest,
                        matching_number, vertex_cover_number)
 
@@ -177,7 +177,7 @@ def density_audit(g: Graph, p: float, epsilon: float, samples: int,
     if not (0 < epsilon < 1):
         raise InputError("epsilon must lie in (0, 1)")
     n = g.n
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox_rng(seed)
     report = DensityAuditReport(epsilon=epsilon, p=p, samples=samples)
     events = {name: [0, 0] for name in
               ("interior_eq", "cap300", "sparse_log", "between_eq")}
@@ -186,40 +186,32 @@ def density_audit(g: Graph, p: float, epsilon: float, samples: int,
     cap_lo = math.floor(math.log(n) / (150.0 * p)) + 1 if p > 0 else n + 1
     sparse_hi = math.floor(math.log(n) / (150.0 * p)) if p > 0 else n
     z_lo = math.floor(n / math.sqrt(math.log(n))) + 1 if n >= 2 else n + 1
+    # per sample and in this order, each one-set event draws a size in
+    # [lo, hi] and then a set of that size
+    one_set = (("interior_eq", big_lo, n,
+                lambda x: interior_event_holds(g, p, epsilon, x)),
+               ("cap300", cap_lo, n, lambda x: cap300_event_holds(g, p, x)),
+               ("sparse_log", 1, min(sparse_hi, n),
+                lambda x: sparse_event_holds(g, x)))
 
     for _ in range(samples):
-        if big_lo <= n:
-            w = int(rng.integers(big_lo, n + 1))
-            mask = _random_subset(rng, n, w)
-            events["interior_eq"][0] += 1
-            events["interior_eq"][1] += not interior_event_holds(g, p, epsilon, mask)
-        if cap_lo <= n:
-            w = int(rng.integers(cap_lo, n + 1))
-            mask = _random_subset(rng, n, w)
-            events["cap300"][0] += 1
-            events["cap300"][1] += not cap300_event_holds(g, p, mask)
-        if 1 <= sparse_hi:
-            w = int(rng.integers(1, min(sparse_hi, n) + 1))
-            mask = _random_subset(rng, n, w)
-            events["sparse_log"][0] += 1
-            events["sparse_log"][1] += not sparse_event_holds(g, mask)
+        for name, lo, hi, holds in one_set:
+            if lo <= hi:
+                w = int(rng.integers(lo, hi + 1))
+                x = vset_of(rng.choice(n, size=w, replace=False), n)
+                events[name][0] += 1
+                events[name][1] += not holds(x)
         if big_lo + z_lo <= n:
             y_size = int(rng.integers(big_lo, n - z_lo + 1))
             z_size = int(rng.integers(z_lo, n - y_size + 1))
-            both = _random_subset(rng, n, y_size + z_size)
-            members = vset_members(both)
-            pick = rng.permutation(len(members))
-            y_mask = vset(members[int(i)] for i in pick[:y_size])
-            z_mask = both & ~y_mask
+            both = np.sort(rng.choice(n, size=y_size + z_size, replace=False))
+            pick = rng.permutation(both.size)
             events["between_eq"][0] += 1
             events["between_eq"][1] += not between_event_holds(
-                g, p, epsilon, y_mask, z_mask)
+                g, p, epsilon, vset_of(both[pick[:y_size]], n),
+                vset_of(both[pick[y_size:]], n))
     report.events = {k: tuple(v) for k, v in events.items()}
     return report
-
-
-def _random_subset(rng, n: int, size: int) -> int:
-    return vset(rng.choice(n, size=size, replace=False).tolist())
 
 
 # ---------------------------------------------------------------------------

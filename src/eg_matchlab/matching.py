@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, vset, vset_from_flags
+from .graph_core import Graph, vset_from_flags, vset_of
 
 DEFAULT_VC_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EG_MATCHLAB_BUDGET"
@@ -277,10 +277,10 @@ def tutte_berge_witness(g: Graph) -> TBWitness:
     mate = list(_cached_mate(g))            # a search may write to its mate
     d = _alternating_forest([v for v in g.support if mate[v] == -1], adj,
                             mate, *_fresh_labels(g.n))
-    in_d = [False] * g.n
-    for v in d:
-        in_d[v] = True
-    s_mask = vset({w for v in d for w in adj[v] if not in_d[w]})
+    in_d = np.zeros(g.n, dtype=bool)
+    in_d[d] = True
+    u, v = g.edge_array().T                 # A(G): the ends outside D
+    s_mask = vset_of(np.where(in_d[u], v, u)[in_d[u] != in_d[v]], g.n)
     o = odd_components(g, s_mask)
     return TBWitness(s_mask, o, o - s_mask.bit_count())
 
@@ -482,11 +482,10 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     parts = []
     for c in np.unique(labels[failing]).tolist():
         nu_c = int(matched_in[c]) // 2
-        inside = labels == c
-        verts = np.flatnonzero(inside)      # local vertex i is verts[i]
+        verts = np.flatnonzero(labels == c)     # local vertex i is verts[i]
         outer = np.array([mate[v] for v in verts.tolist()])
         local = np.where(outer == -1, -1, np.searchsorted(verts, outer))
-        adj = g.induced_adjacency(vset_from_flags(inside))
+        adj = g.induced_adjacency(verts)
         alive = (1 << len(adj)) - 1
         known -= nu_c
         bound, lp = _lp_bound(adj, alive, _lp_seed(local.tolist(), alive))
@@ -547,7 +546,7 @@ def _lp_seed(mate: list[int], mask: int) -> tuple:
     """The warm start for ``_lp_bound`` that a matching of the graph on
     ``mask`` gives, ``mate[v]`` = -1 where v is exposed: each matched edge
     uv is the two pairs u -> v and v -> u of the double cover."""
-    matched = vset(v for v, w in enumerate(mate) if w != -1)
+    matched = vset_from_flags(np.asarray(mate) != -1)
     return mask, mate, mate, matched, matched
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .decomposition import Decomposition, decomposition_size
 from .errors import InputError, MoveError
-from .graph_core import Graph, vset_from_flags
+from .graph_core import Graph, philox_rng, vset_of
 
 
 # the rational cutoffs, compared multiplied out by their denominators
@@ -159,17 +159,11 @@ def _rank_in_blocks(owner: np.ndarray, vertices: np.ndarray,
     return ranked, np.flatnonzero(first)
 
 
-def _mask(n: int, vertices: np.ndarray) -> int:
-    flags = np.zeros(n, dtype=bool)
-    flags[vertices] = True
-    return vset_from_flags(flags)
-
-
 def _report(g: Graph, pi: Decomposition, case_id: int, owner: np.ndarray,
             moved: np.ndarray) -> MoveReport:
     pi2 = Decomposition(pi.n, owner)
     return MoveReport(case_id, pi, pi2, decomposition_size(g, pi),
-                      decomposition_size(g, pi2), _mask(pi.n, moved),
+                      decomposition_size(g, pi2), vset_of(moved, pi.n),
                       CaseThresholds.from_n(pi.n))
 
 
@@ -249,7 +243,7 @@ def _promote_singleton(g: Graph, pi: Decomposition, case_id: int,
 def _split_a1(g: Graph, pi: Decomposition, case_id: int,
               rng) -> MoveReport:
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=0))
+        rng = philox_rng(0)
     members = np.flatnonzero(pi.owner == 0)
     half = members.size // 2
     a11 = members[rng.permutation(members.size)[:half]]
@@ -317,7 +311,7 @@ def improve(g: Graph, pi: Decomposition, max_steps: int = 100,
     """
     if max_steps < 0:
         raise InputError(f"max_steps must be >= 0 (got {max_steps})")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox_rng(seed)
     trace: list[MoveReport] = []
     start_size = decomposition_size(g, pi)
     cur = pi

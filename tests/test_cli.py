@@ -198,6 +198,19 @@ class TestSubcommands:
         assert (code, out) == (2, "")
         assert err == "input error: max_steps must be >= 0 (got -3)\n"
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1 << 128])
+    @pytest.mark.parametrize("command", ["improve", "extremal"])
+    def test_seed_out_of_range_exit_2(self, capsys, tmp_path, command, seed):
+        path = write_graph(tmp_path, gen_gnp(GnpParams(6, 0.5, 1)))
+        argv = {"improve": ["--pi", '{"S": [5], "blocks": [[0, 1, 2], [3], '
+                                    '[4]]}'],
+                "extremal": ["--k", "1", "--mode", "heur"]}[command]
+        code, out, err = run(capsys, [command, path, *argv,
+                                      "--seed", str(seed)])
+        assert (code, out) == (2, "")
+        assert err == ("input error: seed must be a 64-bit unsigned integer "
+                       f"(got {seed})\n")
+
     def test_improve_bad_pi_exit_2(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle(5))
         code, _, _ = run(capsys, ["improve", path, "--pi", "{bad",

@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eg_matchlab.errors import InputError
 from eg_matchlab import graph_core
-from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset
+from eg_matchlab.graph_core import (Graph, GnpParams, gen_gnp, philox_rng,
+                                   vset, vset_of)
 
 from conftest import complete_graph, path_graph
 from oracles import (components_by_union_find, degree_into,
@@ -109,9 +113,47 @@ class TestAdjacencyBuild:
         # the branch-and-bound solvers number a component's vertices in
         # ascending order; their node counts depend on it
         g = Graph(6, [(0, 2), (2, 4), (1, 3), (4, 5), (0, 4)])
-        assert g.induced_adjacency(0b110101) == [0b0110, 0b0101, 0b1011, 0b0100]
-        assert g.induced_adjacency(0b001010) == [0b10, 0b01]
-        assert g.induced_adjacency(0) == []
+        assert g.induced_adjacency(np.array([0, 2, 4, 5])) == [
+            0b0110, 0b0101, 0b1011, 0b0100]
+        assert g.induced_adjacency(np.array([1, 3])) == [0b10, 0b01]
+        assert g.induced_adjacency(np.array([], dtype=np.int64)) == []
+
+
+class TestVsetOf:
+    def test_matches_vset(self):
+        members = np.array([5, 0, 63, 64, 5, 200])
+        assert vset_of(members, 201) == vset(members.tolist())
+        assert vset_of(np.array([], dtype=np.int64), 10) == 0
+        assert vset_of(np.arange(7), 7) == 0b1111111
+
+
+class TestOneGenerator:
+    """Every seeded draw in the library comes from ``philox_rng``, so the
+    generator that ``RNG_NAME`` names is built in one place."""
+
+    CONSTRUCTORS = {"Philox", "Generator", "default_rng", "RandomState"}
+
+    def test_only_graph_core_builds_a_generator(self):
+        src = Path(graph_core.__file__).parent
+        modules = set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                        f, "id", None)
+                    if name in self.CONSTRUCTORS:
+                        modules.add(path.name)
+        assert modules == {"graph_core.py"}
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1 << 128])
+    def test_seed_out_of_range_is_input_error(self, seed):
+        with pytest.raises(InputError, match="64-bit unsigned"):
+            philox_rng(seed)
+
+    def test_range_ends_accepted(self):
+        assert philox_rng(0).integers(10) == philox_rng(0).integers(10)
+        philox_rng((1 << 64) - 1)
 
 
 class TestGnp:
@@ -184,6 +226,18 @@ class TestCounting:
     def test_within_rejects_out_of_range(self, k4):
         with pytest.raises(InputError):
             k4.edges_within(1 << 7)
+
+    def test_between_reads_no_bitset_adjacency(self, no_adj_bits):
+        # below the bitset limit too, edges_between counts on the edge array
+        g = gen_gnp(GnpParams(300, 0.05, 8))
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            side = rng.integers(0, 3, size=g.n)
+            y, z = vset_of(np.flatnonzero(side == 0), g.n), vset_of(
+                np.flatnonzero(side == 1), g.n)
+            assert g.edges_between(y, z) == sum(
+                (side[u], side[v]) in ((0, 1), (1, 0))
+                for u, v in g.edge_list())
 
     @settings(max_examples=120, deadline=None)
     @given(small_graphs(), st.integers(0, (1 << 9) - 1))

@@ -285,6 +285,11 @@ class TestDensityAudit:
         rep = density_audit(g, p=0.05, epsilon=0.5, samples=30, seed=4)
         assert rep.events["sparse_log"][1] == 0
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_out_of_range_is_input_error(self, seed):
+        with pytest.raises(InputError, match="64-bit unsigned"):
+            density_audit(cycle(8), 0.3, 0.5, 5, seed=seed)
+
     def test_deterministic(self):
         g = gen_gnp(GnpParams(128, 0.2, 3))
         a = density_audit(g, 0.2, 0.5, 50, seed=11)
