@@ -5,7 +5,9 @@ extremal size formula, and the isolated-3-path moment formulas.
 
 All sums that can span hundreds of orders of magnitude are evaluated in log
 space over one cached log C(n,·) row: every term is computed, and only those
-within e^-40 of the largest are summed.
+within e^-40 of the largest are summed.  The sums are taken in numpy by
+``_logsumexp``, which repeats scipy's log-sum-exp formula step for step;
+scipy supplies only the log-gamma function.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import InputError
 
@@ -154,7 +156,33 @@ def binom_tail_exact(m: int, q: float, t: float, side: str) -> float:
     js = np.arange(j0, j1 + 1, dtype=np.float64)
     logpmf = (_log_comb(m, js) + js * math.log(q)
               + (m - js) * math.log1p(-q))
-    return float(min(1.0, math.exp(logsumexp(logpmf))))
+    return float(min(1.0, math.exp(_logsumexp(logpmf))))
+
+
+def _logsumexp(a) -> float:
+    """log sum exp over all entries of ``a``: scipy.special.logsumexp's
+    formula (scipy 1.17) step for step, so bitwise equal to it, without its
+    fixed cost of about 0.15 ms a call.  With M the largest entry and m the
+    number equal to it, s sums exp(a - M) over the rest, and the value is
+    log1p(s/m) + log(m) + M.  The entries at M are zeroed in place rather
+    than dropped, so the pairwise summation groups the terms as scipy's
+    does.  When M is not finite the value is log(sum(exp(a))), as in scipy;
+    empty input gives -inf."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        return -math.inf
+    top = a.max()
+    if not np.isfinite(top):
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    at_top = a == top
+    m = np.float64(np.count_nonzero(at_top))
+    shifted = np.exp(a - top)
+    shifted[at_top] = 0.0
+    s = shifted.sum()
+    if s != 0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + top)
 
 
 def _log_comb(n, k):
@@ -184,7 +212,7 @@ def _log_sum(terms):
     term is at most the largest M, so those below M - 40 - ln(#terms) add
     under e^-40 of the sum together."""
     cutoff = terms.max() - _MARGIN - math.log(terms.size)
-    return float(logsumexp(terms[terms >= cutoff]))
+    return _logsumexp(terms[terms >= cutoff])
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +540,7 @@ def _budget_case7(n, p, eps, *, big):
         s2 = np.where(valid2, s2, 1)
         t2 = table[s2] - _c7_event2_exponent(n, p, big, bs, s2)
         t2 = np.where(valid2, t2, -np.inf)
-        chunk = logsumexp(np.concatenate([t1.ravel(), t2.ravel()]))
+        chunk = _logsumexp(np.concatenate([t1.ravel(), t2.ravel()]))
         total = np.logaddexp(total, chunk)
     return float(total), notes
 

@@ -120,7 +120,11 @@ class Graph:
             v = np.maximum(arr[:, 0], arr[:, 1])
             if (u == v).any():
                 raise InputError("self-loops are not allowed")
-            keys = np.unique(u * n + v)          # dedupe + canonical lex order
+            keys = np.sort(u * n + v)            # canonical lex order
+            keep = np.empty(keys.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]                    # dedupe
             arr = np.stack([keys // n, keys % n], axis=1)
         self._edges = arr
         self._adj_bits = None

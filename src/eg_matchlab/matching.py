@@ -731,8 +731,6 @@ def _vc_greedy(adj: list[int], alive: int) -> int:
     while rest:
         v = (rest & -rest).bit_length() - 1
         rest ^= rest & -rest
-        if not (mask >> v & 1):
-            continue
         nb = adj[v] & mask
         if nb:
             u = (nb & -nb).bit_length() - 1

@@ -19,6 +19,15 @@ from eg_matchlab.graph_core import Graph, iter_bits, vset, vset_members
 from eg_matchlab.matching import matching_number
 
 
+def canonical_edges_by_unique(n: int, edges) -> np.ndarray:
+    """The canonical (m, 2) int64 edge array of an edge list: each pair
+    ordered u < v, duplicates dropped, rows in lexicographic order, by
+    ``np.unique`` on the keys u * n + v."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(arr.min(axis=1) * n + arr.max(axis=1))
+    return np.stack([keys // n, keys % n], axis=1)
+
+
 def brute_matching_number(g: Graph) -> int:
     """Maximum matching by take/skip recursion over the edge list."""
     edges = g.edge_list()

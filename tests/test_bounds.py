@@ -3,16 +3,19 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from eg_matchlab import bounds
 from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, _log_comb,
-                                _log_comb_row, binom_tail_exact,
+                                _log_comb_row, _logsumexp, binom_tail_exact,
                                 chernoff_lower, chernoff_upper,
                                 eg_size_formula, large_deviation, p3_moments,
                                 phi, union_budget)
 from eg_matchlab.errors import InputError
 
-from oracles import case7_rows, exact_case7, full_budget, full_window_case7
+from oracles import (case7_rows, exact_case7, full_budget, full_window_case7,
+                     logsumexp)
 
 
 def auto_p(n):
@@ -139,6 +142,70 @@ class TestBinomTail:
         assert binom_tail_exact(5, 0.0, 0, "le") == 1.0
         assert binom_tail_exact(5, 1.0, 4, "gt") == 1.0
         assert binom_tail_exact(5, 1.0, 5, "gt") == 0.0
+
+
+def same_float(x, y):
+    """Equal bit for bit (NaN equal to NaN)."""
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestLogSumExp:
+    """``_logsumexp`` repeats scipy's formula, so it must equal
+    ``scipy.special.logsumexp`` bit for bit."""
+
+    @pytest.mark.parametrize("a", [
+        [3.0],
+        [-2.5, 1.0, 1.0, 0.25, 1.0],               # ties at the maximum
+        [7.0, 7.0],                                 # nothing but ties
+        [-np.inf, 0.5, -np.inf, -3.0],
+        [-np.inf, -np.inf, -np.inf],
+        [-np.inf],
+        [np.inf, 0.0],
+        [np.nan, 1.0],
+        [-745.0, -700.0, -1e300],                   # far below the maximum
+        [[1.0, -np.inf, 2.0], [2.0, -0.5, 0.0]],    # 2-D, summed over all
+        [],
+    ], ids=["single", "ties", "all-ties", "neg-inf", "all-neg-inf",
+            "one-neg-inf", "pos-inf", "nan", "tiny", "2-D", "empty"])
+    def test_cases_bitwise(self, a):
+        assert same_float(_logsumexp(a), logsumexp(np.asarray(a, float)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-800, 800), st.just(-math.inf),
+                              st.sampled_from([0.0, 1.0, 5.5])),
+                    min_size=1, max_size=300),
+           st.sampled_from([1, 2]))
+    def test_random_bitwise(self, values, rows):
+        a = np.asarray(values * rows, dtype=np.float64)
+        if rows == 2:
+            a = a.reshape(2, -1)
+        assert same_float(_logsumexp(a), logsumexp(a))
+
+    @pytest.mark.parametrize("size", (20, 100, 1000, 5000))
+    def test_summation_order_bitwise(self, size):
+        # log-sums near 0 carry the last bits of the pairwise sum, so they
+        # show whether the maxima stay in place as zeros
+        rng = np.random.default_rng(size)
+        for _ in range(100):
+            a = np.log(rng.random(size))
+            a -= np.log(np.exp(a).sum())
+            a[rng.integers(0, size)] = a.max()
+            assert same_float(_logsumexp(a), logsumexp(a))
+
+    def test_case7_chunk_shape_bitwise(self):
+        rng = np.random.default_rng(3)
+        t1 = rng.normal(-40.0, 30.0, size=(64, 256))
+        t2 = rng.normal(-60.0, 30.0, size=(64, 256))
+        t1[:, 200:] = -np.inf
+        t2[5:, :] = -np.inf
+        t1[0, 0] = t2[1, 3] = t1.max()
+        for a in (np.concatenate([t1.ravel(), t2.ravel()]), t1):
+            assert same_float(_logsumexp(a), logsumexp(a))
+
+    def test_bounds_does_not_bind_scipy_logsumexp(self):
+        assert not hasattr(bounds, "logsumexp")
+        assert all(v is not scipy.special.logsumexp
+                   for v in vars(bounds).values())
 
 
 class TestUnionBudget:

@@ -11,8 +11,8 @@ from eg_matchlab.graph_core import (Graph, GnpParams, gen_gnp, philox_rng,
                                    vset, vset_of)
 
 from conftest import complete_graph, path_graph
-from oracles import (components_by_union_find, degree_into,
-                     labels_from_components)
+from oracles import (canonical_edges_by_unique, components_by_union_find,
+                     degree_into, labels_from_components)
 
 
 def small_graphs():
@@ -35,6 +35,25 @@ class TestConstruction:
         g = Graph(3, [(1, 0), (0, 1), (2, 1)])
         assert g.edge_list() == [(0, 1), (1, 2)]
         assert g.m == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+               st.just(n),
+               st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                        .filter(lambda e: e[0] != e[1]), max_size=80))),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_edge_array_matches_unique_oracle(self, n_edges, mirror, presort,
+                                              as_array):
+        n, edges = n_edges
+        if mirror:                  # every edge again, in both orientations
+            edges = edges + [(v, u) for u, v in edges] + edges
+        if presort:
+            edges = sorted((min(e), max(e)) for e in edges)
+        arg = np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges
+        got = Graph(n, arg)._edges
+        want = canonical_edges_by_unique(n, edges)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
