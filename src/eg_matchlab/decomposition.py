@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapabilityError, InputError
 from .graph_core import (Graph, philox_rng, vset, vset_from_flags,
-                         vset_members)
+                         vset_members, vset_of)
 from .matching import max_matching, matching_number
 
 DEFAULT_N_EXACT_EXTREMAL = 12
@@ -170,8 +170,8 @@ class Decomposition:
         if n <= 0:
             raise InputError("decomposition needs n >= 1")
         try:
-            parts = [list(s_members)] + [list(b) for b in block_members]
-            flat = np.array([v for part in parts for v in part])
+            parts = [list(s_members), *map(list, block_members)]
+            flat = np.array(list(itertools.chain.from_iterable(parts)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad decomposition member lists: {exc}") from exc
         if not flat.size:
@@ -190,7 +190,7 @@ class Decomposition:
             raise InputError("S and the blocks must cover all vertices")
         owner = np.empty(n, dtype=np.int32)
         owner[flat] = np.repeat(np.arange(-1, len(parts) - 1, dtype=np.int32),
-                                [len(part) for part in parts])
+                                list(map(len, parts)))
         return cls(n, owner)
 
     def to_json_obj(self) -> dict:
@@ -210,9 +210,10 @@ def _kept_edges(g: Graph, pi: Decomposition) -> np.ndarray:
     both endpoints carry the same block label."""
     if pi.n != g.n:
         raise InputError("decomposition and graph disagree on n")
-    labels = pi.owner[g.edge_array()]
-    lu, lv = labels[:, 0], labels[:, 1]
-    return (lu == lv) | (np.minimum(lu, lv) < 0)
+    edges = g.edge_array()
+    lu, lv = pi.owner[edges[:, 0]], pi.owner[edges[:, 1]]
+    # labels are int32 >= -1: the OR is negative iff an end is in S
+    return (lu == lv) | ((lu | lv) < 0)
 
 
 def edge_set(g: Graph, pi: Decomposition) -> tuple[tuple[int, int], ...]:
@@ -276,8 +277,9 @@ def best_form2(g: Graph, k: int) -> FormResult:
             if val > best:
                 best, best_mask = val, mask
         return FormResult(best_mask, best, exact=True)
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    mask = vset(order[:k])
+    # highest degree first, ties to the smallest vertex
+    order = np.argsort(-g.degrees, kind="stable")
+    mask = vset_of(order[:k], n)
     mask, val = _swap_improve(g, mask, g.edges_meeting)
     return FormResult(mask, val, exact=False)
 

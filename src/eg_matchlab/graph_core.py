@@ -4,11 +4,16 @@ edge-counting primitives everything else is built on.
 Vertex sets are passed as Python ints used as bitmasks (bit v set <=> vertex
 v in the set); a set held as a numpy array of vertex ids becomes one through
 ``vset_of``.  At scale the work runs on numpy over the canonical edge
-array: connected components are one int32 label array (``component_labels``)
-and counts over all vertices are bincount passes.  Sorted neighbour lists
-serve the traversals and the matching code; bitmask adjacency rows, built
-only for n <= BITSET_ADJ_LIMIT, serve the bit counts over the bitmask vertex
-sets that the exact small-n searches make.  Both come lazily from the edge
+array, an (m, 2) int64 array of the pairs u < v in lexicographic order,
+stored column-major so that each endpoint column ``edges[:, 0]`` and
+``edges[:, 1]`` is contiguous: connected components are one int32 label
+array (``component_labels``) and counts over all vertices are bincount
+passes.  ``Graph.degrees`` holds every vertex degree; ``degrees_into``
+counts over the smaller of a set and its complement and takes the other
+side from the degrees.  Sorted neighbour lists serve the traversals and
+the matching code; bitmask adjacency rows, built only for n <=
+BITSET_ADJ_LIMIT, serve the bit counts over the bitmask vertex sets that
+the exact small-n searches make.  Both come lazily from the edge
 array through one CSR pass.  The neighbour lists pay for the edges and the
 non-isolated vertices (``Graph.support``, the one list of them): every
 isolated vertex shares one empty row.
@@ -95,8 +100,8 @@ class Graph:
 
     # _mate and _cover are the maximum matching and the Konig-Egervary split
     # that ``matching`` computes once per graph and caches here
-    __slots__ = ("n", "_edges", "_adj_bits", "_adj_lists", "_support",
-                 "_labels", "_mate", "_cover")
+    __slots__ = ("n", "_edges", "_degrees", "_adj_bits", "_adj_lists",
+                 "_support", "_labels", "_mate", "_cover")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -125,8 +130,10 @@ class Graph:
             keep[0] = True
             np.not_equal(keys[1:], keys[:-1], out=keep[1:])
             keys = keys[keep]                    # dedupe
-            arr = np.stack([keys // n, keys % n], axis=1)
+            # column-major, so that each endpoint column is contiguous
+            arr = np.stack([keys // n, keys % n]).T
         self._edges = arr
+        self._degrees = None
         self._adj_bits = None
         self._adj_lists = None
         self._support = None
@@ -146,6 +153,16 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         return self._edges
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """The degree of every vertex, read-only."""
+        if self._degrees is None:
+            deg = (np.bincount(self._edges[:, 0], minlength=self.n)
+                   + np.bincount(self._edges[:, 1], minlength=self.n))
+            deg.flags.writeable = False
+            self._degrees = deg
+        return self._degrees
 
     @property
     def adj_bits(self) -> list[int]:
@@ -204,8 +221,7 @@ class Graph:
         keys = np.concatenate((u * n + v, v * n + u))
         keys.sort()
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._edges.ravel(), minlength=n),
-                  out=indptr[1:])
+        np.cumsum(self.degrees, out=indptr[1:])
         return indptr, keys % n
 
     def has_bitset_adjacency(self) -> bool:
@@ -213,7 +229,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adj_lists[v])
+        return int(self.degrees[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -265,7 +281,14 @@ class Graph:
 
     def degrees_into(self, inside: np.ndarray) -> np.ndarray:
         """Number of neighbours inside a vertex set, for every vertex at once;
-        ``inside`` is a boolean array of length n."""
+        ``inside`` is a boolean array of length n.  The edges are counted
+        from the smaller of the set and its complement: neighbours in the
+        larger side are the degree less the neighbours in the smaller."""
+        if 2 * np.count_nonzero(inside) > self.n:
+            return self.degrees - self._count_into(~inside)
+        return self._count_into(inside)
+
+    def _count_into(self, inside: np.ndarray) -> np.ndarray:
         u, v = self._edges[:, 0], self._edges[:, 1]
         return (np.bincount(u[inside[v]], minlength=self.n)
                 + np.bincount(v[inside[u]], minlength=self.n))

@@ -12,8 +12,13 @@ pick the variant that maximizes the chance of improvement at finite n and
 record it in the report.
 
 Moves work on the decomposition's vertex-label array: the degree statistics
-they rank by are ``np.bincount`` passes over the labelled edge array, and
+they rank by are ``np.bincount`` passes over the graph's edge array, and
 each new decomposition is built from a relabelled copy of the array.
+Degrees into a vertex set (A_1 for cases 5-7, the blocks for case 2) come
+from ``Graph.degrees_into``, which counts over the smaller of the set and
+its complement.  In-block degrees are counted only for the blocks a move
+ranks (the excess blocks for cases 1 and 4, the blocks of size >= 3 for
+case 2), from the edges with an end among their members.
 """
 
 from __future__ import annotations
@@ -133,13 +138,21 @@ def classify_case(g: Graph, pi: Decomposition) -> int:
     return 6             # s == s_cut exactly: lower case wins
 
 
-def _in_block_degrees(g: Graph, pi: Decomposition) -> np.ndarray:
-    """For every vertex, its number of neighbours in its own block (0 for
-    vertices of S)."""
+def _in_block_degrees(g: Graph, pi: Decomposition,
+                      members: np.ndarray) -> np.ndarray:
+    """For every vertex of ``members``, a union of whole blocks, its number
+    of neighbours in its own block; 0 for every other vertex.  Only the
+    edges whose first end lies in ``members`` are compared: an edge inside
+    a block has both ends in ``members`` or neither."""
+    flags = np.zeros(g.n, dtype=bool)
+    flags[members] = True
     edges = g.edge_array()
-    labels = pi.owner[edges]
-    inside = (labels[:, 0] == labels[:, 1]) & (labels[:, 0] >= 0)
-    return np.bincount(edges[inside].ravel(), minlength=g.n)
+    u, v = edges[:, 0], edges[:, 1]
+    near = flags[u]
+    u, v = u[near], v[near]
+    same = pi.owner[u] == pi.owner[v]
+    return (np.bincount(u[same], minlength=g.n)
+            + np.bincount(v[same], minlength=g.n))
 
 
 def _block_size_of(pi: Decomposition) -> np.ndarray:
@@ -171,13 +184,18 @@ def _report(g: Graph, pi: Decomposition, case_id: int, owner: np.ndarray,
 # cases 1, 4 and 5: fold the excess of B into A_1
 # ---------------------------------------------------------------------------
 
+def _excess(pi: Decomposition) -> np.ndarray:
+    """The members of the non-singleton blocks after A_1."""
+    return np.flatnonzero((pi.owner > 0) & (_block_size_of(pi) > 1))
+
+
 def _fold_into_a1(g: Graph, pi: Decomposition, case_id: int,
-                  keep_key: np.ndarray) -> MoveReport:
-    """Every non-singleton block after A_1 keeps the member with the
-    smallest ``keep_key`` as a singleton; the rest join A_1.  New
-    singletons get labels d + v, distinct from every existing label."""
+                  excess: np.ndarray, keep_key: np.ndarray) -> MoveReport:
+    """Every non-singleton block after A_1 (``excess`` holds their members)
+    keeps the member with the smallest ``keep_key`` as a singleton; the
+    rest join A_1.  New singletons get labels d + v, distinct from every
+    existing label."""
     owner = pi.owner
-    excess = np.flatnonzero((owner > 0) & (_block_size_of(pi) > 1))
     ranked, starts = _rank_in_blocks(owner, excess, keep_key)
     keep = ranked[starts]
     new = owner.copy()
@@ -191,13 +209,16 @@ def _merge_excess(g: Graph, pi: Decomposition, case_id: int,
                   rng) -> MoveReport:
     """Cases 1 and 4: keep the cheapest representative, the member with the
     fewest neighbours in its block."""
-    return _fold_into_a1(g, pi, case_id, _in_block_degrees(g, pi))
+    excess = _excess(pi)
+    return _fold_into_a1(g, pi, case_id, excess,
+                         _in_block_degrees(g, pi, excess))
 
 
 def _merge_excess_by_a1(g: Graph, pi: Decomposition, case_id: int,
                         rng) -> MoveReport:
     """Case 5: keep the member least connected to A_1."""
-    return _fold_into_a1(g, pi, case_id, g.degrees_into(pi.owner == 0))
+    return _fold_into_a1(g, pi, case_id, _excess(pi),
+                         g.degrees_into(pi.owner == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +243,7 @@ def _promote_singleton(g: Graph, pi: Decomposition, case_id: int,
     # (v1, v2): the two members of lowest in-block degree (then smallest
     # vertex) of the block minimizing their degree sum, ties going to the
     # block with the smallest vertex
-    deg = _in_block_degrees(g, pi)
+    deg = _in_block_degrees(g, pi, bigs)
     ranked, starts = _rank_in_blocks(owner, bigs, deg)
     cost = deg[ranked[starts]] + deg[ranked[starts + 1]]
     lowest = np.minimum.reduceat(ranked, starts)

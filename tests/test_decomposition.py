@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eg_matchlab.decomposition import (Decomposition, best_form1, best_form2,
+from eg_matchlab.decomposition import (Decomposition, FormResult,
+                                       _swap_improve, best_form1, best_form2,
                                        classify_forms, decomposition_size,
                                        edge_set, eg_check, eg_check_all,
                                        extremal, nu_of_decomposition)
@@ -171,6 +172,29 @@ class TestMalformedInput:
         with pytest.raises(InputError):
             Decomposition.from_json_obj(4, obj)
 
+    @pytest.mark.parametrize("s_members, blocks", [
+        ([], [[0, [1], 2], [3]]),                       # ragged
+        ([], [[0, 1.0, 2], [3]]),                       # float
+        ([], [[0, 1, 2], [3, 3]]),                      # repeated
+        ([3], [[0, 1, 2], [3]]),                        # in S and a block
+        ([], [[0, 1, 2]]),                              # missing
+        ([], [[0, 1, 2], [3], []]),                     # empty block
+        ([], [[0, 1, 2], 3]),                           # block not iterable
+        ([], [[0, (v for v in [1]), 2], [3]]),          # generator vertex
+        ((v for v in [1.5]), [[0, 2, 3]]),              # generator of floats
+    ], ids=["ragged", "float", "repeated", "s-and-block", "missing",
+            "empty-block", "scalar-block", "generator-vertex",
+            "generator-float"])
+    def test_from_lists_rejects(self, s_members, blocks):
+        with pytest.raises(InputError):
+            Decomposition.from_lists(4, s_members, blocks)
+
+    def test_from_lists_reads_generators(self):
+        # S and the blocks may be any iterables, read once
+        pi = Decomposition.from_lists(
+            6, (v for v in [5]), ((v for v in b) for b in [[0, 1, 2], [3], [4]]))
+        assert pi == Decomposition.from_lists(6, [5], [[0, 1, 2], [3], [4]])
+
     @pytest.mark.parametrize("owner", [
         [0, 0, 0, -2], [0, 0, 0], [0.0, 0.0, 0.0, 1.0], [[0, 0], [0, 1]],
     ])
@@ -279,6 +303,16 @@ class TestForms:
     def test_form2_empty_t(self, star4):
         res = best_form2(star4, 0)
         assert res.size == 0 and res.witness == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_form2_greedy_start_ties_to_smallest_vertex(self, seed):
+        # the fallback starts from the k vertices of highest degree, ties
+        # going to the smallest vertex, then runs the swap search
+        g = gen_gnp(GnpParams(30, 0.15, seed))
+        start = sorted(range(30), key=lambda v: (-len(g.adj_lists[v]), v))
+        mask, val = _swap_improve(g, vset(start[:6]), g.edges_meeting)
+        assert best_form2(g, 6) == FormResult(mask, val, exact=False)
+        assert best_form2(Graph(30), 6).witness == vset(range(6))
 
     def test_greedy_fallback_flagged(self):
         # C(30, 13) and C(30, 6) both exceed DEFAULT_FORM_ENUM_BUDGET, so

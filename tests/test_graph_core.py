@@ -55,6 +55,27 @@ class TestConstruction:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("source", ["list", "array", "gnp"])
+    def test_column_layout_keeps_every_view(self, source):
+        # the edge array is stored by columns; its values, bytes, hash,
+        # equality and text forms are those of the row-major canonical array
+        g = gen_gnp(GnpParams(60, 0.2, 5))
+        rows = canonical_edges_by_unique(60, g.edge_list())
+        if source == "list":
+            g = Graph(60, [(v, u) for u, v in rows.tolist()])
+        elif source == "array":
+            g = Graph(60, rows[::-1].copy())
+        edges = g.edge_array()
+        assert edges[:, 0].flags.c_contiguous
+        assert edges[:, 1].flags.c_contiguous
+        assert edges.dtype == rows.dtype and np.array_equal(edges, rows)
+        assert edges.tobytes() == rows.tobytes()
+        assert hash(g) == hash((60, rows.tobytes()))
+        assert g == Graph(60, rows) and g != Graph(60, rows[1:])
+        assert g.edge_list() == [tuple(e) for e in rows.tolist()]
+        assert g.to_edge_list_text() == "".join(
+            [f"60 {len(rows)}\n"] + [f"{u} {v}\n" for u, v in rows.tolist()])
+
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
             Graph(3, [(1, 1)])
@@ -127,6 +148,37 @@ class TestAdjacencyBuild:
         mask = vset(np.flatnonzero(inside).tolist())
         assert g.degrees_into(inside).tolist() == [
             degree_into(g, v, mask) for v in range(40)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 50), st.sampled_from([0.1, 0.3, 0.7]),
+           st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+    def test_degrees_into_either_side_of_half(self, n, p, seed, share):
+        # above n / 2 members the count runs over the complement
+        g = gen_gnp(GnpParams(n, p, seed))
+        order = philox_rng(seed).permutation(n)
+        for size in {0, int(share * n), n // 2, n // 2 + 1, n}:
+            inside = np.zeros(n, dtype=bool)
+            inside[order[:size]] = True
+            mask = vset(np.flatnonzero(inside).tolist())
+            assert g.degrees_into(inside).tolist() == [
+                degree_into(g, v, mask) for v in range(n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 70), st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_degrees_read_only_and_match_lists(self, n, p, seed):
+        g = gen_gnp(GnpParams(n, p, seed)) if n else Graph(0)
+        deg = g.degrees
+        assert deg is g.degrees
+        assert deg.tolist() == [len(row) for row in g.adj_lists]
+        assert [g.degree(v) for v in range(n)] == deg.tolist()
+        with pytest.raises(ValueError):
+            deg[...] = 0
+
+    def test_degree_builds_no_neighbour_lists(self):
+        g = gen_gnp(GnpParams(300, 0.1, 2))
+        assert g.degree(7) == int(np.count_nonzero(g.edge_array() == 7))
+        assert g._adj_lists is None
 
     def test_induced_adjacency_ascending_local_ids(self):
         # the branch-and-bound solvers number a component's vertices in

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eg_matchlab.decomposition import Decomposition, _random_decomposition
 from eg_matchlab.errors import InputError, MoveError
-from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset
+from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, philox_rng, vset
 from eg_matchlab.harness import trial_seed
-from eg_matchlab.moves import (CaseThresholds, apply_case, classify_case,
-                               improve, is_canonical)
+from eg_matchlab.moves import (CaseThresholds, _in_block_degrees, apply_case,
+                               classify_case, improve, is_canonical)
 
 from oracles import decomposition_edges
 
@@ -147,6 +148,24 @@ class TestClassification:
                     continue
                 case = classify_case(g, pi)
                 assert case in range(1, 8)
+
+
+class TestInBlockDegrees:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.sampled_from([0.1, 0.4, 0.9]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_vertex_count(self, n, p, seed):
+        # members: a random union of whole blocks; every other vertex reads 0
+        g = gen_gnp(GnpParams(n, p, seed))
+        rng = philox_rng(seed)
+        pi = _random_decomposition(n, int(rng.integers(n // 2 + 1)), rng)
+        owner = pi.owner.tolist()
+        chosen = rng.random(pi.d) < 0.5
+        members = np.flatnonzero((pi.owner >= 0) & chosen[pi.owner])
+        want = [0] * n
+        for v in members.tolist():
+            want[v] = sum(1 for w in g.adj_lists[v] if owner[w] == owner[v])
+        assert _in_block_degrees(g, pi, members).tolist() == want
 
 
 def delta_by_direct_count(g, report):
