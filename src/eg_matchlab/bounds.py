@@ -219,10 +219,6 @@ def _log_sum(terms):
 # union-bound budgets
 # ---------------------------------------------------------------------------
 
-BUDGET_TAGS = ("P24a", "P24b", "P25", "P26", "P27a", "P27b", "CUT",
-               "C7a", "C7b")
-
-
 @dataclass
 class BudgetResult:
     tag: str
@@ -556,6 +552,7 @@ _BUDGET_FNS = {
     "C7a": functools.partial(_budget_case7, big=True),
     "C7b": functools.partial(_budget_case7, big=False),
 }
+BUDGET_TAGS = tuple(_BUDGET_FNS)
 
 
 # ---------------------------------------------------------------------------

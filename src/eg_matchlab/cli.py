@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_budget)
 
     p = add_parser("montecarlo", help="seeded trial batches")
-    p.add_argument("--regime", choices=("dense", "forest", "middle", "custom"),
+    p.add_argument("--regime", choices=tuple(harness.DEFAULT_CHECKS),
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)

@@ -13,8 +13,9 @@ problem.  The two canonical shapes are:
 
 A ``Decomposition`` is stored as a vertex-label array (-1 for S, the block
 index otherwise), so its size is one vectorised pass over the graph's edge
-array.  The exact search below works on small graphs with bitmask vertex
-sets instead.
+array.  The exact search below enumerates small graphs with bitmask vertex
+sets, and reads each candidate's edges through the same label pass: S gets
+-1, block i gets i, and every other vertex a label of its own.
 """
 
 from __future__ import annotations
@@ -205,31 +206,33 @@ class Decomposition:
             raise InputError(f"bad decomposition object: {exc}") from exc
 
 
-def _kept_edges(g: Graph, pi: Decomposition) -> np.ndarray:
-    """Boolean mask over ``g.edge_array()``: the edge meets S (label -1) or
-    both endpoints carry the same block label."""
-    if pi.n != g.n:
+def _kept_edges(g: Graph, owner: np.ndarray) -> np.ndarray:
+    """Boolean mask over ``g.edge_array()`` for a vertex-label array
+    (-1 for S, one label per block): the edge meets S or both endpoints
+    carry the same block label."""
+    if owner.size != g.n:
         raise InputError("decomposition and graph disagree on n")
     edges = g.edge_array()
-    lu, lv = pi.owner[edges[:, 0]], pi.owner[edges[:, 1]]
-    # labels are int32 >= -1: the OR is negative iff an end is in S
+    lu, lv = owner[edges[:, 0]], owner[edges[:, 1]]
+    # labels are signed and >= -1: the OR is negative iff an end is in S
     return (lu == lv) | ((lu | lv) < 0)
 
 
 def edge_set(g: Graph, pi: Decomposition) -> tuple[tuple[int, int], ...]:
     """Edges of the subgraph induced by ``pi``: meeting S or inside a block."""
-    kept = g.edge_array()[_kept_edges(g, pi)]
+    kept = g.edge_array()[_kept_edges(g, pi.owner)]
     return tuple(map(tuple, kept.tolist()))
 
 
 def decomposition_size(g: Graph, pi: Decomposition) -> int:
     """|Pi| = number of edges meeting S plus edges inside blocks."""
-    return int(np.count_nonzero(_kept_edges(g, pi)))
+    return int(np.count_nonzero(_kept_edges(g, pi.owner)))
 
 
 def nu_of_decomposition(g: Graph, pi: Decomposition) -> int:
     """Matching number of the decomposition's subgraph (always <= (n-r)/2)."""
-    return matching_number(Graph(g.n, g.edge_array()[_kept_edges(g, pi)]))
+    kept = g.edge_array()[_kept_edges(g, pi.owner)]
+    return matching_number(Graph(g.n, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -378,44 +381,36 @@ def _extremal_exact(g: Graph, k: int) -> ExtremalResult:
     # only drop below it and pruning against certified cuts stays exact.
     state = {"cut": g.edges_meeting(t_mask), "certified": -1}
 
+    all_edges = tuple(g.edge_list())
     # value -> the distinct edge tuples reaching it
     buckets: dict[int, set[tuple]] = {}
 
-    def collect(s_mask: int, family: tuple[int, ...], value: int) -> None:
-        edges = _edges_of(g, s_mask, family)
+    def collect(value: int, edges: tuple) -> None:
         buckets.setdefault(value, set()).add(edges)
         if value > state["certified"]:
             if matching_number(Graph(n, edges)) == k:
                 state["certified"] = value
                 state["cut"] = max(state["cut"], value)
 
-    for s in range(0, k + 1):
-        d = n - 2 * k + s
-        if d < 1 or d > n - s:
-            continue
-        z = 2 * (k - s)
-        if z and z + 1 > n - s:
-            continue
+    for s, d, z in _shapes(n, k, range(k + 1)):
         for combo in itertools.combinations(range(n), s):
             s_mask = vset(combo)
-            base = g.edges_meeting(s_mask)
-            avail = full & ~s_mask
             comps = g.components(s_mask)
             odd = sum(1 for c in comps if c.bit_count() & 1)
-            e_avail = g.m - base
             if odd >= d:
                 # components can be grouped whole into d odd blocks: the
-                # per-S optimum keeps every available edge
-                if base + e_avail >= state["cut"]:
-                    collect(s_mask, tuple(comps), base + e_avail)
+                # per-S optimum keeps every edge, so it is G itself
+                if g.m >= state["cut"]:
+                    collect(g.m, all_edges)
                 continue
             # each cut of a connected piece adds one piece and at most two
             # odd pieces, so reaching d odd blocks severs at least this many
             loss_lb = max((d - odd + 1) // 2, d - len(comps))
-            if base + e_avail - loss_lb < state["cut"]:
+            if g.m - loss_lb < state["cut"]:
                 continue
-            _enumerate_families(g, avail, z, base, state, ub_gain, collect,
-                                s_mask)
+            _enumerate_families(g, full & ~s_mask, z,
+                                g.edges_meeting(s_mask), state, ub_gain,
+                                collect, s_mask)
 
     for value in sorted(buckets, reverse=True):
         winners = []
@@ -439,14 +434,14 @@ def _enumerate_families(g, avail, z, base, state, ub_gain, collect, s_mask):
     """
     if z == 0:
         if base >= state["cut"]:
-            collect(s_mask, (), base)
+            collect(base, _candidate_edges(g, s_mask, ()))
         return
     avail_list = vset_members(avail)
 
     def rec(start_idx, avail_mask, z_left, blocks, acc):
         if z_left == 0:
             if acc >= state["cut"]:
-                collect(s_mask, tuple(blocks), acc)
+                collect(acc, _candidate_edges(g, s_mask, blocks))
             return
         if acc + ub_gain[z_left] < state["cut"]:
             return
@@ -500,17 +495,23 @@ def _gain_upper_bounds(best_block: dict[int, int], n: int) -> list[int]:
     return ub
 
 
-def _edges_of(g: Graph, s_mask: int, family: tuple[int, ...]) -> tuple:
-    keep = []
-    for u, v in g.edge_list():
-        if s_mask >> u & 1 or s_mask >> v & 1:
-            keep.append((u, v))
-            continue
-        for b in family:
-            if b >> u & 1 and b >> v & 1:
-                keep.append((u, v))
-                break
-    return tuple(keep)
+def _candidate_edges(g: Graph, s_mask: int, family) -> tuple:
+    """Edges of the candidate (S, family) through the label pass: S gets -1,
+    block i gets i, every other vertex a label of its own."""
+    labels = np.arange(g.n, 2 * g.n)
+    for i, block in enumerate(family):
+        labels[vset_members(block)] = i
+    labels[vset_members(s_mask)] = -1
+    return tuple(map(tuple, g.edge_array()[_kept_edges(g, labels)].tolist()))
+
+
+def _shapes(n: int, k: int, sizes):
+    """(s, d, z) for each |S| = s of ``sizes``, in order, that admits a
+    decomposition with r = n - 2k: d blocks of total excess z."""
+    for s in sizes:
+        d, z = n - 2 * k + s, 2 * (k - s)
+        if 1 <= d <= n - s and not (z and z + 1 > n - s):
+            yield s, d, z
 
 
 def _extremal_heuristic(g: Graph, k: int, seed: int) -> ExtremalResult:
@@ -544,11 +545,7 @@ def _extremal_heuristic(g: Graph, k: int, seed: int) -> ExtremalResult:
 
 def _random_decomposition(n: int, k: int, rng):
     """A random valid decomposition with r = n - 2k, or None if infeasible."""
-    for s in rng.permutation(k + 1).tolist():
-        d = n - 2 * k + s
-        z = 2 * (k - s)
-        if d < 1 or d > n - s or (z and z + 1 > n - s):
-            continue
+    for s, _, z in _shapes(n, k, rng.permutation(k + 1).tolist()):
         perm = rng.permutation(n).tolist()
         s_members, rest = perm[:s], perm[s:]
         blocks = []
@@ -582,10 +579,12 @@ def classify_forms(g: Graph, k: int, edges: tuple) -> dict:
     form1 = []
     w_size = 2 * k + 1
     if w_size <= n and support.bit_count() <= w_size:
-        for combo in itertools.combinations(range(n), w_size):
-            mask = vset(combo)
-            if support & ~mask:
-                continue
+        # the (2k+1)-sets holding the support, in the order of all
+        # (2k+1)-sets: two of them first differ outside the support
+        outside = [v for v in range(n) if not support >> v & 1]
+        for extra in itertools.combinations(outside,
+                                            w_size - support.bit_count()):
+            mask = support | vset(extra)
             if g.edges_within(mask) == m_h:
                 form1.append(mask)
     form2 = []

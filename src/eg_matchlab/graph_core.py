@@ -472,22 +472,25 @@ def gen_gnp(params: GnpParams) -> Graph:
 
 def _pairs_from_indices(n: int, idx: np.ndarray) -> np.ndarray:
     """Invert lexicographic pair index: idx(u,v) = C(u) + v - u - 1 where
-    C(u) = u*(n-1) - u*(u-1)/2 counts pairs whose first endpoint is < u."""
+    C(u) = u*(n-1) - u*(u-1)/2 counts pairs whose first endpoint is < u.
+
+    Counted from the end, so it stays exact at every n: r = total-1-idx
+    pairs follow idx, the rows after u hold t(t+1)/2 of them for
+    t = n-2-u, and the rest, n-1-v, lie in row u after v."""
     if idx.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    idx = idx.astype(np.float64)
-    b = 2 * n - 1
-    u = np.floor((b - np.sqrt(b * b - 8.0 * idx)) / 2.0).astype(np.int64)
-    idx = idx.astype(np.int64)
+
+    def tri(t):
+        # t(t+1)/2 without forming t(t+1), which leaves int64 before the
+        # pair count does
+        return (t + 1) // 2 * (t | 1)
+
+    r = n * (n - 1) // 2 - 1 - idx.astype(np.int64)
+    t = np.floor((np.sqrt(8.0 * r + 1.0) - 1.0) / 2.0).astype(np.int64)
     # fix float rounding with exact integer checks
-    for _ in range(2):
-        c_u = u * (n - 1) - u * (u - 1) // 2
-        u = np.where(c_u > idx, u - 1, u)
-        c_next = (u + 1) * (n - 1) - (u + 1) * u // 2
-        u = np.where(idx >= c_next, u + 1, u)
-    c_u = u * (n - 1) - u * (u - 1) // 2
-    v = idx - c_u + u + 1
-    return np.stack([u, v], axis=1)
+    t -= tri(t) > r
+    t += tri(t + 1) <= r
+    return np.stack([n - 2 - t, n - 1 - (r - tri(t))], axis=1)
 
 
 def dense_regime_p(n: int) -> tuple[float, bool]:

@@ -330,13 +330,11 @@ class TrialRecord:
                 return "1" if x else "0"
             if isinstance(x, float):
                 return repr(x)
+            if isinstance(x, list):          # the notes
+                return ";".join(x)
             return str(x)
 
-        cells = [fmt(self.trial), fmt(self.seed), fmt(self.n), fmt(self.p),
-                 fmt(self.m), fmt(self.nu), fmt(self.is_forest),
-                 fmt(self.p3_count), self.empty_half, self.tau_eq_nu,
-                 self.eg_all, ";".join(self.notes)]
-        return ",".join(cells)
+        return ",".join(fmt(getattr(self, c)) for c in CSV_COLUMNS)
 
 
 def run_trials(spec: RegimeSpec):

@@ -3,7 +3,7 @@
 A decomposition that is not of canonical form 1 / form 2 falls into exactly
 one of seven cases, determined by the size of its largest block A_1, the
 excess y, |B| (vertices outside S and A_1), and |S|.  The cutoffs between
-the cases are a function of n alone (``CaseThresholds.from_n``), and each
+the cases are a function of n alone (``CaseThresholds(n)``), and each
 move records them in its report.  Each case has a transformation producing
 a new decomposition with the same r = d - |S| (hence the same
 matching-number budget) that, on graphs with the expected edge-density
@@ -13,7 +13,9 @@ record it in the report.
 
 Moves work on the decomposition's vertex-label array: the degree statistics
 they rank by are ``np.bincount`` passes over the graph's edge array, and
-each new decomposition is built from a relabelled copy of the array.
+each move returns a relabelled copy of the array with the vertices it
+moved.  One ``_apply`` builds the new decomposition and its report, and
+sizes only the new decomposition: the caller already holds the old size.
 Degrees into a vertex set (A_1 for cases 5-7, the blocks for case 2) come
 from ``Graph.degrees_into``, which counts over the smaller of the set and
 its complement.  In-block degrees are counted only for the blocks a move
@@ -48,10 +50,6 @@ class CaseThresholds:
     def __post_init__(self):
         if self.n < 2:
             raise InputError("case thresholds need n >= 2")
-
-    @classmethod
-    def from_n(cls, n: int) -> "CaseThresholds":
-        return cls(n)
 
     @property
     def frac_small(self) -> float:
@@ -120,7 +118,7 @@ def classify_case(g: Graph, pi: Decomposition) -> int:
     """
     if is_canonical(pi):
         raise MoveError("decomposition is already canonical")
-    th = CaseThresholds.from_n(pi.n)
+    th = CaseThresholds(pi.n)
     n = pi.n
     a1, y, s, b = pi.a1_size, pi.y, pi.s, pi.b_size
     if FRAC_DEN * a1 < n:
@@ -172,14 +170,6 @@ def _rank_in_blocks(owner: np.ndarray, vertices: np.ndarray,
     return ranked, np.flatnonzero(first)
 
 
-def _report(g: Graph, pi: Decomposition, case_id: int, owner: np.ndarray,
-            moved: np.ndarray) -> MoveReport:
-    pi2 = Decomposition(pi.n, owner)
-    return MoveReport(case_id, pi, pi2, decomposition_size(g, pi),
-                      decomposition_size(g, pi2), vset_of(moved, pi.n),
-                      CaseThresholds.from_n(pi.n))
-
-
 # ---------------------------------------------------------------------------
 # cases 1, 4 and 5: fold the excess of B into A_1
 # ---------------------------------------------------------------------------
@@ -189,8 +179,8 @@ def _excess(pi: Decomposition) -> np.ndarray:
     return np.flatnonzero((pi.owner > 0) & (_block_size_of(pi) > 1))
 
 
-def _fold_into_a1(g: Graph, pi: Decomposition, case_id: int,
-                  excess: np.ndarray, keep_key: np.ndarray) -> MoveReport:
+def _fold_into_a1(pi: Decomposition, excess: np.ndarray,
+                  keep_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every non-singleton block after A_1 (``excess`` holds their members)
     keeps the member with the smallest ``keep_key`` as a singleton; the
     rest join A_1.  New singletons get labels d + v, distinct from every
@@ -201,32 +191,26 @@ def _fold_into_a1(g: Graph, pi: Decomposition, case_id: int,
     new = owner.copy()
     new[excess] = 0
     new[keep] = pi.d + keep
-    moved = np.setdiff1d(excess, keep, assume_unique=True)
-    return _report(g, pi, case_id, new, moved)
+    return new, np.setdiff1d(excess, keep, assume_unique=True)
 
 
-def _merge_excess(g: Graph, pi: Decomposition, case_id: int,
-                  rng) -> MoveReport:
+def _merge_excess(g: Graph, pi: Decomposition, case_id: int, rng):
     """Cases 1 and 4: keep the cheapest representative, the member with the
     fewest neighbours in its block."""
     excess = _excess(pi)
-    return _fold_into_a1(g, pi, case_id, excess,
-                         _in_block_degrees(g, pi, excess))
+    return _fold_into_a1(pi, excess, _in_block_degrees(g, pi, excess))
 
 
-def _merge_excess_by_a1(g: Graph, pi: Decomposition, case_id: int,
-                        rng) -> MoveReport:
+def _merge_excess_by_a1(g: Graph, pi: Decomposition, case_id: int, rng):
     """Case 5: keep the member least connected to A_1."""
-    return _fold_into_a1(g, pi, case_id, _excess(pi),
-                         g.degrees_into(pi.owner == 0))
+    return _fold_into_a1(pi, _excess(pi), g.degrees_into(pi.owner == 0))
 
 
 # ---------------------------------------------------------------------------
 # case 2: promote a well-connected singleton into S
 # ---------------------------------------------------------------------------
 
-def _promote_singleton(g: Graph, pi: Decomposition, case_id: int,
-                       rng) -> MoveReport:
+def _promote_singleton(g: Graph, pi: Decomposition, case_id: int, rng):
     owner = pi.owner
     size_of = _block_size_of(pi)
     singles = np.flatnonzero(size_of == 1)
@@ -254,15 +238,14 @@ def _promote_singleton(g: Graph, pi: Decomposition, case_id: int,
     new[x] = -1
     new[v1] = pi.d + v1
     new[v2] = pi.d + v2
-    return _report(g, pi, case_id, new, np.array([x, v1, v2]))
+    return new, np.array([x, v1, v2])
 
 
 # ---------------------------------------------------------------------------
 # case 3: split A_1, half into S, half into singletons
 # ---------------------------------------------------------------------------
 
-def _split_a1(g: Graph, pi: Decomposition, case_id: int,
-              rng) -> MoveReport:
+def _split_a1(g: Graph, pi: Decomposition, case_id: int, rng):
     if rng is None:
         rng = philox_rng(0)
     members = np.flatnonzero(pi.owner == 0)
@@ -271,15 +254,14 @@ def _split_a1(g: Graph, pi: Decomposition, case_id: int,
     new = pi.owner.copy()
     new[members] = pi.d + members
     new[a11] = -1
-    return _report(g, pi, case_id, new, a11)
+    return new, a11
 
 
 # ---------------------------------------------------------------------------
 # cases 6 and 7: dissolve S into A_1 (with an M from B to fix parity)
 # ---------------------------------------------------------------------------
 
-def _absorb_s(g: Graph, pi: Decomposition, case_id: int,
-              rng) -> MoveReport:
+def _absorb_s(g: Graph, pi: Decomposition, case_id: int, rng):
     owner = pi.owner
     b = np.flatnonzero(owner > 0)
     if pi.s > b.size:
@@ -293,9 +275,10 @@ def _absorb_s(g: Graph, pi: Decomposition, case_id: int,
     new[b] = pi.d + b
     new[owner < 0] = 0
     new[m] = 0
-    return _report(g, pi, case_id, new, m)
+    return new, m
 
 
+# each move returns the new vertex labels and the vertices it moved
 _MOVES = {1: _merge_excess, 2: _promote_singleton, 3: _split_a1,
           4: _merge_excess, 5: _merge_excess_by_a1, 6: _absorb_s,
           7: _absorb_s}
@@ -307,15 +290,24 @@ def apply_case(g: Graph, pi: Decomposition, case_id: int,
     canonical, lies in another case, or cannot take the move.  ``rng``
     draws the half of A_1 that case 3 moves into S (a Philox generator
     with key 0 when None); the other moves are deterministic."""
-    try:
-        move = _MOVES[case_id]
-    except KeyError:
-        raise InputError(f"unknown case id {case_id}") from None
+    if case_id not in _MOVES:
+        raise InputError(f"unknown case id {case_id}")
     actual = classify_case(g, pi)
     if actual != case_id:
         raise MoveError(f"case {case_id} move applied to a case {actual} "
                         "decomposition")
-    return move(g, pi, case_id, rng)
+    return _apply(g, pi, case_id, rng, decomposition_size(g, pi))
+
+
+def _apply(g: Graph, pi: Decomposition, case_id: int, rng,
+           size_before: int) -> MoveReport:
+    """The case-``case_id`` move on ``pi``, whose size is ``size_before``;
+    only the new decomposition is sized."""
+    owner, moved = _MOVES[case_id](g, pi, case_id, rng)
+    pi2 = Decomposition(pi.n, owner)
+    return MoveReport(case_id, pi, pi2, size_before,
+                      decomposition_size(g, pi2), vset_of(moved, pi.n),
+                      CaseThresholds(pi.n))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +336,7 @@ def improve(g: Graph, pi: Decomposition, max_steps: int = 100,
             break
         case_id = classify_case(g, cur)
         try:
-            report = apply_case(g, cur, case_id, rng=rng)
+            report = _apply(g, cur, case_id, rng, cur_size)
         except MoveError:
             # structurally impossible move (e.g. |S| = |B| + 1 at r = 0):
             # stop with a flag rather than raising

@@ -129,6 +129,51 @@ def decomposition_edges(g: Graph, pi) -> list[tuple[int, int]]:
             if s_set >> u & 1 or s_set >> v & 1 or block_of[u] == block_of[v]]
 
 
+def classify_forms_by_filter(g: Graph, k: int, edges: tuple) -> dict:
+    """``classify_forms`` by scanning every (2k+1)-set and every k-set and
+    filtering out those that miss part of H."""
+    n = g.n
+    m_h = len(edges)
+    support = 0
+    for u, v in edges:
+        support |= (1 << u) | (1 << v)
+    form1 = []
+    w_size = 2 * k + 1
+    if w_size <= n and support.bit_count() <= w_size:
+        for combo in itertools.combinations(range(n), w_size):
+            mask = vset(combo)
+            if support & ~mask:
+                continue
+            if g.edges_within(mask) == m_h:
+                form1.append(mask)
+    form2 = []
+    if k <= n:
+        for combo in itertools.combinations(range(n), k):
+            mask = vset(combo)
+            if any(not (mask >> u & 1 or mask >> v & 1) for u, v in edges):
+                continue
+            if g.edges_meeting(mask) == m_h:
+                form2.append(mask)
+    return {"form1": form1, "form2": form2,
+            "canonical": bool(form1 or form2)}
+
+
+def pair_of_index(n: int, idx: int) -> tuple[int, int]:
+    """The pair (u, v) of lexicographic index ``idx`` among the pairs of
+    0..n-1, by binary search on the row starts in Python integers."""
+    def row_start(u):
+        return u * (n - 1) - u * (u - 1) // 2
+
+    lo, hi = 0, n - 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if row_start(mid) <= idx:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, idx - row_start(lo) + lo + 1
+
+
 def brute_vertex_cover(g: Graph) -> int:
     edges = g.edge_list()
     for size in range(g.n + 1):

@@ -207,7 +207,7 @@ class TestCriterion4Moves:
         case-5 guard is empty.  The case-5 move itself is checked at
         n = 20002 by the next test."""
         g = dense20000
-        th = CaseThresholds.from_n(g.n)
+        th = CaseThresholds(g.n)
         rng = np.random.Generator(np.random.Philox(key=1))
         pi = scatter_partition(g.n, 19001, [3], 0, rng)   # smallest y > 0
         case = classify_case(g, pi)

@@ -8,6 +8,7 @@ workloads read must still exist.
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from eg_matchlab.decomposition import Decomposition
 from eg_matchlab.graph_core import Graph
 from eg_matchlab.harness import RegimeSpec, TrialRecord
+from eg_matchlab.moves import MoveReport, apply_case
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCRIPTS = sorted(PERFBENCH.glob("*.py"))
@@ -65,3 +67,11 @@ def test_dataclass_fields_exist():
     assert {"vc_budget", "is_budget", "eg_exact_cutoff"} <= spec_fields
     record_fields = {f.name for f in dataclasses.fields(TrialRecord)}
     assert set(_answer_fields()) <= record_fields
+
+
+def test_move_surface():
+    """What the moves workload reads from ``apply_case`` and its report."""
+    report_fields = {f.name for f in dataclasses.fields(MoveReport)}
+    assert {"size_before", "size_after", "pi_after"} <= report_fields
+    rng = inspect.signature(apply_case).parameters["rng"]
+    assert rng.kind in (rng.POSITIONAL_OR_KEYWORD, rng.KEYWORD_ONLY)

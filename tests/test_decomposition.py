@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eg_matchlab.decomposition import (Decomposition, FormResult,
-                                       _swap_improve, best_form1, best_form2,
+                                       _kept_edges, _swap_improve,
+                                       best_form1, best_form2,
                                        classify_forms, decomposition_size,
                                        edge_set, eg_check, eg_check_all,
                                        extremal, nu_of_decomposition)
@@ -17,8 +18,8 @@ from eg_matchlab.harness import trial_seed
 from eg_matchlab.matching import matching_number
 
 from conftest import complete_graph
-from oracles import (decomposition_edges, extremal_by_edge_subsets,
-                     random_forest)
+from oracles import (classify_forms_by_filter, decomposition_edges,
+                     extremal_by_edge_subsets, random_forest)
 from test_acceptance import CASE_SHAPES, scatter_partition
 
 
@@ -242,6 +243,23 @@ class TestSizeAgainstOracle:
         assert edge_set(g, pi) == tuple(want)
         assert decomposition_size(g, pi) == len(want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.sampled_from([0.2, 0.5, 0.9]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_kept_edges_on_raw_labels(self, n, p, seed):
+        """Labels need not be canonical: blocks under arbitrary ids, each
+        singleton under an id of its own, S under -1."""
+        g = gen_gnp(GnpParams(n, p, seed))
+        pi = random_decomposition(n, seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        ids = rng.permutation(10 * pi.d)[:pi.d] * 7 + 3
+        labels = np.where(pi.owner < 0, -1, ids[pi.owner])
+        singles = (pi.owner >= 0) & (pi.block_sizes[pi.owner] == 1)
+        labels[singles] = 1000 * n + np.flatnonzero(singles)
+        kept = g.edge_array()[_kept_edges(g, labels)]
+        assert list(map(tuple, kept.tolist())) == decomposition_edges(g, pi)
+        assert _kept_edges(g, np.full(n, -1)).all()
+
     @pytest.mark.parametrize("case_id", sorted(CASE_SHAPES))
     def test_criterion4_shapes(self, case_id, dense20000):
         shape = CASE_SHAPES[case_id]
@@ -464,3 +482,23 @@ class TestClassifyForms:
         forms = classify_forms(g, 2, tuple(g.edge_list()))
         assert forms["form2"]                # one endpoint per edge
         assert not forms["form1"]            # 2k+1 = 5 > n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([0.3, 0.6, 0.9]),
+           st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["all", "within", "meeting", "subset"]))
+    def test_matches_all_sets_filter(self, n, p, seed, shape):
+        """Same witnesses in the same order as scanning every set."""
+        g = gen_gnp(GnpParams(n, p, seed))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        mask = vset(np.flatnonzero(rng.random(n) < 0.5).tolist())
+        pick = rng.random(g.m) < 0.5
+        keep = {"all": lambda i, u, v: True,
+                "within": lambda i, u, v: mask >> u & 1 and mask >> v & 1,
+                "meeting": lambda i, u, v: mask >> u & 1 or mask >> v & 1,
+                "subset": lambda i, u, v: pick[i]}[shape]
+        edges = tuple((u, v) for i, (u, v) in enumerate(g.edge_list())
+                      if keep(i, u, v))
+        for k in range(n + 1):
+            assert (classify_forms(g, k, edges)
+                    == classify_forms_by_filter(g, k, edges))

@@ -12,7 +12,7 @@ from eg_matchlab.graph_core import (Graph, GnpParams, gen_gnp, philox_rng,
 
 from conftest import complete_graph, path_graph
 from oracles import (canonical_edges_by_unique, components_by_union_find,
-                     degree_into, labels_from_components)
+                     degree_into, labels_from_components, pair_of_index)
 
 
 def small_graphs():
@@ -463,6 +463,20 @@ class TestBigN:
         back = u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
         assert (back == idx).all()
         assert (0 <= u).all() and (u < v).all() and (v < n).all()
+
+    @pytest.mark.parametrize("n,offsets", [
+        (150_000_000, (1, 2, 3, 10 ** 6)),
+        (10 ** 9, tuple(range(1, 40)) + (10 ** 9, 10 ** 12)),
+        (3 * 10 ** 9, (1, 2, 5, 3 * 10 ** 9)),
+        (4 * 10 ** 9, (1, 2, 3, 4 * 10 ** 9))])
+    def test_pair_index_inversion_exact_past_float(self, n, offsets):
+        """Exact where float64 cannot hold the index: the last pairs and
+        the index 2^53 + 1; one-element arrays, so nothing large is made."""
+        from eg_matchlab.graph_core import _pairs_from_indices
+        total = n * (n - 1) // 2
+        for idx in [total - o for o in offsets] + [2 ** 53 + 1]:
+            got = _pairs_from_indices(n, np.array([idx], dtype=np.int64))
+            assert tuple(got[0].tolist()) == pair_of_index(n, idx), idx
 
     def test_tiny_p_generation(self):
         g = gen_gnp(GnpParams(1000, 1e-9, 3))

@@ -8,6 +8,7 @@ from eg_matchlab.decomposition import Decomposition, _random_decomposition
 from eg_matchlab.errors import InputError, MoveError
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, philox_rng, vset
 from eg_matchlab.harness import trial_seed
+from eg_matchlab import moves
 from eg_matchlab.moves import (CaseThresholds, _in_block_degrees, apply_case,
                                classify_case, improve, is_canonical)
 
@@ -40,7 +41,7 @@ def philox(key):
 
 class TestThresholds:
     def test_n20000_values(self):
-        th = CaseThresholds.from_n(20000)
+        th = CaseThresholds(20000)
         assert th.frac_small == 10.0
         assert th.y_small == 2.0
         assert abs(th.log_half - math.sqrt(math.log(20000))) < 1e-12
@@ -49,16 +50,14 @@ class TestThresholds:
         assert round(th.s_cut) == 6355
 
     def test_as_dict_pinned(self):
-        assert CaseThresholds.from_n(20000).as_dict() == {
+        assert CaseThresholds(20000).as_dict() == {
             "n": 20000, "frac_small": 10.0, "ratio": 3.99, "y_small": 2.0,
             "log_half": 3.1469807041887194, "s_cut": 6355.297944273837}
-        assert CaseThresholds.from_n(11).as_dict() == {
+        assert CaseThresholds(11).as_dict() == {
             "n": 11, "frac_small": 0.0055, "ratio": 3.99, "y_small": 0.0011,
             "log_half": 1.5485138917033876, "s_cut": 7.1035849655180305}
 
     def test_small_n_rejected(self):
-        with pytest.raises(InputError):
-            CaseThresholds.from_n(1)
         with pytest.raises(InputError):
             CaseThresholds(1)
 
@@ -127,7 +126,7 @@ class TestClassification:
         # ln n > 36.  The guard logic is still exercised through a stub.
         import types
         n = 20000
-        th = CaseThresholds.from_n(n)
+        th = CaseThresholds(n)
         stub = types.SimpleNamespace(n=n, a1_size=19000, y=0,
                                      s=int(th.s_cut) + 5, b_size=100)
         assert classify_case(empty_graph(n), stub) == 6
@@ -322,6 +321,14 @@ class TestApplyMechanics:
         with pytest.raises(Exception):
             apply_case(g, pi, 9)
 
+    def test_apply_case_error_types(self):
+        g = empty_graph(12)
+        pi = pi_with(12, 9, [], 1)                 # case 7
+        with pytest.raises(InputError):
+            apply_case(g, pi, 9)
+        with pytest.raises(MoveError):
+            apply_case(g, pi, 6)
+
 
 class TestApplyFuzz:
     def test_random_valid_decompositions_all_invariants(self):
@@ -393,6 +400,17 @@ class TestImprove:
             assert sizes == sorted(sizes)
             assert res.reason in ("canonical", "no_improvement", "max_steps",
                                   "blocked")
+
+    def test_each_decomposition_sized_once(self, monkeypatch):
+        g = gen_gnp(GnpParams(400, 0.05, 3))
+        pi = _random_decomposition(400, 190, philox_rng(3))
+        sized = []
+        size = moves.decomposition_size
+        monkeypatch.setattr(moves, "decomposition_size",
+                            lambda g, pi: sized.append(pi) or size(g, pi))
+        res = improve(g, pi, seed=0)
+        assert len(res.trace) == 2
+        assert sized == [pi] + [rep.pi_after for rep in res.trace]
 
     def test_max_steps_respected(self):
         g = gen_gnp(GnpParams(30, 0.4, 5))
