@@ -15,7 +15,9 @@ A ``Decomposition`` is stored as a vertex-label array (-1 for S, the block
 index otherwise), so its size is one vectorised pass over the graph's edge
 array.  The exact search below enumerates small graphs with bitmask vertex
 sets, and reads each candidate's edges through the same label pass: S gets
--1, block i gets i, and every other vertex a label of its own.
+-1, block i gets i, and every other vertex a label of its own.  It counts
+edges and components on the bitmask adjacency rows (``_within``,
+``_components``), the one reader of them in the library.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph_core import (Graph, philox_rng, vset, vset_from_flags,
-                         vset_members, vset_of)
+from .graph_core import (BITSET_ADJ_LIMIT, Graph, philox_rng, vset,
+                         vset_from_flags, vset_members, vset_of)
 from .matching import max_matching, matching_number
 
 DEFAULT_N_EXACT_EXTREMAL = 12
@@ -356,18 +358,51 @@ def extremal(g: Graph, k: int, mode: str = "exact",
     if k < 0 or k > nu_g:
         raise InputError(f"k={k} outside 0..nu(g)={nu_g}")
     if mode == "exact":
-        if g.n > n_exact:
-            raise CapabilityError(
-                f"exact extremal search limited to n <= {n_exact} (got {g.n})")
+        for name, limit in (("BITSET_ADJ_LIMIT", BITSET_ADJ_LIMIT),
+                            ("n_exact", n_exact)):
+            if g.n > limit:
+                raise CapabilityError(f"exact extremal search limited to n <= "
+                                      f"{name} = {limit} (got {g.n})")
         return _extremal_exact(g, k)
     if mode == "heur":
         return _extremal_heuristic(g, k, seed)
     raise InputError(f"unknown mode {mode!r}")
 
 
+def _within(adj: list[int], mask: int) -> int:
+    """Number of edges with both endpoints in ``mask``, on the bitmask
+    adjacency rows ``adj``."""
+    total = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        total += (adj[low.bit_length() - 1] & mask).bit_count()
+        rest ^= low
+    return total // 2
+
+
+def _components(adj: list[int], alive: int) -> list[int]:
+    """Connected components of the graph induced on ``alive``, on the
+    bitmask adjacency rows ``adj``: one bitmask per component, ordered by
+    smallest member."""
+    out = []
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & alive & ~comp
+            comp |= new
+            frontier |= new
+        out.append(comp)
+        alive &= ~comp
+    return out
+
+
 def _extremal_exact(g: Graph, k: int) -> ExtremalResult:
     n = g.n
     full = g.full_mask()
+    adj = g.adj_bits
     mm = max_matching(g)
     t_mask = vset(u for u, _ in mm.pairs[:k])
 
@@ -379,7 +414,7 @@ def _extremal_exact(g: Graph, k: int) -> ExtremalResult:
     # whenever a larger candidate certifies; for a fixed S every candidate is
     # a subgraph of the keep-components-whole optimum, so matching numbers
     # only drop below it and pruning against certified cuts stays exact.
-    state = {"cut": g.edges_meeting(t_mask), "certified": -1}
+    state = {"cut": g.m - _within(adj, full & ~t_mask), "certified": -1}
 
     all_edges = tuple(g.edge_list())
     # value -> the distinct edge tuples reaching it
@@ -395,7 +430,8 @@ def _extremal_exact(g: Graph, k: int) -> ExtremalResult:
     for s, d, z in _shapes(n, k, range(k + 1)):
         for combo in itertools.combinations(range(n), s):
             s_mask = vset(combo)
-            comps = g.components(s_mask)
+            avail = full & ~s_mask
+            comps = _components(adj, avail)
             odd = sum(1 for c in comps if c.bit_count() & 1)
             if odd >= d:
                 # components can be grouped whole into d odd blocks: the
@@ -408,9 +444,8 @@ def _extremal_exact(g: Graph, k: int) -> ExtremalResult:
             loss_lb = max((d - odd + 1) // 2, d - len(comps))
             if g.m - loss_lb < state["cut"]:
                 continue
-            _enumerate_families(g, full & ~s_mask, z,
-                                g.edges_meeting(s_mask), state, ub_gain,
-                                collect, s_mask)
+            _enumerate_families(g, avail, z, g.m - _within(adj, avail),
+                                state, ub_gain, collect, s_mask)
 
     for value in sorted(buckets, reverse=True):
         winners = []
@@ -436,6 +471,7 @@ def _enumerate_families(g, avail, z, base, state, ub_gain, collect, s_mask):
         if base >= state["cut"]:
             collect(base, _candidate_edges(g, s_mask, ()))
         return
+    adj = g.adj_bits
     avail_list = vset_members(avail)
 
     def rec(start_idx, avail_mask, z_left, blocks, acc):
@@ -454,7 +490,7 @@ def _enumerate_families(g, avail, z, base, state, ub_gain, collect, s_mask):
             while c - 1 <= z_left and c - 1 <= len(higher):
                 for members in itertools.combinations(higher, c - 1):
                     block = (1 << a) | vset(members)
-                    w = g.edges_within(block)
+                    w = _within(adj, block)
                     rest_gain = ub_gain[z_left - (c - 1)]
                     if acc + w + rest_gain < state["cut"]:
                         continue
@@ -470,11 +506,12 @@ def _enumerate_families(g, avail, z, base, state, ub_gain, collect, s_mask):
 def _densest_subsets(g: Graph) -> dict[int, int]:
     """best[c] = max edges inside any c-subset, for odd c >= 3."""
     n = g.n
+    adj = g.adj_bits
     best = {}
     for c in range(3, n + 1, 2):
         top = 0
         for combo in itertools.combinations(range(n), c):
-            val = g.edges_within(vset(combo))
+            val = _within(adj, vset(combo))
             if val > top:
                 top = val
         best[c] = top
@@ -572,6 +609,8 @@ def _random_decomposition(n: int, k: int, rng):
 def classify_forms(g: Graph, k: int, edges: tuple) -> dict:
     """All witnesses under which ``edges`` is form 1 and/or form 2."""
     n = g.n
+    adj = g.adj_bits
+    full = g.full_mask()
     m_h = len(edges)
     support = 0
     for u, v in edges:
@@ -585,7 +624,7 @@ def classify_forms(g: Graph, k: int, edges: tuple) -> dict:
         for extra in itertools.combinations(outside,
                                             w_size - support.bit_count()):
             mask = support | vset(extra)
-            if g.edges_within(mask) == m_h:
+            if _within(adj, mask) == m_h:
                 form1.append(mask)
     form2 = []
     if k <= n:
@@ -594,7 +633,7 @@ def classify_forms(g: Graph, k: int, edges: tuple) -> dict:
             mask = vset(combo)
             if any(not (mask >> u & 1 or mask >> v & 1) for u, v in hset):
                 continue
-            if g.edges_meeting(mask) == m_h:
+            if g.m - _within(adj, full & ~mask) == m_h:
                 form2.append(mask)
     return {"form1": form1, "form2": form2,
             "canonical": bool(form1 or form2)}

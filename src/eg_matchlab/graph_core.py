@@ -3,8 +3,8 @@ edge-counting primitives everything else is built on.
 
 Vertex sets are passed as Python ints used as bitmasks (bit v set <=> vertex
 v in the set); a set held as a numpy array of vertex ids becomes one through
-``vset_of``.  At scale the work runs on numpy over the canonical edge
-array, an (m, 2) int64 array of the pairs u < v in lexicographic order,
+``vset_of``.  Every count a ``Graph`` makes runs on numpy over the canonical
+edge array, an (m, 2) int64 array of the pairs u < v in lexicographic order,
 stored column-major so that each endpoint column ``edges[:, 0]`` and
 ``edges[:, 1]`` is contiguous: connected components are one int32 label
 array (``component_labels``) and counts over all vertices are bincount
@@ -12,11 +12,10 @@ passes.  ``Graph.degrees`` holds every vertex degree; ``degrees_into``
 counts over the smaller of a set and its complement and takes the other
 side from the degrees.  Sorted neighbour lists serve the traversals and
 the matching code; bitmask adjacency rows, built only for n <=
-BITSET_ADJ_LIMIT, serve the bit counts over the bitmask vertex sets that
-the exact small-n searches make.  Both come lazily from the edge
-array through one CSR pass.  The neighbour lists pay for the edges and the
-non-isolated vertices (``Graph.support``, the one list of them): every
-isolated vertex shares one empty row.
+BITSET_ADJ_LIMIT, serve the exact decomposition search alone.  Both come
+lazily from the edge array through one CSR pass.  The neighbour lists pay
+for the edges and the non-isolated vertices (``Graph.support``, the one
+list of them): every isolated vertex shares one empty row.
 """
 
 from __future__ import annotations
@@ -166,6 +165,7 @@ class Graph:
 
     @property
     def adj_bits(self) -> list[int]:
+        """Bitmask rows, bit w of row v set for each edge vw; n^2/8 bytes."""
         if self._adj_bits is None:
             if self.n > BITSET_ADJ_LIMIT:
                 raise InputError(
@@ -224,9 +224,6 @@ class Graph:
         np.cumsum(self.degrees, out=indptr[1:])
         return indptr, keys % n
 
-    def has_bitset_adjacency(self) -> bool:
-        return self.n <= BITSET_ADJ_LIMIT
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return int(self.degrees[v])
@@ -254,17 +251,6 @@ class Graph:
     def edges_within(self, mask: int) -> int:
         """Number of edges with both endpoints in ``mask``."""
         self._check_mask(mask)
-        if mask.bit_count() <= 1:
-            return 0
-        if self.has_bitset_adjacency():
-            adj = self.adj_bits
-            total = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                total += (adj[low.bit_length() - 1] & mask).bit_count()
-                rest ^= low
-            return total // 2
         inside = vset_flags(mask, self.n)
         return int(np.count_nonzero(inside[self._edges[:, 0]]
                                     & inside[self._edges[:, 1]]))
@@ -335,38 +321,6 @@ class Graph:
             labels.flags.writeable = False
             self._labels = result
         return result
-
-    def components(self, removed: int = 0) -> list[int]:
-        """Connected components of the graph induced on V minus ``removed``.
-
-        Returns one bitmask per component, ordered by smallest member.  The
-        parity of a component is the parity of its bit count.  Above
-        BITSET_ADJ_LIMIT, the component label array grouped into bitmasks.
-        """
-        self._check_mask(removed)
-        alive = self.full_mask() & ~removed
-        out = []
-        if self.has_bitset_adjacency():
-            adj = self.adj_bits
-            rest = alive
-            while rest:
-                low = rest & -rest
-                comp = low
-                frontier = low
-                while frontier:
-                    v = (frontier & -frontier).bit_length() - 1
-                    frontier ^= frontier & -frontier
-                    new = adj[v] & rest & ~comp
-                    comp |= new
-                    frontier |= new
-                out.append(comp)
-                rest &= ~comp
-            return out
-        count, labels = self.component_labels(removed)
-        # sorted by label, the removed vertices (label -1) come first
-        order = np.argsort(labels, kind="stable")
-        bounds = np.cumsum(np.bincount(labels + 1, minlength=count + 1))
-        return [vset(part.tolist()) for part in np.split(order, bounds)[1:-1]]
 
     def induced_adjacency(self, verts: np.ndarray) -> list[int]:
         """Bitmask adjacency rows of the subgraph induced on the ascending

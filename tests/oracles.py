@@ -88,7 +88,8 @@ def tb_max_over_subsets(g: Graph) -> int:
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             s_mask = vset(combo)
-            o = sum(1 for c in g.components(s_mask) if c.bit_count() & 1)
+            o = sum(1 for c in components_by_union_find(g, s_mask)
+                    if len(c) & 1)
             val = o - size
             if best is None or val > best:
                 best = val

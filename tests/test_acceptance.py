@@ -38,8 +38,8 @@ from eg_matchlab.moves import (CaseThresholds, apply_case, classify_case,
                                improve)
 
 from conftest import complete_graph
-from oracles import (extremal_by_edge_subsets, random_forest,
-                     sample_p3_counts)
+from oracles import (components_by_union_find, extremal_by_edge_subsets,
+                     random_forest, sample_p3_counts)
 
 
 def report(criterion, ok, detail=""):
@@ -515,12 +515,11 @@ class TestCriterion9Forests:
             verdicts = eg_check_all(f)
             if not all(v.verdict == "holds" for v in verdicts.values()):
                 bad.append(("eg", i))
-            for comp in f.components():
-                members = [v for v in range(f.n) if comp >> v & 1]
+            for members in components_by_union_find(f):
                 local = {v: j for j, v in enumerate(members)}
                 sub = Graph(len(members),
                             [(local[u], local[v]) for u, v in f.edge_list()
-                             if comp >> u & 1 and comp >> v & 1])
+                             if u in local and v in local])
                 if vertex_cover_number(sub) != matching_number(sub):
                     bad.append(("konig", i))
         ok = not bad

@@ -14,7 +14,7 @@ import pytest
 import eg_matchlab
 from eg_matchlab import cli
 from eg_matchlab.cli import main
-from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
+from eg_matchlab.graph_core import BITSET_ADJ_LIMIT, Graph, GnpParams, gen_gnp
 from eg_matchlab.matching import matching_number
 
 from conftest import complete_graph, cycle
@@ -151,6 +151,13 @@ class TestSubcommands:
                                     "--mode", "exact"])
         assert code == 3
         assert "capability" in err
+
+    def test_extremal_past_row_limit_exit_3(self, capsys, tmp_path):
+        path = write_graph(tmp_path, Graph(BITSET_ADJ_LIMIT + 1))
+        code, out, err = run(capsys, ["extremal", path, "--k", "0",
+                                      "--n-exact", "100000"])
+        assert (code, out) == (3, "")
+        assert "BITSET_ADJ_LIMIT" in err
 
     def test_extremal_bad_k_exit_2(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle(5))

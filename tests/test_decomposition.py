@@ -13,7 +13,8 @@ from eg_matchlab.decomposition import (Decomposition, FormResult,
                                        edge_set, eg_check, eg_check_all,
                                        extremal, nu_of_decomposition)
 from eg_matchlab.errors import CapabilityError, InputError
-from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp, vset
+from eg_matchlab.graph_core import (BITSET_ADJ_LIMIT, Graph, GnpParams,
+                                   gen_gnp, vset)
 from eg_matchlab.harness import trial_seed
 from eg_matchlab.matching import matching_number
 
@@ -372,6 +373,13 @@ class TestExtremalExact:
         g = gen_gnp(GnpParams(20, 0.3, 1))
         with pytest.raises(CapabilityError):
             extremal(g, 2, n_exact=12)
+
+    def test_capability_error_past_row_limit(self):
+        # the search counts on bitmask rows, which stop at the limit
+        # whatever n_exact allows
+        g = Graph(BITSET_ADJ_LIMIT + 1)
+        with pytest.raises(CapabilityError, match="BITSET_ADJ_LIMIT"):
+            extremal(g, 0, n_exact=10 ** 6)
 
     def test_oracle_equivalence_sample(self):
         for tag in range(30):

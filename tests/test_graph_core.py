@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eg_matchlab.errors import InputError
 from eg_matchlab import graph_core
+from eg_matchlab.decomposition import _components
 from eg_matchlab.graph_core import (Graph, GnpParams, gen_gnp, philox_rng,
                                    vset, vset_of)
 
@@ -227,6 +228,74 @@ class TestOneGenerator:
         philox_rng((1 << 64) - 1)
 
 
+class TestRawStreams:
+    """The first values of each kind of draw the library makes from
+    ``philox_rng``.  NumPy does not freeze these streams across versions
+    (NEP 19), so a numpy upgrade that changes one fails the test naming
+    it, ahead of the golden hashes built on it."""
+
+    def test_geometric(self):
+        # gen_gnp's gap draws
+        assert philox_rng(1000).geometric(0.3, size=8).tolist() == [
+            2, 9, 1, 3, 1, 4, 3, 4]
+        assert philox_rng(1000).geometric(0.001, size=4).tolist() == [
+            409, 3111, 181, 924]
+
+    def test_integers_in_range(self):
+        # the density audit's set sizes, one scalar draw each
+        rng = philox_rng(1000)
+        assert [int(rng.integers(5, 100)) for _ in range(6)] == [
+            19, 25, 29, 74, 84, 28]
+
+    def test_integers_below(self):
+        # _random_decomposition's block sizes, and the heuristic search's
+        # seeds for moves.improve
+        rng = philox_rng(1000)
+        assert [int(rng.integers(3)) for _ in range(6)] == [0, 0, 0, 2, 2, 0]
+        rng = philox_rng(1000)
+        assert [int(rng.integers(1 << 62)) for _ in range(3)] == [
+            974736576670730537, 3363002485520534490, 1138513158313586265]
+
+    def test_choice_without_replacement(self):
+        # the density audit's vertex sets, small and large against n
+        def draw(n, w):
+            return philox_rng(1000).choice(n, size=w, replace=False)
+
+        assert draw(50, 6).tolist() == [9, 40, 12, 7, 11, 35]
+        assert draw(2400, 1500)[:6].tolist() == [
+            617, 291, 2095, 2359, 684, 2068]
+        assert draw(20000, 6).tolist() == [
+            4226, 16683, 4937, 3136, 5063, 14583]
+
+    def test_permutation(self):
+        # the audit's Y/Z split, the case-1 split of A_1 and
+        # _random_decomposition's shapes and vertex order
+        assert philox_rng(1000).permutation(10).tolist() == [
+            9, 8, 3, 4, 0, 6, 5, 1, 2, 7]
+        assert philox_rng(1000).permutation(2400)[:6].tolist() == [
+            2272, 2265, 1266, 276, 1523, 208]
+
+
+class TestOneCountingPath:
+    """``Graph`` counts on the edge array; the bitmask adjacency rows are
+    read by the exact decomposition search alone, so no other caller can
+    grow a second counting path on them."""
+
+    def test_only_decomposition_reads_adj_bits(self):
+        src = Path(graph_core.__file__).parent
+        readers, defined = set(), False
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == "adj_bits":
+                    readers.add(path.name)
+                if (path.name == "graph_core.py"
+                        and isinstance(node, ast.FunctionDef)
+                        and node.name == "adj_bits"):
+                    defined = True
+        assert readers == {"decomposition.py"}
+        assert defined
+
+
 class TestGnp:
     def test_p_zero_empty(self):
         g = gen_gnp(GnpParams(5, 0.0, 7))
@@ -320,24 +389,29 @@ class TestCounting:
         assert total == g.m
 
 
+def bitmask_components(g: Graph, removed: int = 0) -> list[int]:
+    """The exact search's bitmask components of G minus ``removed``."""
+    return _components(g.adj_bits, g.full_mask() & ~removed)
+
+
 class TestComponents:
     def test_k4_whole(self, k4):
-        comps = k4.components()
+        comps = bitmask_components(k4)
         assert comps == [vset([0, 1, 2, 3])]
 
     def test_star_minus_center(self, star4):
-        comps = star4.components(removed=vset([0]))
+        comps = bitmask_components(star4, removed=vset([0]))
         assert comps == [vset([1]), vset([2]), vset([3])]
         assert all(c.bit_count() % 2 == 1 for c in comps)
 
     def test_c5_minus_vertex(self, c5):
-        comps = c5.components(removed=vset([0]))
+        comps = bitmask_components(c5, removed=vset([0]))
         assert len(comps) == 1
         assert comps[0].bit_count() == 4
 
     def test_order_by_smallest_member(self):
         g = Graph(6, [(4, 5), (0, 1)])
-        comps = g.components()
+        comps = bitmask_components(g)
         mins = [(c & -c).bit_length() - 1 for c in comps]
         assert mins == sorted(mins)
 
@@ -345,7 +419,7 @@ class TestComponents:
     @given(small_graphs(), st.integers(0, (1 << 9) - 1))
     def test_sizes_sum(self, g, raw_mask):
         removed = raw_mask & g.full_mask()
-        comps = g.components(removed)
+        comps = bitmask_components(g, removed)
         assert sum(c.bit_count() for c in comps) == g.n - removed.bit_count()
 
 
@@ -376,7 +450,7 @@ class TestComponentLabels:
         g = Graph(n, edges)
         check_labels(g)
         check_labels(g, removed)
-        assert g.components(removed) == [
+        assert bitmask_components(g, removed) == [
             vset(c) for c in components_by_union_find(g, removed)]
 
     def test_cached_and_read_only(self):
@@ -392,13 +466,10 @@ class TestComponentLabels:
     def test_sparse_above_bitset_limit(self):
         n = graph_core.BITSET_ADJ_LIMIT + 1000
         g = gen_gnp(GnpParams(n, 1.5 / n, 11))
-        assert not g.has_bitset_adjacency()
         rng = np.random.default_rng(11)
         removed = vset(rng.choice(n, size=n // 10, replace=False).tolist())
         check_labels(g)
         check_labels(g, removed)
-        comps = components_by_union_find(g, removed)
-        assert g.components(removed) == [vset(c) for c in comps]
         # the edge counts over boolean masks agree with a count per edge
         rest = g.full_mask() & ~removed
         edges = g.edge_list()
@@ -487,13 +558,12 @@ class TestBigN:
     def test_list_fallback_matches_bitset(self):
         edges = [(0, 1), (1, 2), (2, 3), (70000, 70001), (3, 70000)]
         big = Graph(70002, edges)            # above the bitset limit
-        assert not big.has_bitset_adjacency()
         small = Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5), (3, 4)])
         mask_small = vset([0, 1, 2, 3])
         mask_big = vset([0, 1, 2, 3])
         assert big.edges_within(mask_big) == small.edges_within(mask_small) == 3
-        comps = big.components()
-        assert sum(c.bit_count() for c in comps) == big.n
+        count, labels = big.component_labels()
+        assert count == big.n - 5 and (labels >= 0).all()
         assert big.degree(70000) == 2
 
     def test_has_edge_reads_no_bitset_adjacency(self, no_adj_bits):

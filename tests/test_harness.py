@@ -309,7 +309,7 @@ class TestDensityAudit:
         rep = density_audit(g, p, eps, 30, seed)
         assert tuple(rep.events.values()) == events
 
-    def test_dense_event_counts_pinned(self):
+    def test_dense_event_counts_pinned(self, no_adj_bits):
         # at n >= 1200 and p = 8 ln n / n every sample draws a sparse_log set
         # as well, between the cap300 and the between_eq draws
         n = 2400

@@ -22,7 +22,7 @@ from eg_matchlab.harness import (RegimeSpec, eg_fails_at_nu, has_empty_half,
 from conftest import cycle, path_graph
 from oracles import (brute_independence_number, brute_is_bipartite,
                      brute_matching_number, brute_vertex_cover,
-                     gallai_edmonds_by_deletion,
+                     components_by_union_find, gallai_edmonds_by_deletion,
                      has_augmenting_path, is_bipartite, random_forest,
                      rescan_vc_kernel, tb_max_over_subsets)
 
@@ -365,8 +365,8 @@ class TestVertexCover:
         for i, g in enumerate(graphs + MIXED_GRAPHS):
             assert vertex_cover_number(g) == brute_vertex_cover(g), i
             known, failing = 0, []
-            for comp in g.components():
-                c = component_graph(g, comp)
+            for comp in components_by_union_find(g):
+                c = component_graph(g, vset(comp))
                 nu_c, tau_c = brute_matching_number(c), brute_vertex_cover(c)
                 if tau_c == nu_c:
                     known += nu_c
