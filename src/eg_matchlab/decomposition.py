@@ -12,10 +12,13 @@ problem.  The two canonical shapes are:
   form 2: all edges meeting a fixed k-set T       (S = T, singleton blocks)
 
 A ``Decomposition`` is stored as a vertex-label array (-1 for S, the block
-index otherwise), so its size is one vectorised pass over the graph's edge
-array.  The exact search below enumerates small graphs with bitmask vertex
-sets, and reads each candidate's edges through the same label pass: S gets
--1, block i gets i, and every other vertex a label of its own.  It counts
+index otherwise).  Its size is the arcs leaving S less the edges inside S,
+plus the edges inside A_1 and inside the other non-singleton blocks, each
+read through the graph's counts over a vertex set; its edge set is one
+label pass over the graph's edge array (``_kept_edges``).  The exact search
+below enumerates small graphs with bitmask vertex sets, and reads each
+candidate's edges through the same label pass: S gets -1, block i gets i,
+and every other vertex a label of its own.  It counts
 edges and components on the bitmask adjacency rows (``_within``,
 ``_components``), the one reader of them in the library.
 """
@@ -70,22 +73,33 @@ class Decomposition:
             raise InputError("owner must hold one integer label per vertex")
         if owner.min() < -1:
             raise InputError("labels must be -1 (S) or block ids >= 0")
+        if int(owner.max()) >= (1 << 63) // n:
+            raise InputError("block ids must lie below 2^63 / n")
         in_blocks = np.flatnonzero(owner >= 0)
-        labels, first, inverse = np.unique(owner[in_blocks], return_index=True,
-                                           return_inverse=True)
-        if not labels.size:
+        if not in_blocks.size:
             raise InputError("decomposition needs at least one block")
-        sizes = np.bincount(inverse)
+        # the keys label * n + vertex, sorted, group the members by label,
+        # each group ascending
+        keys = owner[in_blocks].astype(np.int64) * n + in_blocks
+        keys.sort()
+        labels = keys // n
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(labels[1:], labels[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        sizes = np.diff(starts, append=keys.size)
         if (sizes % 2 == 0).any():
             raise InputError("blocks must have odd size")
         s = n - in_blocks.size
-        if labels.size < s:
+        if starts.size < s:
             raise InputError("r = d - |S| must be nonnegative")
-        order = np.lexsort((in_blocks[first], -sizes))
-        rank = np.empty(labels.size, dtype=np.int32)
-        rank[order] = np.arange(labels.size, dtype=np.int32)
+        members = keys - labels * n
+        # canonical order: size descending, then smallest member
+        order = np.argsort((n - sizes) * n + members[starts])
+        rank = np.empty(starts.size, dtype=np.int32)
+        rank[order] = np.arange(starts.size, dtype=np.int32)
         canon = np.full(n, -1, dtype=np.int32)
-        canon[in_blocks] = rank[inverse]
+        canon[members] = np.repeat(rank, sizes)
         sizes = sizes[order]
         canon.flags.writeable = False
         sizes.flags.writeable = False
@@ -173,15 +187,20 @@ class Decomposition:
         if n <= 0:
             raise InputError("decomposition needs n >= 1")
         try:
-            parts = [list(s_members), *map(list, block_members)]
-            flat = np.array(list(itertools.chain.from_iterable(parts)))
+            flat = list(s_members)
+            extend = flat.extend
+            # where S and each block end in ``flat``
+            ends = [len(flat)]
+            ends += [extend(block) or len(flat) for block in block_members]
+            flat = np.array(flat)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad decomposition member lists: {exc}") from exc
         if not flat.size:
             flat = flat.astype(np.int64)
         elif flat.dtype.kind not in "iu":
             raise InputError("vertex ids must be integers")
-        if not all(parts[1:]):
+        lens = np.diff(ends, prepend=0)
+        if not lens[1:].all():
             raise InputError("blocks must be non-empty")
         if flat.size and (flat.min() < 0 or flat.max() >= n):
             raise InputError(f"vertex ids must lie in 0..{n - 1}")
@@ -192,8 +211,8 @@ class Decomposition:
         if (counts == 0).any():
             raise InputError("S and the blocks must cover all vertices")
         owner = np.empty(n, dtype=np.int32)
-        owner[flat] = np.repeat(np.arange(-1, len(parts) - 1, dtype=np.int32),
-                                list(map(len, parts)))
+        owner[flat] = np.repeat(np.arange(-1, lens.size - 1, dtype=np.int32),
+                                lens)
         return cls(n, owner)
 
     def to_json_obj(self) -> dict:
@@ -227,8 +246,18 @@ def edge_set(g: Graph, pi: Decomposition) -> tuple[tuple[int, int], ...]:
 
 
 def decomposition_size(g: Graph, pi: Decomposition) -> int:
-    """|Pi| = number of edges meeting S plus edges inside blocks."""
-    return int(np.count_nonzero(_kept_edges(g, pi.owner)))
+    """|Pi| = number of edges meeting S plus edges inside blocks: the arcs
+    leaving S less the edges inside S, plus the edges inside A_1 and
+    inside the other non-singleton blocks.  Singletons hold no edges."""
+    owner = pi.owner
+    if owner.size != g.n:
+        raise InputError("decomposition and graph disagree on n")
+    in_s = owner < 0
+    size = (int(g.degrees[in_s].sum()) - g.edges_inside(in_s)
+            + g.edges_inside(owner == 0))
+    # canonical labels number the non-singleton blocks first
+    rest = (owner > 0) & (owner < np.count_nonzero(pi.block_sizes > 1))
+    return size + int(g.label_degrees(rest, owner).sum()) // 2
 
 
 def nu_of_decomposition(g: Graph, pi: Decomposition) -> int:

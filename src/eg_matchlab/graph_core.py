@@ -3,19 +3,26 @@ edge-counting primitives everything else is built on.
 
 Vertex sets are passed as Python ints used as bitmasks (bit v set <=> vertex
 v in the set); a set held as a numpy array of vertex ids becomes one through
-``vset_of``.  Every count a ``Graph`` makes runs on numpy over the canonical
-edge array, an (m, 2) int64 array of the pairs u < v in lexicographic order,
-stored column-major so that each endpoint column ``edges[:, 0]`` and
-``edges[:, 1]`` is contiguous: connected components are one int32 label
-array (``component_labels``) and counts over all vertices are bincount
-passes.  ``Graph.degrees`` holds every vertex degree; ``degrees_into``
-counts over the smaller of a set and its complement and takes the other
-side from the degrees.  Sorted neighbour lists serve the traversals and
-the matching code; bitmask adjacency rows, built only for n <=
+``vset_of``.  A ``Graph`` holds its edges as the canonical edge array, an
+(m, 2) int64 array of the pairs u < v in lexicographic order, stored
+column-major so that each endpoint column ``edges[:, 0]`` and
+``edges[:, 1]`` is contiguous.  Counts over all vertices run on it:
+``Graph.degrees`` is two bincount passes, and connected components are one
+int32 label array (``component_labels``).
+
+Counts over a vertex set (``degrees_into``, ``edges_inside`` and through
+it ``edges_within`` / ``edges_meeting``, ``label_degrees``) follow one cost
+rule, ``Graph._index_side``: they read the arcs of the side, the set or
+its complement, with fewer arcs, gathered from the incidence index, a CSR
+of sorted neighbour ids built once per graph and read-only; when even that
+side holds more than m / 2 arcs, one pass over the edge array costs less
+and is taken instead.  Sorted neighbour lists serve the traversals and the
+matching code; bitmask adjacency rows, built only for n <=
 BITSET_ADJ_LIMIT, serve the exact decomposition search alone.  Both come
-lazily from the edge array through one CSR pass.  The neighbour lists pay
-for the edges and the non-isolated vertices (``Graph.support``, the one
-list of them): every isolated vertex shares one empty row.
+lazily from the incidence index.  The neighbour lists pay for the edges and
+the non-isolated vertices (``Graph.support``, the one list of them): every
+isolated vertex shares one empty row, and every row naming a vertex holds
+the one Python int of it that ``support`` holds.
 """
 
 from __future__ import annotations
@@ -99,8 +106,8 @@ class Graph:
 
     # _mate and _cover are the maximum matching and the Konig-Egervary split
     # that ``matching`` computes once per graph and caches here
-    __slots__ = ("n", "_edges", "_degrees", "_adj_bits", "_adj_lists",
-                 "_support", "_labels", "_mate", "_cover")
+    __slots__ = ("n", "_edges", "_degrees", "_index", "_adj_bits",
+                 "_adj_lists", "_support", "_labels", "_mate", "_cover")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -133,6 +140,7 @@ class Graph:
             arr = np.stack([keys // n, keys % n]).T
         self._edges = arr
         self._degrees = None
+        self._index = None
         self._adj_bits = None
         self._adj_lists = None
         self._support = None
@@ -170,14 +178,14 @@ class Graph:
             if self.n > BITSET_ADJ_LIMIT:
                 raise InputError(
                     f"bitset adjacency unavailable for n={self.n} > {BITSET_ADJ_LIMIT}")
-            indptr, indices = self._csr()
+            indptr, nbrs = self._incidence()
             step = max(1, ADJ_BITS_CHUNK_BYTES // max(self.n, 1))
             rows: list[int] = []
             for lo in range(0, self.n, step):
                 hi = min(self.n, lo + step)
                 flags = np.zeros((hi - lo, self.n), dtype=bool)
                 flags[np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1])),
-                      indices[indptr[lo]:indptr[hi]]] = True
+                      nbrs[indptr[lo]:indptr[hi]]] = True
                 packed = np.packbits(flags, axis=1, bitorder="little")
                 del flags
                 rows.extend(int.from_bytes(r.tobytes(), "little") for r in packed)
@@ -201,28 +209,45 @@ class Graph:
         return self._support
 
     def _build_lists(self) -> None:
-        indptr, indices = self._csr()
-        support = np.flatnonzero(np.diff(indptr))
-        flat = indices.tolist()
+        indptr, nbrs = self._incidence()
+        support = np.flatnonzero(self.degrees)
+        # one Python int per non-isolated vertex, shared by every row that
+        # names it: each arc picks its head's int by the head's rank in the
+        # support
+        ints = support.astype(object)
+        self._support = ints.tolist()
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[support] = np.arange(support.size)
+        flat = ints[rank[nbrs]].tolist()
         rows = [[]] * self.n
-        self._support = support.tolist()
         for v, a, b in zip(self._support, indptr[support].tolist(),
-                           indptr[support + 1].tolist()):
+                           indptr[1:][support].tolist()):
             rows[v] = flat[a:b]
         self._adj_lists = rows
 
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted neighbours of every vertex as CSR arrays (indptr, indices):
-        the neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """The incidence index, built once per graph and read-only: CSR
+        arrays (indptr, nbrs), the sorted neighbours of v being
+        nbrs[indptr[v]:indptr[v + 1]], int32 while n < 2^31."""
+        if self._index is None:
+            self._index = self._build_incidence()
+        return self._index
+
+    def _build_incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """The incidence index from one sort of the arc keys."""
         n = self.n
         u, v = self._edges[:, 0], self._edges[:, 1]
         # each arc src -> dst as the key src * n + dst: sorted, the keys run
         # through the rows in order, each row ascending
         keys = np.concatenate((u * n + v, v * n + u))
         keys.sort()
+        nbrs = np.empty(keys.size, dtype=np.int32 if n < 1 << 31 else np.int64)
+        np.remainder(keys, n, out=nbrs, casting="unsafe")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=indptr[1:])
-        return indptr, keys % n
+        indptr.flags.writeable = False
+        nbrs.flags.writeable = False
+        return indptr, nbrs
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -248,12 +273,52 @@ class Graph:
 
     # -- counting primitives --------------------------------------------------
 
+    def _index_side(self, inside: np.ndarray, either_side: bool = True):
+        """The cost rule of every count over a vertex set.  Of the set that
+        the boolean array ``inside`` marks and (with ``either_side``) its
+        complement, the side with fewer arcs is read; it is returned as
+        (members, flipped), flipped when it is the complement, if gathering
+        its arcs from the incidence index costs less than one pass over
+        the edge array, that is when they number at most m / 2.  None
+        sends the count to the edge array."""
+        arcs = int(self.degrees[inside].sum())
+        flipped = either_side and arcs > self.m
+        if flipped:
+            arcs = 2 * self.m - arcs
+        if 2 * arcs > self.m:
+            return None
+        return np.flatnonzero(inside != flipped), flipped
+
+    def _heads(self, members: np.ndarray) -> np.ndarray:
+        """The far end of every arc leaving the ascending vertex array
+        ``members``, row by row, gathered from the incidence index.  They
+        are int32 while n < 2^31; ``np.take`` reads an array through them
+        faster than fancy indexing, which converts them first."""
+        indptr, nbrs = self._incidence()
+        lens = self.degrees[members]
+        ends = np.cumsum(lens)
+        pos = np.repeat(indptr[members] - (ends - lens), lens)
+        pos += np.arange(pos.size)
+        return nbrs[pos]
+
     def edges_within(self, mask: int) -> int:
         """Number of edges with both endpoints in ``mask``."""
         self._check_mask(mask)
-        inside = vset_flags(mask, self.n)
-        return int(np.count_nonzero(inside[self._edges[:, 0]]
-                                    & inside[self._edges[:, 1]]))
+        return self.edges_inside(vset_flags(mask, self.n))
+
+    def edges_inside(self, inside: np.ndarray) -> int:
+        """Number of edges with both ends in the vertex set the boolean
+        array ``inside`` marks.  Read on the complement X, it is m less
+        the arcs leaving X plus the edges inside X."""
+        side = self._index_side(inside)
+        if side is None:
+            u, v = self._edges[:, 0], self._edges[:, 1]
+            return int(np.count_nonzero(inside[u] & inside[v]))
+        members, flipped = side
+        heads = self._heads(members)
+        # each edge inside the side read is two of its arcs
+        within = int(np.count_nonzero(np.take(inside, heads) != flipped)) // 2
+        return self.m - heads.size + within if flipped else within
 
     def edges_between(self, y: int, z: int) -> int:
         """Number of edges joining disjoint vertex sets ``y`` and ``z``."""
@@ -267,17 +332,38 @@ class Graph:
 
     def degrees_into(self, inside: np.ndarray) -> np.ndarray:
         """Number of neighbours inside a vertex set, for every vertex at once;
-        ``inside`` is a boolean array of length n.  The edges are counted
-        from the smaller of the set and its complement: neighbours in the
-        larger side are the degree less the neighbours in the smaller."""
-        if 2 * np.count_nonzero(inside) > self.n:
-            return self.degrees - self._count_into(~inside)
-        return self._count_into(inside)
+        ``inside`` is a boolean array of length n.  Read on the complement,
+        it is the degree less the neighbours in the complement."""
+        side = self._index_side(inside)
+        if side is None:
+            u, v = self._edges[:, 0], self._edges[:, 1]
+            return (np.bincount(u[inside[v]], minlength=self.n)
+                    + np.bincount(v[inside[u]], minlength=self.n))
+        members, flipped = side
+        count = np.bincount(self._heads(members), minlength=self.n)
+        return self.degrees - count if flipped else count
 
-    def _count_into(self, inside: np.ndarray) -> np.ndarray:
-        u, v = self._edges[:, 0], self._edges[:, 1]
-        return (np.bincount(u[inside[v]], minlength=self.n)
-                + np.bincount(v[inside[u]], minlength=self.n))
+    def label_degrees(self, inside: np.ndarray,
+                      labels: np.ndarray) -> np.ndarray:
+        """For every vertex of the set the boolean array ``inside`` marks,
+        its number of neighbours with the same entry in ``labels``; 0 for
+        every other vertex.  The set must be a union of whole label
+        classes, so that an edge whose ends share a label has both ends in
+        the set or neither; its complement then tells nothing, and only
+        the set's own arcs are read."""
+        side = self._index_side(inside, either_side=False)
+        if side is None:
+            u, v = self._edges[:, 0], self._edges[:, 1]
+            near = inside[u]
+            u, v = u[near], v[near]
+            same = labels[u] == labels[v]
+            return (np.bincount(u[same], minlength=self.n)
+                    + np.bincount(v[same], minlength=self.n))
+        members, _ = side
+        lens = self.degrees[members]
+        same = (np.repeat(labels[members], lens)
+                == np.take(labels, self._heads(members)))
+        return np.bincount(np.repeat(members, lens)[same], minlength=self.n)
 
     def edges_meeting(self, mask: int) -> int:
         """Number of edges with at least one endpoint in ``mask``."""

@@ -11,16 +11,19 @@ behavior, is strictly larger.  Where a choice is left open, we
 pick the variant that maximizes the chance of improvement at finite n and
 record it in the report.
 
-Moves work on the decomposition's vertex-label array: the degree statistics
-they rank by are ``np.bincount`` passes over the graph's edge array, and
-each move returns a relabelled copy of the array with the vertices it
-moved.  One ``_apply`` builds the new decomposition and its report, and
-sizes only the new decomposition: the caller already holds the old size.
+Moves work on the decomposition's vertex-label array: each move returns a
+relabelled copy of the array with the vertices it moved.  One ``_apply``
+builds the new decomposition and its report, and sizes only the new
+decomposition: the caller already holds the old size.  The degree
+statistics the moves rank by come from the graph's counts over a vertex
+set, which read the arcs of the set or of its complement, whichever has
+fewer, off the graph's incidence index, and pass over the edge array only
+when even that side holds more than half the edges' worth of arcs.
 Degrees into a vertex set (A_1 for cases 5-7, the blocks for case 2) come
-from ``Graph.degrees_into``, which counts over the smaller of the set and
-its complement.  In-block degrees are counted only for the blocks a move
-ranks (the excess blocks for cases 1 and 4, the blocks of size >= 3 for
-case 2), from the edges with an end among their members.
+from ``Graph.degrees_into``.  In-block degrees come from
+``Graph.label_degrees``, only for the blocks a move ranks (the excess
+blocks for cases 1 and 4, the blocks of size >= 3 for case 2), from the
+arcs leaving their members.
 """
 
 from __future__ import annotations
@@ -139,18 +142,10 @@ def classify_case(g: Graph, pi: Decomposition) -> int:
 def _in_block_degrees(g: Graph, pi: Decomposition,
                       members: np.ndarray) -> np.ndarray:
     """For every vertex of ``members``, a union of whole blocks, its number
-    of neighbours in its own block; 0 for every other vertex.  Only the
-    edges whose first end lies in ``members`` are compared: an edge inside
-    a block has both ends in ``members`` or neither."""
+    of neighbours in its own block; 0 for every other vertex."""
     flags = np.zeros(g.n, dtype=bool)
     flags[members] = True
-    edges = g.edge_array()
-    u, v = edges[:, 0], edges[:, 1]
-    near = flags[u]
-    u, v = u[near], v[near]
-    same = pi.owner[u] == pi.owner[v]
-    return (np.bincount(u[same], minlength=g.n)
-            + np.bincount(v[same], minlength=g.n))
+    return g.label_degrees(flags, pi.owner)
 
 
 def _block_size_of(pi: Decomposition) -> np.ndarray:

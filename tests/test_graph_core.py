@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from eg_matchlab.errors import InputError
 from eg_matchlab import graph_core
-from eg_matchlab.decomposition import _components
+from eg_matchlab.decomposition import (_components, _kept_edges,
+                                       decomposition_size)
+from eg_matchlab.moves import _in_block_degrees
 from eg_matchlab.graph_core import (Graph, GnpParams, gen_gnp, philox_rng,
                                    vset, vset_of)
 
 from conftest import complete_graph, path_graph
+from test_decomposition import random_decomposition
 from oracles import (canonical_edges_by_unique, components_by_union_find,
                      degree_into, labels_from_components, pair_of_index)
 
@@ -154,7 +157,7 @@ class TestAdjacencyBuild:
     @given(st.integers(1, 50), st.sampled_from([0.1, 0.3, 0.7]),
            st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
     def test_degrees_into_either_side_of_half(self, n, p, seed, share):
-        # above n / 2 members the count runs over the complement
+        # past half the arcs the count runs over the complement
         g = gen_gnp(GnpParams(n, p, seed))
         order = philox_rng(seed).permutation(n)
         for size in {0, int(share * n), n // 2, n // 2 + 1, n}:
@@ -189,6 +192,107 @@ class TestAdjacencyBuild:
             0b0110, 0b0101, 0b1011, 0b0100]
         assert g.induced_adjacency(np.array([1, 3])) == [0b10, 0b01]
         assert g.induced_adjacency(np.array([], dtype=np.int64)) == []
+
+
+def set_shapes(n: int, rng) -> list[np.ndarray]:
+    """Boolean vertex sets of every shape the counts must handle: empty,
+    one vertex, half, all but one and all, the members drawn from ``rng``."""
+    order = rng.permutation(n)
+    shapes = []
+    for size in (0, 1, n // 2, n - 1, n):
+        inside = np.zeros(n, dtype=bool)
+        inside[order[:size]] = True
+        shapes.append(inside)
+    return shapes
+
+
+def counts_by_edge_list(g: Graph, inside: np.ndarray):
+    """(neighbours in the set for every vertex, edges inside the set,
+    edges meeting the set), one edge at a time off the edge list."""
+    into, within, meeting = [0] * g.n, 0, 0
+    for u, v in g.edge_list():
+        into[u] += bool(inside[v])
+        into[v] += bool(inside[u])
+        within += bool(inside[u] and inside[v])
+        meeting += bool(inside[u] or inside[v])
+    return into, within, meeting
+
+
+def in_block_by_edge_list(g: Graph, owner: np.ndarray,
+                          members: np.ndarray) -> list[int]:
+    want = [0] * g.n
+    chosen = set(members.tolist())
+    for u, v in g.edge_list():
+        if u in chosen and owner[u] == owner[v]:
+            want[u] += 1
+            want[v] += 1
+    return want
+
+
+class TestSetCounts:
+    """Every count over a vertex set against an edge-list oracle.  The
+    counts read the arcs of the cheaper side of the set from the incidence
+    index, or pass over the edge array when that side is too heavy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_vertex_sets(self, n, p, seed):
+        g = gen_gnp(GnpParams(n, p, seed))
+        for inside in set_shapes(n, philox_rng(seed)):
+            into, within, meeting = counts_by_edge_list(g, inside)
+            mask = vset_of(np.flatnonzero(inside), n)
+            assert g.degrees_into(inside).tolist() == into
+            assert g.edges_inside(inside) == within
+            assert type(g.edges_within(mask)) is int
+            assert g.edges_within(mask) == within
+            assert g.edges_meeting(mask) == meeting
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_decompositions(self, n, p, seed):
+        g = gen_gnp(GnpParams(n, p, seed))
+        rng = philox_rng(seed)
+        pi = random_decomposition(n, seed)
+        size = decomposition_size(g, pi)
+        assert type(size) is int
+        assert size == int(np.count_nonzero(_kept_edges(g, pi.owner)))
+        # whole blocks: none, one, a random half of them, and all
+        labels = rng.permutation(pi.d)
+        for chosen in (labels[:0], labels[:1], labels[:pi.d // 2], labels):
+            members = np.flatnonzero(np.isin(pi.owner, chosen))
+            assert _in_block_degrees(g, pi, members).tolist() == \
+                in_block_by_edge_list(g, pi.owner, members)
+
+    def test_both_paths_run(self, monkeypatch):
+        # on a graph of uniform density, one vertex is read on the index,
+        # and half the vertices on the edge array, whichever side is taken
+        paths = []
+        original = Graph._index_side
+
+        def recorded(self, inside, either_side=True):
+            side = original(self, inside, either_side)
+            paths.append("edges" if side is None else "index")
+            return side
+
+        monkeypatch.setattr(Graph, "_index_side", recorded)
+        g = gen_gnp(GnpParams(60, 0.3, 5))
+        pi = random_decomposition(60, 5)
+        for inside in set_shapes(60, philox_rng(5)):
+            into, within, _ = counts_by_edge_list(g, inside)
+            for count, want in ((g.degrees_into(inside).tolist(), into),
+                                (g.edges_inside(inside), within)):
+                assert count == want
+        seen = set(paths)
+        for members in (np.flatnonzero(pi.owner >= 0), np.array([], int),
+                        np.flatnonzero(pi.owner == 0)):
+            paths.clear()
+            assert _in_block_degrees(g, pi, members).tolist() == \
+                in_block_by_edge_list(g, pi.owner, members)
+            seen.add(("in_block", paths[0]))
+        assert seen == {"index", "edges", ("in_block", "index"),
+                        ("in_block", "edges")}
 
 
 class TestVsetOf:
@@ -294,6 +398,25 @@ class TestOneCountingPath:
                     defined = True
         assert readers == {"decomposition.py"}
         assert defined
+
+    # the incidence index and the cost rule that decides when it is read
+    INDEX_NAMES = {"_index", "_incidence", "_build_incidence", "_heads",
+                   "_index_side"}
+
+    def test_only_graph_core_reads_the_index(self):
+        # moves and decomposition count over vertex sets through Graph's
+        # methods, so neither can grow a second counting path on the index
+        src = Path(graph_core.__file__).parent
+        readers, edge_readers = set(), set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    if node.attr in self.INDEX_NAMES:
+                        readers.add(path.name)
+                    if node.attr in ("edge_array", "_edges"):
+                        edge_readers.add(path.name)
+        assert readers == {"graph_core.py"}
+        assert "moves.py" not in edge_readers
 
 
 class TestGnp:

@@ -711,6 +711,35 @@ class TestOncePerGraph:
         assert scc_roots == [[v for v in triangle if mate[v] != -1]]
         assert len(scc_roots[0]) == 2
 
+    def test_one_incidence_index(self, monkeypatch):
+        # the arc keys are sorted once per graph, whichever of the
+        # adjacency views and counts read the index, and in what order
+        builds = []
+        original = Graph._build_incidence
+        monkeypatch.setattr(Graph, "_build_incidence",
+                            lambda g: builds.append(g) or original(g))
+        g = gen_gnp(GnpParams(400, 0.05, 3))
+        g.adj_bits
+        g.adj_lists
+        g.support
+        g.degrees_into(np.arange(g.n) < 3)
+        assert len(builds) == 1
+        h = gen_gnp(GnpParams(400, 0.05, 4))
+        h.adj_lists
+        h.adj_bits
+        assert builds == [g, h]
+        for arr in g._incidence():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_rows_share_one_int_per_vertex(self):
+        # every row naming a vertex holds the one int of ``support``
+        g = gen_gnp(GnpParams(2000, 0.01, 8))
+        ids = {id(v) for v in g.support}
+        assert {id(w) for row in g.adj_lists for w in row} == ids
+        assert len(ids) == len(g.support)
+
     def test_isolated_vertices_share_one_row(self):
         g = mixed_graph([TREE5, TRIANGLE, C4], 6, 3)
         rows = g.adj_lists
