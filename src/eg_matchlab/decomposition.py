@@ -54,8 +54,9 @@ class Decomposition:
     is -1 for v in S and i for v in the i-th block in canonical order (size
     descending, then smallest vertex), so owner[v] = 0 means v is in A_1.
     ``block_sizes[i]`` is the size of block i.  The constructor takes any
-    integer labels (-1 for S, any nonnegative id per block) and relabels
-    them canonically, so equal partitions have equal ``owner`` arrays.
+    integer labels (-1 for S, a nonnegative id below 2^63 / n per block)
+    and relabels them canonically, so equal partitions have equal
+    ``owner`` arrays.
     Instances are immutable; ``s_set`` and ``blocks`` are bitmask views,
     built on each read.
 

@@ -14,9 +14,12 @@ Counts over a vertex set (``degrees_into``, ``edges_inside`` and through
 it ``edges_within`` / ``edges_meeting``, ``label_degrees``) follow one cost
 rule, ``Graph._index_side``: they read the arcs of the side, the set or
 its complement, with fewer arcs, gathered from the incidence index, a CSR
-of sorted neighbour ids built once per graph and read-only; when even that
-side holds more than m / 2 arcs, one pass over the edge array costs less
-and is taken instead.  Sorted neighbour lists serve the traversals and the
+of sorted neighbour ids built once per graph and read-only.  Edges inside
+a set and in-label degrees, which compare both ends of each arc, pass over
+the edge array instead when even that side holds more than m / 2 arcs;
+degrees into a set read the index at any size, since that side never
+holds more than m arcs and a bincount of them costs less than the edge
+pass's two.  Sorted neighbour lists serve the traversals and the
 matching code; bitmask adjacency rows, built only for n <=
 BITSET_ADJ_LIMIT, serve the exact decomposition search alone.  Both come
 lazily from the incidence index.  The neighbour lists pay for the edges and
@@ -273,19 +276,21 @@ class Graph:
 
     # -- counting primitives --------------------------------------------------
 
-    def _index_side(self, inside: np.ndarray, either_side: bool = True):
+    def _index_side(self, inside: np.ndarray, either_side: bool = True,
+                    limit: float = 0.5):
         """The cost rule of every count over a vertex set.  Of the set that
         the boolean array ``inside`` marks and (with ``either_side``) its
         complement, the side with fewer arcs is read; it is returned as
         (members, flipped), flipped when it is the complement, if gathering
         its arcs from the incidence index costs less than one pass over
-        the edge array, that is when they number at most m / 2.  None
-        sends the count to the edge array."""
+        the edge array, that is when they number at most ``limit`` * m.
+        None sends the count to the edge array; with ``either_side`` and
+        ``limit`` 1 it never does."""
         arcs = int(self.degrees[inside].sum())
         flipped = either_side and arcs > self.m
         if flipped:
             arcs = 2 * self.m - arcs
-        if 2 * arcs > self.m:
+        if arcs > limit * self.m:
             return None
         return np.flatnonzero(inside != flipped), flipped
 
@@ -332,14 +337,10 @@ class Graph:
 
     def degrees_into(self, inside: np.ndarray) -> np.ndarray:
         """Number of neighbours inside a vertex set, for every vertex at once;
-        ``inside`` is a boolean array of length n.  Read on the complement,
+        ``inside`` is a boolean array of length n.  It is read on the side
+        with fewer arcs, always from the incidence index: on the complement
         it is the degree less the neighbours in the complement."""
-        side = self._index_side(inside)
-        if side is None:
-            u, v = self._edges[:, 0], self._edges[:, 1]
-            return (np.bincount(u[inside[v]], minlength=self.n)
-                    + np.bincount(v[inside[u]], minlength=self.n))
-        members, flipped = side
+        members, flipped = self._index_side(inside, limit=1)
         count = np.bincount(self._heads(members), minlength=self.n)
         return self.degrees - count if flipped else count
 

@@ -17,13 +17,13 @@ builds the new decomposition and its report, and sizes only the new
 decomposition: the caller already holds the old size.  The degree
 statistics the moves rank by come from the graph's counts over a vertex
 set, which read the arcs of the set or of its complement, whichever has
-fewer, off the graph's incidence index, and pass over the edge array only
-when even that side holds more than half the edges' worth of arcs.
-Degrees into a vertex set (A_1 for cases 5-7, the blocks for case 2) come
-from ``Graph.degrees_into``.  In-block degrees come from
+fewer, off the graph's incidence index.  Degrees into a vertex set (A_1
+for cases 5-7, the blocks for case 2) come from ``Graph.degrees_into``,
+always on the index.  In-block degrees come from
 ``Graph.label_degrees``, only for the blocks a move ranks (the excess
 blocks for cases 1 and 4, the blocks of size >= 3 for case 2), from the
-arcs leaving their members.
+arcs leaving their members, or from one pass over the edge array when
+those arcs number more than m / 2.
 """
 
 from __future__ import annotations

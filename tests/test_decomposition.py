@@ -204,6 +204,18 @@ class TestMalformedInput:
         with pytest.raises(InputError):
             Decomposition(4, owner)
 
+    def test_block_ids_below_key_bound(self):
+        # the canonical sort keys a member by id * n + vertex in int64, so
+        # ids must lie below 2^63 / n; the largest such id still works
+        top = (1 << 63) // 3 - 1
+        pi = Decomposition(3, np.array([top, top, top], dtype=np.int64))
+        assert pi.owner.tolist() == [0, 0, 0]
+        for owner in (np.array([top + 1] * 3, dtype=np.int64),
+                      np.array([2 ** 62] * 3, dtype=np.int64),
+                      np.array([2 ** 64 - 1] * 3, dtype=np.uint64)):
+            with pytest.raises(InputError):
+                Decomposition(3, owner)
+
 
 class TestEdgeSet:
     def test_k4_triangle_block(self, k4):

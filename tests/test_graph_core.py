@@ -267,24 +267,27 @@ class TestSetCounts:
 
     def test_both_paths_run(self, monkeypatch):
         # on a graph of uniform density, one vertex is read on the index,
-        # and half the vertices on the edge array, whichever side is taken
+        # and half the vertices on the edge array, whichever side is taken;
+        # degrees into a set are read on the index at every size
         paths = []
         original = Graph._index_side
 
-        def recorded(self, inside, either_side=True):
-            side = original(self, inside, either_side)
+        def recorded(self, inside, either_side=True, limit=0.5):
+            side = original(self, inside, either_side, limit)
             paths.append("edges" if side is None else "index")
             return side
 
         monkeypatch.setattr(Graph, "_index_side", recorded)
         g = gen_gnp(GnpParams(60, 0.3, 5))
         pi = random_decomposition(60, 5)
+        seen = set()
         for inside in set_shapes(60, philox_rng(5)):
             into, within, _ = counts_by_edge_list(g, inside)
-            for count, want in ((g.degrees_into(inside).tolist(), into),
-                                (g.edges_inside(inside), within)):
-                assert count == want
-        seen = set(paths)
+            paths.clear()
+            assert g.degrees_into(inside).tolist() == into
+            assert paths == ["index"]
+            assert g.edges_inside(inside) == within
+            seen.update(paths[1:])
         for members in (np.flatnonzero(pi.owner >= 0), np.array([], int),
                         np.flatnonzero(pi.owner == 0)):
             paths.clear()
