@@ -4,15 +4,19 @@ domination oracle, finite-n union-bound budgets for the density events, the
 extremal size formula, and the isolated-3-path moment formulas.
 
 All sums that can span hundreds of orders of magnitude are evaluated in log
-space over one cached log C(n,·) row: every term is computed, and only those
-within e^-40 of the largest are summed.  The sums are taken in numpy by
-``_logsumexp``, which repeats scipy's log-sum-exp formula step for step;
-scipy supplies only the log-gamma function.
+space, and only over the terms within e^-40 of the largest.  A sum over an
+index range is split into blocks of ``_BLOCK`` indices, every block is
+bounded at once, and log C(n, k) is computed only in the blocks whose bound
+can reach the cutoff (``_reach_sums``); no budget builds a length-n row.
+The kept terms are summed in numpy by ``_logsumexp``, which repeats scipy's
+log-sum-exp formula step for step; scipy supplies only the log-gamma
+function.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -159,7 +163,7 @@ def binom_tail_exact(m: int, q: float, t: float, side: str) -> float:
     return float(min(1.0, math.exp(_logsumexp(logpmf))))
 
 
-def _logsumexp(a) -> float:
+def _logsumexp(a, top=None) -> float:
     """log sum exp over all entries of ``a``: scipy.special.logsumexp's
     formula (scipy 1.17) step for step, so bitwise equal to it, without its
     fixed cost of about 0.15 ms a call.  With M the largest entry and m the
@@ -167,52 +171,197 @@ def _logsumexp(a) -> float:
     log1p(s/m) + log(m) + M.  The entries at M are zeroed in place rather
     than dropped, so the pairwise summation groups the terms as scipy's
     does.  When M is not finite the value is log(sum(exp(a))), as in scipy;
-    empty input gives -inf."""
+    empty input gives -inf.  ``top``, when given, is M."""
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         return -math.inf
-    top = a.max()
-    if not np.isfinite(top):
+    if top is None:
+        top = a.max()
+    if not math.isfinite(top):
         with np.errstate(over="ignore", divide="ignore"):
             return float(np.log(np.exp(a).sum()))
     at_top = a == top
-    m = np.float64(np.count_nonzero(at_top))
+    m = np.count_nonzero(at_top)
     shifted = np.exp(a - top)
     shifted[at_top] = 0.0
     s = shifted.sum()
+    if m == 1:                  # s / 1 == s, and log(1) adds +0.0
+        return float(np.log1p(s) + top)
+    m = np.float64(m)
     if s != 0:
         s = s / m
     return float(np.log1p(s) + np.log(m) + top)
 
 
 def _log_comb(n, k):
-    n_arr = np.asarray(n, dtype=np.float64)
-    k_arr = np.asarray(k, dtype=np.float64)
-    return gammaln(n_arr + 1) - gammaln(k_arr + 1) - gammaln(n_arr - k_arr + 1)
-
-
-@functools.lru_cache(maxsize=1)
-def _log_comb_row(n):
-    """log C(n, k) for k = 0..n, read-only, from one log-gamma call: the same
-    operations in the same order as _log_comb(n, k), so bitwise equal.  Only
-    the last n is kept, so the budget tags of one n share one row."""
-    g = gammaln(np.arange(n + 1, dtype=np.float64) + 1)
-    row = (g[n] - g) - g[::-1]
-    row.flags.writeable = False
-    return row
+    """log C(n, k) = (ln n! - ln k!) - ln (n-k)! for integer n and integer
+    k (a scalar or an array), so n + 1 - k is exact in float64."""
+    k = np.asarray(k, dtype=np.float64)
+    return gammaln(n + 1.0) - gammaln(k + 1) - gammaln(n + 1.0 - k)
 
 
 _MARGIN = 40.0            # terms dropped this far (plus ln #terms) below the
                           # largest add under e^-40 of the sum, which moves
                           # its log by less than 4.3e-18
+_BLOCK = 256              # indices per block of a within-reach sum
+_LAYER_BATCH = 32         # layers of one budget evaluated in one 2-D pass
 
 
-def _log_sum(terms):
-    """log sum exp(terms), summing only the terms within float64 reach: every
-    term is at most the largest M, so those below M - 40 - ln(#terms) add
+def _cutoff(top, count):
+    """The smallest term kept of ``count`` terms whose largest is ``top``:
+    every term is at most top, so those below top - 40 - ln(count) add
     under e^-40 of the sum together."""
-    cutoff = terms.max() - _MARGIN - math.log(terms.size)
-    return _logsumexp(terms[terms >= cutoff])
+    return top - _MARGIN - math.log(count)
+
+
+def _log_sum(values, count, top):
+    """log sum exp of ``count`` terms, given ``values``: terms that include
+    the largest, ``top``, and every term at or above the cutoff, in index
+    order.  Only those at or above it reach ``_logsumexp``: the same terms,
+    in the same order, as a cutoff over all ``count`` terms keeps."""
+    return _logsumexp(values[values >= _cutoff(top, count)], top)
+
+
+def _lc_slack(n):
+    """2^-40 of ln n! + 1: over 100 times the rounding error of a computed
+    log C(n, k), whose three log-gammas are good to a few ulps of ln n! and
+    whose two subtractions add one each."""
+    return 2.0 ** -40 * (math.lgamma(n + 1.0) + 1.0)
+
+
+def _lc_top(n, k0, k1):
+    """Upper bounds on the computed log C(n, k) over each block k0..k1.
+    log C(n, .) rises up to n/2 and falls after it, so its largest value on
+    a block is at the block's index nearest n/2; the slack covers rounding."""
+    return _log_comb(n, np.minimum(np.maximum(n // 2, k0), k1)) + _lc_slack(n)
+
+
+class _LogCombBlocks:
+    """log C(n, k) for origin <= k <= n, in blocks of _BLOCK indices from
+    origin, each computed on its first read and then kept, and an upper
+    bound on each block.  The sums of one budget over ranges that start at
+    origin share one, so that each block is computed once per budget."""
+
+    def __init__(self, n, origin):
+        self.n = n
+        self.origin = origin
+        self._blocks = {}
+        self._starts = self._tops = np.empty(0)
+
+    def read(self, js, hi):
+        """(float indices, log C(n, k)) over the blocks ``js``, ascending, up
+        to k = hi.  The blocks not read before are computed in one call."""
+        blocks = self._blocks
+        new = [j for j in js if j not in blocks]
+        if new:
+            starts = self.origin + _BLOCK * np.array(new, dtype=np.float64)
+            ks = (starts[:, None] + np.arange(_BLOCK, dtype=np.float64)).ravel()
+            ks = ks[ks <= self.n]
+            lc = _log_comb(self.n, ks)
+            for i, j in enumerate(new):
+                part = slice(i * _BLOCK, (i + 1) * _BLOCK)
+                blocks[j] = ks[part], lc[part]
+        if len(js) == 1:
+            ks, lc = blocks[js[0]]
+        else:
+            ks, lc = (np.concatenate(part)
+                      for part in zip(*(blocks[j] for j in js)))
+        cut = lc.size - max(int(ks[-1]) - hi, 0)
+        return ks[:cut], lc[:cut]
+
+    def tops(self, count):
+        """The first indices of the first ``count`` blocks, and upper bounds
+        on log C(n, k) over each of them whole, so over any part of it."""
+        have = self._tops.size
+        if count > have:
+            k0 = self.origin + _BLOCK * np.arange(have, count,
+                                                  dtype=np.float64)
+            k1 = np.minimum(k0 + (_BLOCK - 1), self.n)
+            self._starts = np.concatenate([self._starts, k0])
+            self._tops = np.concatenate([self._tops, _lc_top(self.n, k0, k1)])
+        return self._starts[:count], self._tops[:count]
+
+
+def _reach_values(lcs, his, values, bound, cut):
+    """Rows of values over lcs.origin <= k <= hi, one row per hi in the
+    array ``his``, at the k of every block that some row needs: (ks, vals),
+    with vals[i] = -inf past his[i].  ``values(ks, lc)`` computes the rows
+    at a float index array from its log C values; ``bound(k0, tops, col)``
+    bounds each row's values from above on each block from k0, given
+    ``tops``, bounds on log C over the blocks, and ``col``, his as a column;
+    ``cut(tops)`` gives each row's threshold from its largest values and
+    never falls.  A row needs the blocks that can hold a value at or above
+    cut(its largest value).
+
+    Ranges of at most four blocks are computed whole: bounding them costs
+    more than computing them.  Otherwise each row's block of largest bound
+    is computed first, for every row.  A row's largest value L there is at
+    most its largest value M, so a block whose bound is below cut(L) holds
+    none at or above cut(M).  Then the blocks that any row needs are
+    computed for all rows; each row's largest value is among them."""
+    rows = his.size
+    col = his[:, None]
+    hi = int(his.max())
+
+    def rows_of(ks, lc):            # a single row reaches hi: no mask
+        vals = values(ks, lc).reshape(rows, -1)
+        return vals if rows == 1 else np.where(ks > col, -math.inf, vals)
+
+    count = (hi - lcs.origin) // _BLOCK + 1
+    if count <= 4:
+        ks, lc = lcs.read(range(count), hi)
+        return ks, rows_of(ks, lc)
+    k0, tops = lcs.tops(count)
+    ub = bound(k0, tops, col).reshape(rows, -1)
+    if rows > 1:
+        ub = np.where(k0 > col, -math.inf, ub)
+    js = sorted(set(ub.argmax(axis=1).tolist()))
+    ks, lc = lcs.read(js, hi)
+    vals = rows_of(ks, lc)
+    need = (ub >= cut(vals.max(axis=1))[:, None]).any(axis=0)
+    need = np.flatnonzero(need).tolist()
+    if need != js:
+        ks, lc = lcs.read(need, hi)
+        vals = rows_of(ks, lc)
+    return ks, vals
+
+
+def _reach_sums(lcs, his, terms, rises):
+    """Yields, for each hi in ``his``, the log sum of terms(log C(n, k), k)
+    over lcs.origin <= k <= hi: bit for bit what computing every term and
+    keeping those at or above ``_cutoff`` gives, with log C computed only
+    in the blocks that can reach a cutoff.
+
+    ``terms(lc, ks)`` gives the terms at a float index array from their
+    log C values, one row per hi.  Its exponent must rise in k when
+    ``rises`` and fall otherwise, built from operations monotone in each
+    operand, so that rounding keeps that order.  Then on a block the
+    exponent is least at its first (last) index, and terms(bound on log C,
+    that index) bounds every term of the block."""
+    his = np.asarray(his, dtype=np.float64)
+    counts = (his - lcs.origin + 1).tolist()
+
+    def bound(k0, tops, col):
+        return terms(tops, k0 if rises else np.minimum(k0 + (_BLOCK - 1), col))
+
+    def cut(tops):
+        return np.array([_cutoff(t, m) for t, m in zip(tops.tolist(), counts)])
+
+    _, vals = _reach_values(lcs, his, lambda ks, lc: terms(lc, ks), bound, cut)
+    for row, m, top in zip(vals, counts, vals.max(axis=1)):
+        yield _log_sum(row, m, top)
+
+
+def _reach_sum(lcs, hi, terms, rises):
+    """``_reach_sums`` for one range."""
+    return next(_reach_sums(lcs, [hi], terms, rises))
+
+
+def _batches(items):
+    """Lists of up to _LAYER_BATCH consecutive items."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, _LAYER_BATCH)):
+        yield batch
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +426,19 @@ def _budget_p24a(n, p, eps):
     w0 = math.floor(eps * n) + 1
     if w0 > n:
         return -math.inf, {"empty_range": True}
-    ws = np.arange(w0, n + 1, dtype=np.float64)
-    terms = (_log_comb_row(n)[w0:]
-             - (eps * eps / 2.0) * (ws * (ws - 1) / 2.0) * p)
     note = {"w_min": w0,
             "exponent": "eps^2/2 * C(w,2) * p (summation form; the pointwise "
                         "statement uses eps^2/3)"}
-    return _log_sum(terms), note
+    return _reach_sum(_LogCombBlocks(n, w0), n, lambda lc, ws: (
+        lc - (eps * eps / 2.0) * (ws * (ws - 1) / 2.0) * p), True), note
 
 
 def _budget_p24b(n, p, eps):
     w0 = math.floor(math.log(n) / (150.0 * p)) + 1
     if w0 > n:
         return -math.inf, {"empty_range": True}
-    ws = np.arange(w0, n + 1, dtype=np.float64)
-    terms = _log_comb_row(n)[w0:] - 700.0 * ws * (ws - 1) * p
-    return _log_sum(terms), {"w_min": w0}
+    return _reach_sum(_LogCombBlocks(n, w0), n, lambda lc, ws: (
+        lc - 700.0 * ws * (ws - 1) * p), True), {"w_min": w0}
 
 
 def _budget_p25(n, p, eps):
@@ -301,9 +447,8 @@ def _budget_p25(n, p, eps):
     if lo > hi:
         return -math.inf, {"empty_range": True, "w_lo": lo, "w_hi": hi}
     top = min(hi, n)                       # C(n, w) = 0 for w > n
-    ws = np.arange(lo, top + 1, dtype=np.float64)
-    terms = _log_comb_row(n)[lo:top + 1] - 1.5 * ws * math.log(n)
-    return _log_sum(terms), {"w_lo": lo, "w_hi": hi}
+    return _reach_sum(_LogCombBlocks(n, lo), top, lambda lc, ws: (
+        lc - 1.5 * ws * math.log(n)), True), {"w_lo": lo, "w_hi": hi}
 
 
 def _budget_p26(n, p, eps):
@@ -311,40 +456,88 @@ def _budget_p26(n, p, eps):
     least geometrically once the binomial growth rate is beaten, which
     bounds the truncated tail.  Before that, at sparse p, a layer is skipped
     when a bound on it lies 40 + ln(#layers) nats below a term of the sum:
-    the skipped layers add under e^-40 of it, as in _log_sum."""
+    the skipped layers add under e^-40 of it, as in _log_sum.
+
+    Layer z sums log C(n,z) + log C(n,y) - c z y.  Its terms at y_min and
+    at y_top(z), the index of its y-range nearest n/2, are terms of the sum;
+    the largest of them over all layers is found block by block in z.  The
+    bound on layer z is log C(n,z) + log C(n,y_top(z)) - c z y_min + ln #y,
+    as log C(n,y_top(z)) is the largest log C(n,y) of its y-range.  Bounds
+    are taken per block of z, in z order up to the stop; within a block that
+    can reach the cutoff, each layer's bound is computed, and where the
+    slack on log C(n,y_top(z)) could decide it, its y-range is read whole."""
     y_min = math.floor(eps * n) + 1
     z_min = math.floor(n / math.sqrt(math.log(n))) + 1
     if y_min + z_min > n:
         return -math.inf, {"empty_range": True}
     c = eps * eps * p / 3.0
-    row = _log_comb_row(n)
-    ys = np.arange(y_min, n - z_min + 1, dtype=np.float64)
-    zs = np.arange(z_min, n - y_min + 1)
-    # layer z: row[z] + row[y] - c z y over y_min <= y <= n - z.  Its terms
-    # at y_min and at y_peak, where row[y] peaks (row peaks at n/2), are
-    # terms of the sum; its largest row[y] is a prefix maximum.
-    y_peak = np.clip(n // 2, y_min, n - zs)
-    lower = max(float(np.max(row[zs] + row[y_min] - c * zs * y_min)),
-                float(np.max(row[zs] + row[y_peak] - c * zs * y_peak)))
-    row_y_max = np.maximum.accumulate(row[y_min:n - z_min + 1])[n - zs - y_min]
-    upper = (row[zs] + row_y_max - c * zs * y_min
-             + np.log(n - zs - y_min + 1.0))
-    kept = zs[upper >= lower - _MARGIN - math.log(zs.size)]
+    z_max = n - y_min
+    z_lcs = _LogCombBlocks(n, z_min)
+    y_lcs = _LogCombBlocks(n, y_min)
+    lc_y_min = _log_comb(n, y_min)
+    y_peak = max(n // 2, y_min)
+    slack = _lc_slack(n)
+
+    def y_top(zs):
+        return np.minimum(y_peak, n - zs)
+
+    def heads(zs, lc_z):
+        ys = y_top(zs)
+        return np.maximum(lc_z + lc_y_min - c * zs * y_min,
+                          lc_z + _log_comb(n, ys) - c * zs * ys)
+
+    def heads_bound(z0, tops, col):
+        # y_top falls in z: on a block it lies in y_top(z1)..y_top(z0)
+        z1 = np.minimum(z0 + (_BLOCK - 1), col)
+        return np.maximum(tops + lc_y_min - c * z0 * y_min,
+                          tops + _lc_top(n, y_top(z1), y_top(z0))
+                          - c * z0 * y_top(z1))
+
+    def layer_bound(lc_z, lc_y, zs):
+        return lc_z + lc_y - c * zs * y_min + np.log(n - zs - y_min + 1.0)
+
+    _, heads_max = _reach_values(z_lcs, np.array([z_max]), heads, heads_bound,
+                                 lambda tops: tops)
+    cutoff = _cutoff(float(heads_max.max()), z_max - z_min + 1)
+
+    def kept():
+        """The layers the bound keeps, as (z, log C(n,z)) pairs in z order,
+        read per block of z."""
+        z0, tops = z_lcs.tops((z_max - z_min) // _BLOCK + 1)
+        ub = layer_bound(tops, _lc_top(n, y_min, n - z0), z0)
+        for j in np.flatnonzero(ub >= cutoff).tolist():
+            zs, lc_z = z_lcs.read((j,), z_max)
+            lc_y = _log_comb(n, y_top(zs))
+            keep = layer_bound(lc_z, lc_y, zs) >= cutoff
+            unsure = ~keep & (layer_bound(lc_z, lc_y + slack, zs) >= cutoff)
+            for i in np.flatnonzero(unsure).tolist():
+                ys = np.arange(y_min, n - zs[i] + 1)
+                lc_y[i] = _log_comb(n, ys).max()
+                keep[i] = layer_bound(lc_z[i:i + 1], lc_y[i:i + 1],
+                                      zs[i:i + 1])[0] >= cutoff
+            yield from zip(zs[keep].tolist(), lc_z[keep])
+
+    def layer_values():
+        for batch in _batches(kept()):
+            zs, lc_z = (np.array(x)[:, None] for x in zip(*batch))
+            cz = c * zs
+            yield from zip(zs[:, 0].tolist(), _reach_sums(
+                y_lcs, n - zs[:, 0], lambda lc, ys: lc + lc_z - cz * ys, True))
+
     gmax = math.log((n - z_min) / (z_min + 1.0))
     ratio_log = gmax - c * y_min
     total = -math.inf
     notes = {"y_min": y_min, "z_min": z_min}
-    z_last = n - y_min
-    for summed, z in enumerate(kept.tolist(), 1):
-        layer = _log_sum(row[y_min:n - z + 1] + row[z]
-                         - c * z * ys[:n - z - y_min + 1])
+    z_last = z_max
+    summed = 0
+    for summed, (z, layer) in enumerate(layer_values(), 1):
         total = np.logaddexp(total, layer)
         if ratio_log < 0:
             tail = layer + ratio_log - math.log1p(-math.exp(ratio_log))
             if tail < total - 46.0:
-                notes["z_stop"] = z
+                z_last = int(z)
+                notes["z_stop"] = z_last
                 notes["tail_log_bound"] = tail
-                z_last = z
                 break
     # layers up to the stop that the bound left out of the sum
     notes["z_skipped"] = z_last - z_min + 1 - summed
@@ -375,9 +568,9 @@ def _sum_falling_layers(n, layers):
 def _budget_p27a(n, p, eps):
     b0 = math.floor(math.sqrt(math.log(n))) + 1
     a_stmt = math.floor(33 * n / 50) + 1          # a > 33n/50
-    row = _log_comb_row(n)
+    lcs = _LogCombBlocks(n, 0)
 
-    def layers():
+    def rows():
         for b in range(b0, n):
             a_min = max(a_stmt, b + 1)             # b < a
             c_hi = min(b + 1, n - b - a_min)       # c - 1 <= b
@@ -385,10 +578,17 @@ def _budget_p27a(n, p, eps):
                 if n - b - a_min < 0 and b > n - a_stmt:
                     return
                 continue
-            cs = np.arange(0, c_hi + 1, dtype=np.float64)
-            a_vals = n - b - cs
-            yield b, _log_sum(row[b] + row[:c_hi + 1]
-                              - (0.81 / 2.0) * a_vals * b * p)
+            yield b, c_hi
+
+    def layers():
+        for batch in _batches(rows()):
+            bs, c_his = (np.array(x, dtype=np.float64) for x in zip(*batch))
+            b = bs[:, None]
+            lc_b = _log_comb(n, b)
+            # the exponent falls in c, as a = n - b - c does
+            yield from zip((row[0] for row in batch), _reach_sums(
+                lcs, c_his, lambda lc, cs: (
+                    lc_b + lc - (0.81 / 2.0) * (n - b - cs) * b * p), False))
 
     total, stop = _sum_falling_layers(n, layers())
     return total, {"b_min": b0, **stop}
@@ -398,25 +598,32 @@ def _budget_p27b(n, p, eps):
     lo = math.ceil(n / math.sqrt(math.log(n)))     # b, c >= n / sqrt(ln n)
     if 2 * lo > n:
         return -math.inf, {"empty_range": True, "bc_min": lo}
-    row = _log_comb_row(n)
+    lcs = _LogCombBlocks(n, lo)
 
-    def layers():
+    def rows():
         for b in range(lo, n):
             c_hi = min(b + 1, n - b)               # a = n - b - c >= 0
             if c_hi < lo:
                 return
-            cs = np.arange(lo, c_hi + 1, dtype=np.float64)
-            yield b, _log_sum(row[b] + row[lo:c_hi + 1] - 1.2 * b * cs * p)
+            yield b, c_hi
+
+    def layers():
+        for batch in _batches(rows()):
+            bs, c_his = (np.array(x, dtype=np.float64) for x in zip(*batch))
+            b = bs[:, None]
+            lc_b = _log_comb(n, b)
+            yield from zip((row[0] for row in batch), _reach_sums(
+                lcs, c_his, lambda lc, cs: lc_b + lc - 1.2 * b * cs * p, True))
 
     total, stop = _sum_falling_layers(n, layers())
     return total, {"bc_min": lo, **stop}
 
 
 def _budget_cut(n, p, eps):
-    cs = np.arange(1, n // 2 + 1, dtype=np.float64)
-    terms = _log_comb_row(n)[1:n // 2 + 1] - cs * (n - cs) * p
-    return _log_sum(terms), {"c_max": n // 2,
-                             "form": "C(n,c) exp(-|B||C| p)"}
+    # c (n - c) rises up to n/2, and c, n - c are exact: rounding keeps it
+    return _reach_sum(_LogCombBlocks(n, 1), n // 2, lambda lc, cs: (
+        lc - cs * (n - cs) * p), True), {"c_max": n // 2,
+                                         "form": "C(n,c) exp(-|B||C| p)"}
 
 
 _C7_WINDOW = 256          # parity steps kept around the dominant end
@@ -501,7 +708,9 @@ def _budget_case7(n, p, eps, *, big):
              "s_window": _C7_WINDOW,
              "events": ("0.9abp/0.9asp" if big else "0.1abp/0.1asp")}
 
-    table = _log_comb_row(n)
+    # log C(n, k) up to the largest index read: b_hi, or s_hi <= b + 1
+    table = _log_comb(n, np.arange(max(bs_all[-1], s_hi.max()) + 1,
+                                   dtype=np.float64))
     s_lo_all = np.where((s_hi & 1) == 1, 1, 2)
     head1 = _c7_event1(table, n, p, k1, bs_all, s_hi)
     head2 = table[s_lo_all] - _c7_event2_exponent(n, p, big, bs_all, s_lo_all)

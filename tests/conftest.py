@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 from pathlib import Path
@@ -8,6 +9,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from eg_matchlab.graph_core import Graph, GnpParams, gen_gnp
+
+# union_budget log-values and notes, and `budget` CLI stdout, recorded with
+# the cached-row evaluation that the within-reach evaluator replaced
+BUDGET_PINS = json.loads(
+    (Path(__file__).parent / "budget_pins.json").read_text())
 
 
 def complete_graph(n: int) -> Graph:

@@ -507,6 +507,14 @@ def _log_comb(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
+def log_comb_row(n):
+    """log C(n, k) for k = 0..n from one log-gamma call over 1..n+1, each
+    entry (ln n! - ln k!) - ln (n-k)!: the row the budgets read before they
+    computed log C(n, k) only at the indices they read."""
+    g = gammaln(np.arange(n + 1, dtype=np.float64) + 1)
+    return (g[n] - g) - g[::-1]
+
+
 def _sum_falling_layers(n, layers):
     total = -math.inf
     peak = -math.inf
@@ -523,12 +531,24 @@ def _sum_falling_layers(n, layers):
     return float(total)
 
 
-def full_budget(tag: str, n: int, p: float, eps: float) -> float:
+def _sum_terms(terms, within_reach):
+    """logsumexp of every term; within reach, of the terms at or above the
+    largest minus 40 + ln(#terms) only, as the library keeps them."""
+    if within_reach:
+        terms = terms[terms >= terms.max() - 40.0 - math.log(terms.size)]
+    return float(logsumexp(terms))
+
+
+def full_budget(tag: str, n: int, p: float, eps: float,
+                within_reach: bool = False) -> float:
     """The log-value of budget ``tag`` with log C(n, k) computed per call and
-    every term summed: one logsumexp over the whole range (per layer for
+    every term computed: one logsumexp over the whole range (per layer for
     P26, P27a and P27b, which keep their early stops).  Tags P24a, P24b,
     P25, P26, P27a, P27b and CUT; P25's range is cut at w = n, past which
-    C(n, w) = 0 and every term is -inf."""
+    C(n, w) = 0 and every term is -inf.  ``within_reach`` sums only the
+    terms within e^-40 of the largest of each logsumexp; this can differ
+    from the sum of every term in the last bits, as the pairwise summation
+    groups fewer terms."""
     if tag == "P24a":
         w0 = math.floor(eps * n) + 1
         ws = np.arange(w0, n + 1, dtype=np.float64)
@@ -546,17 +566,17 @@ def full_budget(tag: str, n: int, p: float, eps: float) -> float:
         cs = np.arange(1, n // 2 + 1, dtype=np.float64)
         terms = _log_comb(n, cs) - cs * (n - cs) * p
     elif tag == "P26":
-        return _full_p26(n, p, eps)
+        return _full_p26(n, p, eps, within_reach)
     elif tag == "P27a":
-        return _full_p27a(n, p)
+        return _full_p27a(n, p, within_reach)
     elif tag == "P27b":
-        return _full_p27b(n, p)
+        return _full_p27b(n, p, within_reach)
     else:
         raise ValueError(tag)
-    return float(logsumexp(terms)) if terms.size else -math.inf
+    return _sum_terms(terms, within_reach) if terms.size else -math.inf
 
 
-def _full_p26(n, p, eps):
+def _full_p26(n, p, eps, within_reach):
     y_min = math.floor(eps * n) + 1
     z_min = math.floor(n / math.sqrt(math.log(n))) + 1
     if y_min + z_min > n:
@@ -566,8 +586,9 @@ def _full_p26(n, p, eps):
     total = -math.inf
     for z in range(z_min, n - y_min + 1):
         ys = np.arange(y_min, n - z + 1, dtype=np.float64)
-        layer = float(logsumexp(
-            _log_comb(n, ys) + float(_log_comb(n, z)) - c * z * ys))
+        layer = _sum_terms(
+            _log_comb(n, ys) + float(_log_comb(n, z)) - c * z * ys,
+            within_reach)
         total = np.logaddexp(total, layer)
         if ratio_log < 0:
             tail = layer + ratio_log - math.log1p(-math.exp(ratio_log))
@@ -576,7 +597,7 @@ def _full_p26(n, p, eps):
     return float(total)
 
 
-def _full_p27a(n, p):
+def _full_p27a(n, p, within_reach):
     b0 = math.floor(math.sqrt(math.log(n))) + 1
     a_stmt = math.floor(33 * n / 50) + 1
 
@@ -589,14 +610,14 @@ def _full_p27a(n, p):
                     return
                 continue
             cs = np.arange(0, c_hi + 1, dtype=np.float64)
-            yield b, float(logsumexp(
+            yield b, _sum_terms(
                 float(_log_comb(n, b)) + _log_comb(n, cs)
-                - (0.81 / 2.0) * (n - b - cs) * b * p))
+                - (0.81 / 2.0) * (n - b - cs) * b * p, within_reach)
 
     return _sum_falling_layers(n, layers())
 
 
-def _full_p27b(n, p):
+def _full_p27b(n, p, within_reach):
     lo = math.ceil(n / math.sqrt(math.log(n)))
     if 2 * lo > n:
         return -math.inf
@@ -607,7 +628,8 @@ def _full_p27b(n, p):
             if c_hi < lo:
                 return
             cs = np.arange(lo, c_hi + 1, dtype=np.float64)
-            yield b, float(logsumexp(
-                float(_log_comb(n, b)) + _log_comb(n, cs) - 1.2 * b * cs * p))
+            yield b, _sum_terms(
+                float(_log_comb(n, b)) + _log_comb(n, cs) - 1.2 * b * cs * p,
+                within_reach)
 
     return _sum_falling_layers(n, layers())

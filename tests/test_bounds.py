@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from eg_matchlab import bounds
-from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, _log_comb,
-                                _log_comb_row, _logsumexp, binom_tail_exact,
+from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, _BLOCK, _LogCombBlocks,
+                                _cutoff, _lc_top, _log_comb, _logsumexp,
+                                _reach_sum, binom_tail_exact,
                                 chernoff_lower, chernoff_upper,
                                 eg_size_formula, large_deviation, p3_moments,
                                 phi, union_budget)
 from eg_matchlab.errors import InputError
 
+from conftest import BUDGET_PINS
 from oracles import (case7_rows, exact_case7, full_budget, full_window_case7,
-                     logsumexp)
+                     log_comb_row, logsumexp)
 
 
 def auto_p(n):
@@ -285,29 +288,38 @@ class TestUnionBudget:
 
 
 class TestLogCombRow:
+    """The budgets compute log C(n, k) only at the indices they read, with
+    ``_log_comb``; read anywhere, it equals entry for entry the row
+    log C(n, 0..n) that one log-gamma call over 1..n+1 gives."""
+
     @pytest.mark.parametrize("n", (2, 3, 1024, 2 ** 16))
     def test_bitwise_equal_to_log_comb(self, n):
-        row = _log_comb_row(n)
+        row = log_comb_row(n)
         assert row.tobytes() == _log_comb(n, np.arange(n + 1)).tobytes()
 
-    def test_read_only(self):
-        row = _log_comb_row(1024)
-        with pytest.raises(ValueError):
-            row[0] = 1.0
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 2 ** 18), st.data())
+    def test_per_index_bit_equal_to_row(self, n, data):
+        ks = data.draw(st.lists(st.one_of(st.integers(0, n),
+                                          st.sampled_from([0, n // 2, n])),
+                                min_size=1, max_size=30))
+        want = log_comb_row(n)[ks]
+        assert _log_comb(n, np.asarray(ks, dtype=np.float64)).tobytes() == (
+            want.tobytes())
+        for k, w in zip(ks, want):
+            assert same_float(_log_comb(n, k), w)
 
-    def test_one_row_held_after_ladder(self):
-        for e in (10, 12, 14):
-            for tag in BUDGET_TAGS:
-                union_budget(tag, 2 ** e, auto_p(2 ** e))
-        assert _log_comb_row.cache_info().currsize <= 1
-
-    def test_cache_hit_equals_cold_row(self):
-        n = 2 ** 12
-        for tag in BUDGET_TAGS:
-            _log_comb_row(n)
-            warm = union_budget(tag, n, auto_p(n)).log_value
-            _log_comb_row.cache_clear()
-            assert union_budget(tag, n, auto_p(n)).log_value == warm, tag
+    @pytest.mark.parametrize("n", (2, 3, 255, 256, 1023, 1024, 40001))
+    def test_block_tops_bound_the_row(self, n):
+        """_lc_top bounds the computed row on every block, on both sides
+        of the peak and across it; odd n has two equal peaks."""
+        row = log_comb_row(n)
+        for lo in (0, 1, n // 2 - 3, n // 2 + 1):
+            lo = max(lo, 0)
+            k0 = np.arange(lo, n + 1, _BLOCK, dtype=np.float64)
+            k1 = np.minimum(k0 + (_BLOCK - 1), n)
+            tops = [row[int(a):int(b) + 1].max() for a, b in zip(k0, k1)]
+            assert (_lc_top(n, k0, k1) >= tops).all()
 
 
 def slow_full_sum(tag, n, p, eps):
@@ -320,9 +332,9 @@ def slow_full_sum(tag, n, p, eps):
 
 
 class TestWithinReach:
-    """Every tag reads one cached log C(n,.) row and sums only the terms
-    within e^-40 of the largest; the oracle builds log C(n, k) per call and
-    sums every term."""
+    """Every tag computes log C(n, k) only in the blocks that can reach its
+    cutoff and sums only the terms within e^-40 of the largest; the oracle
+    computes every term and sums them all."""
 
     @pytest.mark.parametrize("e", range(10, 17))
     def test_bit_identical_to_full_sum(self, e):
@@ -350,6 +362,104 @@ class TestWithinReach:
         notes = union_budget("P26", n, 1.0 / n).notes
         assert "z_stop" not in notes
         assert notes["z_skipped"] > 0
+
+
+class TestReachEvaluator:
+    """``_reach_sum`` computes log C(n, k) only in the blocks whose bound
+    can reach the cutoff.  Forcing small blocks makes ranges of many blocks
+    at small n."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(2, 700), st.sampled_from(FULL_TAGS),
+           st.sampled_from(("1e-9", "1/n", "auto", "1")),
+           st.sampled_from(EPS_GRID), st.sampled_from((1, 3, 16, _BLOCK)))
+    def test_bit_identical_to_full_budget(self, n, tag, p_rule, eps, block):
+        """Odd n has two equal peaks of log C(n, .); n = 2..3 and eps = 0.9
+        give ranges of one element, and most ranges at _BLOCK are shorter
+        than one block.  Bit for bit, the value is the sum of the terms
+        within reach of every term computed.  That differs from the sum of
+        every term in the last bits at times (n = 276, P24a, p = 8 ln n/n,
+        eps = 0.1: 1 ulp), as the pairwise summation then groups fewer
+        terms; it stays within 1e-14 relative.  Where P26 skips layers it
+        leaves out whole summands, and is held to 1e-12 relative, as in
+        TestWithinReach."""
+        p = {"1e-9": 1e-9, "1/n": 1.0 / n, "auto": auto_p(n), "1": 1.0}[p_rule]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_BLOCK", block)
+            got = union_budget(tag, n, p, eps)
+        every = full_budget(tag, n, p, eps)
+        if not got.notes.get("z_skipped"):
+            assert same_float(got.log_value,
+                              full_budget(tag, n, p, eps, within_reach=True))
+        rel = 1e-12 if got.notes.get("z_skipped") else 1e-14
+        if math.isfinite(every):
+            assert abs(got.log_value - every) <= rel * max(1.0, abs(every))
+        else:
+            assert same_float(got.log_value, every)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3000), st.data(), st.sampled_from((1, 2, 5, 64)),
+           st.floats(0.0, 30.0), st.booleans())
+    def test_keeps_what_a_cutoff_over_every_term_keeps(self, n, data, block,
+                                                       slope, rises):
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+
+        def terms(lc, ks):
+            return lc - slope * (ks if rises else (hi - ks)) / n
+
+        ks = np.arange(lo, hi + 1, dtype=np.float64)
+        every = terms(_log_comb(n, ks), ks)
+        want = _logsumexp(every[every >= _cutoff(every.max(), every.size)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_BLOCK", block)
+            got = _reach_sum(_LogCombBlocks(n, lo), hi, terms, rises)
+        assert same_float(got, want)
+
+    @pytest.mark.parametrize("tag", ("P24a", "P24b", "P25", "CUT"))
+    def test_traced_peak_below_1mb_at_2_20(self, tag):
+        """A log C(n, .) row alone is 8 MB at n = 2^20."""
+        n = 2 ** 20
+        for p in (auto_p(n), 1.0 / n):
+            union_budget(tag, n, p)
+            tracemalloc.start()
+            try:
+                union_budget(tag, n, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (p, peak)
+
+    def test_p26_unsure_layers_read_whole(self):
+        """With the slack on log C(n, y_top(z)) made huge, every layer bound
+        is unsure and its y-range is read whole; the values do not move."""
+        n = 2 ** 11
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_lc_slack", lambda n: 1e6)
+            for p in (auto_p(n), 1.0 / n, 0.3):
+                for eps in EPS_GRID:
+                    res = union_budget("P26", n, p, eps)
+                    mp.undo()
+                    want = union_budget("P26", n, p, eps)
+                    mp.setattr(bounds, "_lc_slack", lambda n: 1e6)
+                    assert same_float(res.log_value, want.log_value)
+                    assert res.notes == want.notes
+
+
+class TestBudgetPins:
+    """Every tag at eps = 0.5 over n = 2^10..2^18 and p in {8 ln n/n, 0.3,
+    1/n}: log-value and notes equal, bit for bit, to the values pinned in
+    tests/budget_pins.json."""
+
+    @pytest.mark.parametrize("e", range(10, 19))
+    def test_bit_identical_to_pins(self, e):
+        n = 2 ** e
+        for label, p in (("auto", auto_p(n)), ("0.3", 0.3), ("1/n", 1.0 / n)):
+            for tag in BUDGET_TAGS:
+                res = union_budget(tag, n, p, 0.5)
+                got = [res.log_value.hex(), repr(res.notes)]
+                assert got == BUDGET_PINS["budgets"][f"{tag}|{e}|{label}"], (
+                    tag, label)
 
 
 class TestCase7:

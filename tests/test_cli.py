@@ -13,11 +13,12 @@ import pytest
 
 import eg_matchlab
 from eg_matchlab import cli
+from eg_matchlab.bounds import BUDGET_TAGS
 from eg_matchlab.cli import main
 from eg_matchlab.graph_core import BITSET_ADJ_LIMIT, Graph, GnpParams, gen_gnp
 from eg_matchlab.matching import matching_number
 
-from conftest import complete_graph, cycle
+from conftest import BUDGET_PINS, complete_graph, cycle
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -277,6 +278,14 @@ class TestBoundsCli:
             'eps^2/3)", "w_min": 8193}, "p": 0.004738310804609001, '
             '"tag": "P24a", "vacuous": false, '
             '"value_log10": -3702.312118299865}\n')
+
+    @pytest.mark.parametrize("tag", BUDGET_TAGS)
+    def test_budget_bytes_all_tags(self, capsys, tag):
+        code, out, _ = run(capsys, ["budget", "--tag", tag,
+                                    "--n", "16384", "--p", "auto",
+                                    "--eps", "0.5"])
+        assert code == 0
+        assert out == BUDGET_PINS["cli"][tag]
 
     @pytest.mark.parametrize("flag,value", [
         ("--m", "5"), ("--q", "0.5"), ("--lam", "1"), ("--K", "2"),
