@@ -7,7 +7,8 @@ All sums that can span hundreds of orders of magnitude are evaluated in log
 space, and only over the terms within e^-40 of the largest.  A sum over an
 index range is split into blocks of ``_BLOCK`` indices, every block is
 bounded at once, and log C(n, k) is computed only in the blocks whose bound
-can reach the cutoff (``_reach_sums``); no budget builds a length-n row.
+can reach the cutoff (``_reach_sums``; the final-case rows of C7a/C7b are
+bounded the same way by ``_c7_rows``); no budget builds a length-n row.
 The kept terms are summed in numpy by ``_logsumexp``, which repeats scipy's
 log-sum-exp formula step for step; scipy supplies only the log-gamma
 function.
@@ -182,7 +183,8 @@ def _logsumexp(a, top=None) -> float:
             return float(np.log(np.exp(a).sum()))
     at_top = a == top
     m = np.count_nonzero(at_top)
-    shifted = np.exp(a - top)
+    shifted = a - top
+    np.exp(shifted, out=shifted)
     shifted[at_top] = 0.0
     s = shifted.sum()
     if m == 1:                  # s / 1 == s, and log(1) adds +0.0
@@ -205,6 +207,8 @@ _MARGIN = 40.0            # terms dropped this far (plus ln #terms) below the
                           # its log by less than 4.3e-18
 _BLOCK = 256              # indices per block of a within-reach sum
 _LAYER_BATCH = 32         # layers of one budget evaluated in one 2-D pass
+_FIRST_BATCH = 8          # P27a/P27b's first batch: at dense p they stop
+                          # after four or five layers
 
 
 def _cutoff(top, count):
@@ -357,11 +361,15 @@ def _reach_sum(lcs, hi, terms, rises):
     return next(_reach_sums(lcs, [hi], terms, rises))
 
 
-def _batches(items):
-    """Lists of up to _LAYER_BATCH consecutive items."""
+def _batches(items, first=_LAYER_BATCH):
+    """Lists of consecutive items: up to ``first`` of them, then up to
+    _LAYER_BATCH at a time.  Each layer's value is the same in any batch,
+    as every layer keeps its terms by its own cutoff."""
     items = iter(items)
-    while batch := list(itertools.islice(items, _LAYER_BATCH)):
+    size = first
+    while batch := list(itertools.islice(items, size)):
         yield batch
+        size = _LAYER_BATCH
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +589,7 @@ def _budget_p27a(n, p, eps):
             yield b, c_hi
 
     def layers():
-        for batch in _batches(rows()):
+        for batch in _batches(rows(), _FIRST_BATCH):
             bs, c_his = (np.array(x, dtype=np.float64) for x in zip(*batch))
             b = bs[:, None]
             lc_b = _log_comb(n, b)
@@ -608,7 +616,7 @@ def _budget_p27b(n, p, eps):
             yield b, c_hi
 
     def layers():
-        for batch in _batches(rows()):
+        for batch in _batches(rows(), _FIRST_BATCH):
             bs, c_his = (np.array(x, dtype=np.float64) for x in zip(*batch))
             b = bs[:, None]
             lc_b = _log_comb(n, b)
@@ -631,12 +639,23 @@ _C7_WINDOW = 256          # parity steps kept around the dominant end
                           # 1 nat, so truncation error is below e^-250; at
                           # p <= 1/n event 2 rises in s instead and event 1
                           # dominates: tests check against the full sum)
+_C7_SPAN = 2 * (_C7_WINDOW - 1)   # a window's last s less its first
+_C7_K1 = {True: 0.1 * 0.1 / 2.0, False: 0.9 * 0.9 / 2.0}   # event 1 by side
+_C7_WHOLE = 16            # row ranges of at most this many blocks are
+                          # computed whole: below about 20 blocks bounding
+                          # them costs more (timed at n = 2^13..2^16)
 
 
-def _c7_event1(table, n, p, k1, bs, s):
-    """log C(n,s) C(n,b) exp(-k1 a b p), a = n - s - b: event 1 of row b."""
-    a = n - s - bs
-    return table[s] + table[bs] - k1 * a * bs * p
+def _c7_event1(lc_s, lc_b, k1, p, a, bs, out=None):
+    """log C(n,s) C(n,b) exp(-k1 a b p), given log C(n,s), log C(n,b) and
+    a = n - s - b: event 1 of row b, (lc_s + lc_b) - ((k1 a) b) p, written
+    to ``out`` when given."""
+    e = k1 * a
+    e *= bs
+    e *= p
+    out = np.add(lc_s, lc_b, out=out)
+    out -= e
+    return out
 
 
 def _c7_event2_exponent(n, p, big, bs, s):
@@ -644,11 +663,152 @@ def _c7_event2_exponent(n, p, big, bs, s):
     with h increasing in a = n - s - b (lambda = 0.9a - b > 0 as a > 3.99 b;
     a > 10 b when b < n/1000), so E(s)/s never rises with s."""
     a = n - s - bs
+    if big:       # s p lam lam / (2 (b + lam/3)), lam = 0.9 a - b
+        lam = 0.9 * a
+        lam -= bs
+        e = s * p
+        e *= lam
+        e *= lam
+        lam /= 3.0
+        lam += bs
+        lam *= 2.0
+        e /= lam
+        return e
+    e = 0.1 * a   # 0.1 a s p ln(a / (10 e b))
+    e *= s
+    e *= p
+    e *= np.log(a / (10.0 * math.e * bs))
+    return e
+
+
+def _c7_s_caps(n, b_rise, b_fall):
+    """The caps on s at b: s < n/sqrt(ln n), s <= b+1 (r >= 0), a > 3.99 b
+    and a >= 3, with a = n - s - b.  The second rises in b and the last two
+    fall, so on a block of b they stay at or below
+    _c7_s_caps(n, its last b, its first b)."""
+    s_cut_hi = math.ceil(n / math.sqrt(math.log(n))) - 1
+    return np.minimum(np.minimum(s_cut_hi, b_rise + 1), np.minimum(
+        (100 * n - 1 - 499 * b_fall) // 100, n - 3 - b_fall))
+
+
+def _c7_s_his(n, bs):
+    """The largest valid s of rows bs: the caps, less one where a =
+    n - s - b would be even (s == n - b - 1 (mod 2) keeps it odd)."""
+    s_hi = _c7_s_caps(n, bs, bs)
+    return s_hi - ((s_hi ^ (n - 1 - bs)) & 1)
+
+
+def _c7_row_values(n, p, big, bs, lc_at, lc_low):
+    """max(head 1, head 2), max(head 1, event-2 bound) and s_hi of the rows
+    bs (``_budget_case7``), given lc_at(k), log C(n, k) at an integer array
+    k, and lc_low, log C(n, s) from s = 0 up to 2W or b_hi + 1 at least."""
+    s_hi = _c7_s_his(n, bs)
+    s_lo = 2 - (s_hi & 1)
+    s_top = np.minimum(s_lo + _C7_SPAN, s_hi)
+    s_next = np.minimum(s_lo + 2, s_top)
+    lc_b, lc_hi = lc_at(np.array([bs, s_hi]))
+    lc_lo, lc_next, lc_top = lc_low[np.array([s_lo, s_next, s_top])]
+    e_lo, e_top = _c7_event2_exponent(n, p, big, bs, np.array([s_lo, s_top]))
+    head1 = _c7_event1(lc_hi, lc_b, _C7_K1[big], p, n - s_hi - bs, bs)
+    slope = e_top / s_top
+    line_lo = lc_lo - s_lo * slope
+    bound2 = np.where(lc_next - s_next * slope <= line_lo, line_lo,
+                      lc_top - s_lo * slope)
+    return np.maximum(head1, lc_lo - e_lo), np.maximum(head1, bound2), s_hi
+
+
+def _c7_block_bounds(n, p, big, b0, b_hi):
+    """Upper bounds on both values of every row of each block of rows
+    b0..b1, b1 = min(b0 + _BLOCK - 1, b_hi).  The caps give s <= s_max on
+    the block, and:
+
+    * head 1 is at most the bound on log C(n, s) over 1..s_max plus that on
+      log C(n, b) over the block (``_lc_top``, slack included), minus
+      k1 a b p at a = n - s_max - b1 and b = b0, computed in the same order
+      as the heads, so that rounding keeps it a bound;
+    * each event-2 head and bound is at most the bound on log C(n, s) over
+      1..s2 = min(s_max, 2W), minus the least E(s)/s of the block, p h at
+      a = n - s2 - b1 and b = b1, less 2^-40 of it for rounding.  Where
+      that corner leaves the region in which h rises in a and falls in b
+      (a > 3.99 b for C7a, a > 100 b for C7b), only E >= 0 is used."""
+    b1 = np.minimum(b0 + (_BLOCK - 1), b_hi)
+    s_max = _c7_s_caps(n, b1, b0)
+    s2 = np.minimum(s_max, 2 * _C7_WINDOW)
+    one = np.ones_like(b0)
+    top_s, top_b, top_s2 = _lc_top(n, np.array([one, b0, one]),
+                                   np.array([s_max, b1, s2]))
+    head1 = _c7_event1(top_s, top_b, _C7_K1[big], p,
+                       np.maximum(n - s_max - b1, 0), b0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slope = _c7_event2_exponent(n, p, big, b1, s2) / s2
+    corner = 100 * (n - s2 - b1) > (399 if big else 10000) * b1
+    return np.maximum(head1, top_s2 - np.where(
+        corner, slope * (1.0 - 2.0 ** -40), 0.0))
+
+
+def _c7_rows(n, p, big):
+    """The rows of the final-case budget that can reach float64 precision:
+    (notes, b, s_hi, table), the kept b ascending, each one's largest valid
+    s, and the table log C(n, 0..b_hi + 1) when the rows were computed
+    whole, else None; b and s_hi are empty when the sum is.  A row's bound
+    is max(head 1, event-2 bound) (``_budget_case7``); with M the largest
+    head over the R rows b_lo..b_hi that have a valid s, the rows whose
+    bound reaches M - 40 - ln R - ln(2W) are kept.
+
+    Ranges of at most _C7_WHOLE blocks of _BLOCK rows are computed whole,
+    reading the table (s <= b + 1 <= b_hi + 1).  Larger ones are bounded
+    block by block (``_c7_block_bounds``), as in ``_reach_values``; but a
+    row reads log C at five indices (b, s_hi, and s_lo, s_next, s_top up to
+    2W), not at its own index, so there log C is computed at the rows' b
+    and s_hi and over s <= 2W.  The heads of the blocks' first and last
+    rows are heads, so their largest L is at most M, and a block whose
+    bound is below L - 40 - ln R - ln(2W) holds no kept row and not M.
+    Only the other blocks' rows are computed.  R, b_hi, the kept rows and
+    so the notes are those of a pass over every row."""
+    s_cut_hi = math.ceil(n / math.sqrt(math.log(n))) - 1   # s < n/sqrt(ln n)
     if big:
-        lam_part = 0.9 * a - bs
-        return s * p * lam_part * lam_part / (2.0 * (bs + lam_part / 3.0))
-    ratio = a / (10.0 * math.e * bs)
-    return 0.1 * a * s * p * np.log(ratio)
+        b_lo = math.floor(1e-3 * n) + 1
+        b_hi = (100 * (n - 1) - 1) // 499                  # from s >= 1
+    else:
+        b_lo = 1
+        b_hi = math.ceil(1e-3 * n) - 1
+    none = np.empty(0, dtype=np.int64)
+    if b_lo > b_hi or s_cut_hi < 1:
+        return {"empty_range": True}, none, none, None
+    # The first two caps are 2 or more, a >= 3 leaves 2 or more up to b_hi,
+    # and a > 3.99 b leaves 1 or more there while falling by over 4 a step:
+    # only b_hi can have a cap of 1, and with it no s of the right parity.
+    if _c7_s_his(n, b_hi) < 1:
+        b_hi -= 1
+        if b_lo > b_hi:
+            return {"empty_range": True}, none, none, None
+    notes = {"b_lo": b_lo, "b_hi": b_hi,
+             "s_window": _C7_WINDOW,
+             "events": ("0.9abp/0.9asp" if big else "0.1abp/0.1asp")}
+    rows = b_hi - b_lo + 1
+
+    def cutoff(top):
+        return top - _MARGIN - math.log(rows) - math.log(2 * _C7_WINDOW)
+
+    count = (b_hi - b_lo) // _BLOCK + 1
+    if count <= _C7_WHOLE:
+        table = lc_low = _log_comb(n, np.arange(b_hi + 2))
+        lc_at = table.__getitem__
+        bs = np.arange(b_lo, b_hi + 1)
+    else:
+        table = None
+        lc_low = _log_comb(n, np.arange(min(2 * _C7_WINDOW, b_hi + 1) + 1))
+        lc_at = functools.partial(_log_comb, n)
+        b0 = b_lo + _BLOCK * np.arange(count)
+        ends = np.concatenate([b0, np.minimum(b0 + (_BLOCK - 1), b_hi)])
+        low = _c7_row_values(n, p, big, ends, lc_at, lc_low)[0].max()
+        b0 = b0[_c7_block_bounds(n, p, big, b0, b_hi) >= cutoff(low)]
+        bs = (b0[:, None] + np.arange(_BLOCK)).ravel()
+        bs = bs[bs <= b_hi]
+    heads, row_ub, s_hi = _c7_row_values(n, p, big, bs, lc_at, lc_low)
+    keep = row_ub >= cutoff(heads.max())
+    notes["b_rows"] = int(np.count_nonzero(keep))
+    return notes, bs[keep], s_hi[keep], table
 
 
 def _budget_case7(n, p, eps, *, big):
@@ -659,12 +819,13 @@ def _budget_case7(n, p, eps, *, big):
     (events at 0.1abp / 0.1asp).
 
     One row per b sums a window of W = _C7_WINDOW parity steps per event:
-    event 1 descending from the largest valid s, event 2 ascending from the
-    parity floor.  Only the rows that can reach float64 precision are
-    summed, chosen by a bound on every term of each row:
+    event 1 descending from the largest valid s, s_hi, event 2 ascending
+    from the parity floor s_lo (1 or 2).  Only the rows that can reach
+    float64 precision are summed, chosen by a bound on every term of each
+    row (``_c7_rows`` finds them block by block):
 
-    * s <= b + 1 and a > 3.99 b give s <= (n + 5)/5.99, so s stays at or
-      below n/2 where log C(n, s) rises; event 1 rises in s and its head
+    * s <= b + 1 and a > 3.99 b give s <= (n + 5)/5.99, so s stays below
+      n/2 where log C(n, s) rises; event 1 rises in s and its head
       (window start) is the row maximum.
     * Event 2 lies below the line log C(n,s) - s E(s_top)/s_top, s_top the
       window's last s, since E(s)/s never rises.  The line is concave in
@@ -672,81 +833,57 @@ def _budget_case7(n, p, eps, *, big):
       log C(n, s_top) minus the floor's linear term otherwise.
 
     Both heads are terms of the sum, so with M the largest head the sum is
-    at least e^M.  Over R rows, a row whose bound U has
-    U + ln(2W) < M - 40 - ln R is dropped: the dropped rows add less than
-    e^-40 of the sum, which moves the log by under 4.3e-18, below half an
-    ulp of any log-value of magnitude 1/16 or more."""
-    s_cut_hi = math.ceil(n / math.sqrt(math.log(n))) - 1   # s < n/sqrt(ln n)
-    if big:
-        b_lo = math.floor(1e-3 * n) + 1
-        b_hi = (100 * (n - 1) - 1) // 499                  # from s >= 1
-        k1 = 0.1 * 0.1 / 2.0
-    else:
-        b_lo = 1
-        b_hi = math.ceil(1e-3 * n) - 1
-        k1 = 0.9 * 0.9 / 2.0
-    if b_lo > b_hi or s_cut_hi < 1:
-        return -math.inf, {"empty_range": True}
-
-    bs_all = np.arange(b_lo, b_hi + 1, dtype=np.int64)
-    # s caps: s <= s_cut_hi, s <= b+1 (r >= 0), a > 3.99 b, a >= 3
-    s_hi = np.minimum.reduce([
-        np.full_like(bs_all, s_cut_hi),
-        bs_all + 1,
-        (100 * (n - bs_all) - 399 * bs_all - 1) // 100,
-        n - bs_all - 3,
-    ])
-    # parity: a = n - s - b must be odd, i.e. s == n - b - 1 (mod 2)
-    want = (n - bs_all - 1) & 1
-    s_hi = np.where((s_hi & 1) == want, s_hi, s_hi - 1)
-    keep = s_hi >= 1
-    bs_all = bs_all[keep]
-    s_hi = s_hi[keep]
+    at least e^M.  Over R rows, a row whose bound U has U + ln(2W) <
+    M - 40 - ln R is dropped: the dropped rows add less than e^-40 of the
+    sum, which moves its log by less than 4.3e-18.  The value is bit for
+    bit that of summing the kept rows; it can differ from the sum of every
+    row in the last bits, as the pairwise summation then groups the terms
+    otherwise.  The sums read the rows' table where there is one;
+    otherwise log C(n, k) is computed at the kept rows' b, for s <= 2W,
+    and over the s from the least to the largest of their event-1 windows
+    (about 2W of them when the kept rows are one run of b, as in practice)."""
+    notes, bs_all, s_hi, table = _c7_rows(n, p, big)
     if bs_all.size == 0:
-        return -math.inf, {"empty_range": True}
-    notes = {"b_lo": b_lo, "b_hi": int(bs_all[-1]),
-             "s_window": _C7_WINDOW,
-             "events": ("0.9abp/0.9asp" if big else "0.1abp/0.1asp")}
-
-    # log C(n, k) up to the largest index read: b_hi, or s_hi <= b + 1
-    table = _log_comb(n, np.arange(max(bs_all[-1], s_hi.max()) + 1,
-                                   dtype=np.float64))
-    s_lo_all = np.where((s_hi & 1) == 1, 1, 2)
-    head1 = _c7_event1(table, n, p, k1, bs_all, s_hi)
-    head2 = table[s_lo_all] - _c7_event2_exponent(n, p, big, bs_all, s_lo_all)
-    s_top = np.minimum(s_lo_all + 2 * (_C7_WINDOW - 1), s_hi)
-    slope = _c7_event2_exponent(n, p, big, bs_all, s_top) / s_top
-    line_lo = table[s_lo_all] - s_lo_all * slope
-    s_next = np.minimum(s_lo_all + 2, s_top)
-    bound2 = np.where(table[s_next] - s_next * slope <= line_lo, line_lo,
-                      table[s_top] - s_lo_all * slope)
-    cutoff = (max(head1.max(), head2.max()) - _MARGIN
-              - math.log(bs_all.size) - math.log(2 * _C7_WINDOW))
-    rows = np.maximum(head1, bound2) >= cutoff
-    bs_all = bs_all[rows]
-    s_hi = s_hi[rows]
-    s_lo_all = s_lo_all[rows]
-    notes["b_rows"] = int(bs_all.size)
+        return -math.inf, notes
+    k1 = _C7_K1[big]
+    s_lo_all = 2 - (s_hi & 1)
+    # lc1[j] = log C(n, lo + j), lc2[s] = log C(n, s), lc_b at the rows' b
+    if table is None:
+        lo = max(int(s_hi.min()) - _C7_SPAN, 1)
+        hi = int(s_hi.max())
+        s2_top = min(2 * _C7_WINDOW, hi)
+        lc1, lc2, lc_b = np.split(_log_comb(n, np.concatenate([
+            np.arange(lo, hi + 1), np.arange(s2_top + 1), bs_all])),
+            [hi - lo + 1, hi - lo + s2_top + 2])
+    else:
+        lo, lc1, lc2, lc_b = 0, table, table, table[bs_all]
 
     total = -math.inf
     offs = np.arange(_C7_WINDOW, dtype=np.int64) * 2
     for lo_idx in range(0, bs_all.size, 4096):
-        bs = bs_all[lo_idx:lo_idx + 4096, None]
-        shi = s_hi[lo_idx:lo_idx + 4096, None]
-        # event 1 terms grow with s: window descends from s_hi
-        s1 = shi - offs
-        valid1 = s1 >= 1
-        s1 = np.where(valid1, s1, 1)
-        t1 = np.where(valid1, _c7_event1(table, n, p, k1, bs, s1), -np.inf)
+        part = slice(lo_idx, lo_idx + 4096)
+        bs = bs_all[part, None]
+        shi = s_hi[part, None]
+        # the chunk's terms, event 1 then event 2, computed in place
+        t1, t2 = chunk = np.empty((2, bs.size, _C7_WINDOW))
+        # event 1 terms grow with s: window descends from s_hi, at s - lo
+        # in lc1
+        j = (shi - lo) - offs
+        outside = j < 1 - lo
+        np.maximum(j, 1 - lo, out=j)
+        np.take(lc1, j, out=t1)
+        _c7_event1(t1, lc_b[part, None], k1, p,
+                   np.subtract(n - lo - bs, j, out=j), bs, out=t1)
+        t1[outside] = -np.inf
         # event 2 terms fall with s for p >= 50/n: window ascends from the
         # parity floor
-        s2 = s_lo_all[lo_idx:lo_idx + 4096, None] + offs
-        valid2 = s2 <= shi
-        s2 = np.where(valid2, s2, 1)
-        t2 = table[s2] - _c7_event2_exponent(n, p, big, bs, s2)
-        t2 = np.where(valid2, t2, -np.inf)
-        chunk = _logsumexp(np.concatenate([t1.ravel(), t2.ravel()]))
-        total = np.logaddexp(total, chunk)
+        s2 = np.add(s_lo_all[part, None], offs, out=j)
+        outside = s2 > shi
+        s2[outside] = 1
+        np.take(lc2, s2, out=t2)
+        t2 -= _c7_event2_exponent(n, p, big, bs, s2)
+        t2[outside] = -np.inf
+        total = np.logaddexp(total, _logsumexp(chunk.ravel()))
     return float(total), notes
 
 

@@ -470,6 +470,85 @@ def full_window_case7(n: int, p: float, big: bool) -> float:
     return float(total)
 
 
+def case7_by_row_bounds(n: int, p: float, big: bool):
+    """The C7a/C7b budget with every row bounded in one pass over all b, and
+    log C(n, k) read from one table up to the largest index used: the rows
+    whose bound max(head 1, event-2 bound) comes within 40 + ln R + ln 512
+    nats of the largest head (R rows in all) are summed, in 4096-row
+    chunks.  Returns (log-value, notes, kept b as a list)."""
+    window = 256
+    s_cut_hi = math.ceil(n / math.sqrt(math.log(n))) - 1
+    if big:
+        b_lo = math.floor(1e-3 * n) + 1
+        b_hi = (100 * (n - 1) - 1) // 499
+        k1 = 0.1 * 0.1 / 2.0
+    else:
+        b_lo = 1
+        b_hi = math.ceil(1e-3 * n) - 1
+        k1 = 0.9 * 0.9 / 2.0
+    if b_lo > b_hi or s_cut_hi < 1:
+        return -math.inf, {"empty_range": True}, []
+    bs_all = np.arange(b_lo, b_hi + 1, dtype=np.int64)
+    s_hi = np.minimum.reduce([
+        np.full_like(bs_all, s_cut_hi),
+        bs_all + 1,
+        (100 * (n - bs_all) - 399 * bs_all - 1) // 100,
+        n - bs_all - 3,
+    ])
+    want = (n - bs_all - 1) & 1
+    s_hi = np.where((s_hi & 1) == want, s_hi, s_hi - 1)
+    keep = s_hi >= 1
+    bs_all = bs_all[keep]
+    s_hi = s_hi[keep]
+    if bs_all.size == 0:
+        return -math.inf, {"empty_range": True}, []
+    notes = {"b_lo": b_lo, "b_hi": int(bs_all[-1]), "s_window": window,
+             "events": "0.9abp/0.9asp" if big else "0.1abp/0.1asp"}
+
+    def event2_exponent(bs, s):
+        a = n - s - bs
+        if big:
+            lam = 0.9 * a - bs
+            return s * p * lam * lam / (2.0 * (bs + lam / 3.0))
+        return 0.1 * a * s * p * np.log(a / (10.0 * math.e * bs))
+
+    table = _log_comb(n, np.arange(max(bs_all[-1], s_hi.max()) + 1))
+    s_lo = np.where((s_hi & 1) == 1, 1, 2)
+    head1 = table[s_hi] + table[bs_all] - k1 * (n - s_hi - bs_all) * bs_all * p
+    head2 = table[s_lo] - event2_exponent(bs_all, s_lo)
+    s_top = np.minimum(s_lo + 2 * (window - 1), s_hi)
+    slope = event2_exponent(bs_all, s_top) / s_top
+    line_lo = table[s_lo] - s_lo * slope
+    s_next = np.minimum(s_lo + 2, s_top)
+    bound2 = np.where(table[s_next] - s_next * slope <= line_lo, line_lo,
+                      table[s_top] - s_lo * slope)
+    cutoff = (max(head1.max(), head2.max()) - 40.0 - math.log(bs_all.size)
+              - math.log(2 * window))
+    rows = np.maximum(head1, bound2) >= cutoff
+    bs_all = bs_all[rows]
+    s_hi = s_hi[rows]
+    s_lo = s_lo[rows]
+    notes["b_rows"] = int(bs_all.size)
+
+    total = -math.inf
+    offs = np.arange(window, dtype=np.int64) * 2
+    for lo in range(0, bs_all.size, 4096):
+        bs = bs_all[lo:lo + 4096, None]
+        shi = s_hi[lo:lo + 4096, None]
+        s1 = shi - offs
+        valid1 = s1 >= 1
+        s1 = np.where(valid1, s1, 1)
+        t1 = np.where(valid1, table[s1] + table[bs]
+                      - k1 * (n - s1 - bs) * bs * p, -np.inf)
+        s2 = s_lo[lo:lo + 4096, None] + offs
+        valid2 = s2 <= shi
+        s2 = np.where(valid2, s2, 1)
+        t2 = np.where(valid2, table[s2] - event2_exponent(bs, s2), -np.inf)
+        total = np.logaddexp(
+            total, logsumexp(np.concatenate([t1.ravel(), t2.ravel()])))
+    return float(total), notes, bs_all.tolist()
+
+
 def case7_rows(n: int, p: float, big: bool):
     """Every row of the final-case sum with all of its valid s, no window:
     yields (b, s, event-1 terms, event-2 terms).  The pair (b, s) is valid

@@ -17,8 +17,8 @@ from eg_matchlab.bounds import (BUDGET_TAGS, TailQuery, _BLOCK, _LogCombBlocks,
 from eg_matchlab.errors import InputError
 
 from conftest import BUDGET_PINS
-from oracles import (case7_rows, exact_case7, full_budget, full_window_case7,
-                     log_comb_row, logsumexp)
+from oracles import (case7_by_row_bounds, case7_rows, exact_case7,
+                     full_budget, full_window_case7, log_comb_row, logsumexp)
 
 
 def auto_p(n):
@@ -416,9 +416,11 @@ class TestReachEvaluator:
             got = _reach_sum(_LogCombBlocks(n, lo), hi, terms, rises)
         assert same_float(got, want)
 
-    @pytest.mark.parametrize("tag", ("P24a", "P24b", "P25", "CUT"))
+    @pytest.mark.parametrize("tag", ("P24a", "P24b", "P25", "CUT", "C7a"))
     def test_traced_peak_below_1mb_at_2_20(self, tag):
-        """A log C(n, .) row alone is 8 MB at n = 2^20."""
+        """A log C(n, .) row alone is 8 MB at n = 2^20, and C7a has 209k
+        rows there.  C7b is left out: its 590 kept rows of 512 terms take
+        several MB."""
         n = 2 ** 20
         for p in (auto_p(n), 1.0 / n):
             union_budget(tag, n, p)
@@ -429,6 +431,21 @@ class TestReachEvaluator:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000, (p, peak)
+
+    def test_p27_layers_do_not_depend_on_batches(self):
+        """P27a and P27b take a first batch of _FIRST_BATCH layers, then
+        _LAYER_BATCH at a time; every layer keeps its terms by its own
+        cutoff, so one layer per batch gives the same values and notes."""
+        for n in (2 ** 10, 2 ** 12, 2 ** 14):
+            for p in (auto_p(n), min(1.0, 50.0 / n), 0.3):
+                for tag in ("P27a", "P27b"):
+                    want = union_budget(tag, n, p)
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(bounds, "_FIRST_BATCH", 1)
+                        mp.setattr(bounds, "_LAYER_BATCH", 1)
+                        got = union_budget(tag, n, p)
+                    assert same_float(got.log_value, want.log_value), (tag, p)
+                    assert got.notes == want.notes
 
     def test_p26_unsure_layers_read_whole(self):
         """With the slack on log C(n, y_top(z)) made huge, every layer bound
@@ -510,6 +527,81 @@ class TestCase7:
     def test_rows_summed_at_2_20(self):
         n = 2 ** 20
         assert union_budget("C7a", n, auto_p(n)).notes["b_rows"] <= 4096
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(2, 5000),
+                     st.sampled_from([2 ** e for e in range(10, 19)])),
+           st.sampled_from(C7_SIDES),
+           st.one_of(st.sampled_from(("1/n", "50/n", "auto", "0.3", "1")),
+                     st.floats(0.0, 1.0)),
+           st.sampled_from(EPS_GRID), st.sampled_from((1, 3, 16, _BLOCK)))
+    def test_rows_match_a_pass_over_every_row(self, n, side, p_rule, eps,
+                                              block):
+        """The rows bounded block by block are those that a pass bounding
+        every row keeps; notes and log-value follow, bit for bit.  Small
+        blocks give ranges of many blocks at small n.  Besides the named
+        densities, p = n^-x for x in [0, 1] sweeps the range between, where
+        the largest head moves from event 1 to event 2."""
+        tag, big = side
+        if isinstance(p_rule, float):
+            p = float(n) ** -p_rule
+        else:
+            p = {"1/n": 1.0 / n, "50/n": min(1.0, 50.0 / n),
+                 "auto": auto_p(n), "0.3": 0.3, "1": 1.0}[p_rule]
+        want, notes, kept = case7_by_row_bounds(n, p, big)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_BLOCK", block)
+            got = union_budget(tag, n, p, eps)
+            rows = bounds._c7_rows(n, p, big)[1].tolist()
+        assert same_float(got.log_value, want)
+        assert got.notes == notes
+        assert rows == kept
+
+    @pytest.mark.parametrize("block", (1, 3, 16, _BLOCK))
+    def test_block_bounds_hold_every_row(self, block):
+        """Both values of every row, as computed, lie at or below the bound
+        of its block: on both sides, over p_grid and 50/n."""
+        for n in (1500, 5000, 2 ** 16):
+            for tag, big in C7_SIDES:
+                for p in p_grid(n) + (min(1.0, 50.0 / n),):
+                    notes = union_budget(tag, n, p).notes
+                    bs = np.arange(notes["b_lo"], notes["b_hi"] + 1)
+                    heads, row_ub, _ = bounds._c7_row_values(
+                        n, p, big, bs, lambda k: _log_comb(n, k),
+                        _log_comb(n, np.arange(bs[-1] + 2)))
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(bounds, "_BLOCK", block)
+                        ub = bounds._c7_block_bounds(n, p, big, bs[::block],
+                                                     bs[-1])
+                    most = np.maximum.reduceat(np.maximum(heads, row_ub),
+                                               np.arange(0, bs.size, block))
+                    assert (most <= ub).all(), (tag, p)
+
+    @pytest.mark.parametrize("block", (1, 3, 16, _BLOCK))
+    def test_edge_ranges_match_a_pass_over_every_row(self, block):
+        """C7a has no b at n = 5; at n = 6 its one b = 1 leaves only s = 1
+        and an even a, so no row; n = 7 has one row; at n = 11 the last b
+        has no s of the right parity and is dropped.  C7b has no b up to
+        n = 1000 and one row at n = 1001."""
+        cases = (("C7a", 5, None), ("C7a", 6, None), ("C7a", 7, (1, 1)),
+                 ("C7a", 11, (1, 1)), ("C7a", 12, (1, 2)),
+                 ("C7b", 1000, None), ("C7b", 1001, (1, 1)))
+        for tag, n, b_range in cases:
+            big = tag == "C7a"
+            for p in p_grid(n):
+                want, notes, kept = case7_by_row_bounds(n, p, big)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(bounds, "_BLOCK", block)
+                    got = union_budget(tag, n, p)
+                    rows = bounds._c7_rows(n, p, big)[1].tolist()
+                assert same_float(got.log_value, want), (tag, n, p)
+                assert got.notes == notes and rows == kept, (tag, n, p)
+                if b_range is None:
+                    assert notes == {"empty_range": True}
+                else:
+                    assert (notes["b_lo"], notes["b_hi"]) == b_range
+        # n = 11's formula range is b = 1..2, the last dropped for parity
+        assert (100 * (11 - 1) - 1) // 499 == 2
 
 
 class TestEgSizeFormula:
