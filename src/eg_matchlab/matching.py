@@ -26,14 +26,18 @@ the components that fail it, and there it gives a root bound of nu_c + 1 next
 to the half-integral LP bound (Nemhauser & Trotter 1975).  One search
 serves the exact tau and the decision tau <= k behind the empty half-set.
 
-A search node costs what changed since its parent.  The search runs depth
-first from an explicit stack, so a dive is as deep as it needs to be, and
-a child starts from its parent's kernel fixpoint (degrees and the vertices
-known to have no dominating neighbour) and its parent's LP matching.  The
-root LP is seeded from the cached maximum matching, and each component's
-search root starts from the LP matching of that bound.  A node reduces,
-bounds and branches as one computed afresh would, so none of this changes
-the search tree or its node count.
+A search node costs what changed since its parent, at the width of what
+the root's kernel left.  The search runs depth first from an explicit
+stack, so a dive is as deep as it needs to be, and a child starts from its
+parent's kernel fixpoint (degrees and the vertices known to have no
+dominating neighbour) and its parent's LP matching.  The root LP is seeded
+from the cached maximum matching, and each component's search root starts
+from the LP matching of that bound.  Below the root every node runs on the
+root kernel's residue, its live vertices relabelled in ascending order; a
+node's LP stops as soon as it proves the node pruned; and a child that its
+parent's bound already prunes is counted and dropped before its kernel.  A
+node reduces, bounds and branches as one computed afresh would, so none of
+this changes the search tree or its node count (see ``_vc_search``).
 
 Each graph gets one maximum matching and one Konig-Egervary split, both
 computed on first use and cached on the Graph, read-only.  The exact tau is
@@ -320,9 +324,11 @@ def _cover_literal_sccs(adj: list[list[int]], mate: list[int],
     """Strongly connected component of the literal "v is in the cover", for
     every matched v in a component of one of ``roots`` (-1 elsewhere),
     numbered sinks first (iterative Tarjan, rooted at each matched, not yet
-    visited vertex of ``roots`` in turn).  A literal implies only literals
-    of its own graph component, so within each component the pass finds
-    the strongly connected components a pass over the whole graph would.
+    visited vertex of ``roots`` in turn; a node on the work stack resumes
+    its successors from its place in ``adj[mate[v]]``).  A literal implies
+    only literals of its own graph component, so within each component the
+    pass finds the strongly connected components a pass over the whole
+    graph would.
 
     The negation of "v in" is "mate[v] in", so the literal nodes are the
     matched vertices themselves.  "v in" leaves w = mate[v] out, which puts
@@ -335,41 +341,49 @@ def _cover_literal_sccs(adj: list[list[int]], mate: list[int],
     index = [-1] * n
     low = [0] * n
     scc = [-1] * n
+    nxt = [0] * n                           # v's next place in adj[mate[v]]
     stack: list[int] = []
     visits = 0
     done = 0
-
-    def implied(v):
-        w = mate[v]
-        return (b if mate[b] != -1 else w for b in adj[w] if b != v)
-
     for root in roots:
         if mate[root] == -1 or index[root] != -1:
             continue
         index[root] = low[root] = visits
         visits += 1
         stack.append(root)
-        work = [(root, implied(root))]
+        work = [root]
         while work:
-            v, succ = work[-1]
-            for w in succ:
-                if index[w] == -1:
-                    index[w] = low[w] = visits
+            v = work[-1]
+            w = mate[v]
+            row = adj[w]
+            i = nxt[v]
+            lv = low[v]
+            while i < len(row):
+                b = row[i]
+                i += 1
+                if b == v:
+                    continue
+                if mate[b] == -1:
+                    b = w
+                if index[b] == -1:
+                    nxt[v] = i
+                    low[v] = lv
+                    index[b] = low[b] = visits
                     visits += 1
-                    stack.append(w)
-                    work.append((w, implied(w)))
+                    stack.append(b)
+                    work.append(b)
                     break
-                if scc[w] == -1 and index[w] < low[v]:
-                    low[v] = index[w]
+                if scc[b] == -1 and index[b] < lv:
+                    lv = index[b]
             else:
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
+                if work and lv < low[work[-1]]:
+                    low[work[-1]] = lv
+                if lv == index[v]:
                     while True:
-                        w = stack.pop()
-                        scc[w] = done
-                        if w == v:
+                        b = stack.pop()
+                        scc[b] = done
+                        if b == v:
                             break
                     done += 1
     return scc
@@ -506,6 +520,20 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     first vertex v of maximum degree, with "v in the cover" pushed last so
     that it is searched first and "all neighbours of v in" after it.
 
+    Three shortcuts leave the search tree and its node count as they are:
+
+    - Every node below the root runs on the root kernel's residue, its live
+      vertices relabelled 0..r-1 in ascending order (see ``_vc_residue``).
+      The relabelling keeps the vertex order, so every "first" or "lowest"
+      choice of the kernel and of the branching picks the same vertex.
+    - The LP bound stops once it proves the prune, ceil(LP) >= best - taken
+      (see ``_lp_bound``): the LP value is unique, and only its comparison
+      with best - taken is read.  A node that branches computes it in full.
+    - A child whose parent already had taken + ceil(LP) >= ``best`` is
+      counted and dropped without its kernel.  taken + LP never falls from
+      a node to its child: each kernel rule and each branch moves at most
+      as much LP into ``taken`` as it removes, so the child would be pruned.
+
     A child carries its parent's state instead of recomputing it: the
     parent's kernel fixpoint, degree list and ``clean`` set, from which the
     kernel drops the branched vertices and continues (see ``_vc_kernel``),
@@ -514,14 +542,21 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     copy.  Every node reduces, bounds and branches as one computed afresh
     would, so the search tree and its node count do not depend on this.
     """
-    stack = [((1 << len(adj)) - 1, 0, 0, None, 0, warm)]
+    # the root's kernel runs on the full rows, before the root is counted;
+    # the loop's kernel call on its fixpoint then changes nothing
+    mask, taken, deg, _ = _vc_kernel(adj, (1 << len(adj)) - 1, 0)
+    adj, deg, warm = _vc_residue(adj, mask, deg, warm)
+    mask = (1 << len(adj)) - 1              # every live vertex is clean
+    stack = [(mask, taken, 0, deg, mask, warm, 0)]
     while stack:
-        mask, taken, gone, deg, clean, warm = stack.pop()
+        mask, taken, gone, deg, clean, warm, reach = stack.pop()
         counter[0] += 1
         if counter[0] > budget:
             raise CapabilityError(
                 f"vertex cover node budget exceeded after {budget} nodes",
                 upper=best)
+        if reach >= best:                   # the parent's bound prunes it
+            continue
         mask, taken, deg, clean = _vc_kernel(adj, mask, taken, deg, clean,
                                              gone)
         if taken >= best:
@@ -531,15 +566,52 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
             if taken <= stop_at:
                 break
             continue
-        bound, warm = _lp_bound(adj, mask, warm)
-        if taken + bound >= best:
+        bound, warm = _lp_bound(adj, mask, warm, best - taken)
+        reach = taken + bound
+        if reach >= best:
             continue
         d = max(deg)
         v = deg.index(d)
         stack.append((mask, taken + d, (1 << v) | (adj[v] & mask), deg, clean,
-                      warm))
-        stack.append((mask, taken + 1, 1 << v, deg[:], clean, warm))
+                      warm, reach))
+        stack.append((mask, taken + 1, 1 << v, deg[:], clean, warm, reach))
     return best
+
+
+def _vc_residue(adj: list[int], mask: int, deg: list[int], warm: tuple | None
+                ) -> tuple[list[int], list[int], tuple | None]:
+    """The graph on ``mask``, a kernel fixpoint with degrees ``deg``, with
+    its vertices relabelled 0..r-1 in ascending order: its bitmask rows,
+    its degrees and the pairs of the double-cover matching ``warm`` (see
+    ``_lp_bound``) with both ends in ``mask``, all on the new ids."""
+    live = [v for v, d in enumerate(deg) if d]  # no live vertex of degree 0
+    ids = [-1] * len(adj)
+    for i, v in enumerate(live):
+        ids[v] = i
+    rows = []
+    for v in live:
+        row = 0
+        near = adj[v] & mask
+        while near:                         # highest first: ``near`` shrinks
+            w = near.bit_length() - 1
+            row |= 1 << ids[w]
+            near ^= 1 << w
+        rows.append(row)
+    deg = [deg[v] for v in live]
+    if warm is None:
+        return rows, deg, None
+    old_left = warm[1]                      # -1 where a left copy is free
+    left = [-1] * len(live)
+    right = [-1] * len(live)
+    lmask = rmask = 0
+    for i, v in enumerate(live):
+        u = old_left[v]
+        if u != -1 and ids[u] != -1:
+            left[i] = j = ids[u]
+            right[j] = i
+            lmask |= 1 << i
+            rmask |= 1 << j
+    return rows, deg, ((1 << len(live)) - 1, left, right, lmask, rmask)
 
 
 def _lp_seed(mate: list[int], mask: int) -> tuple:
@@ -550,12 +622,18 @@ def _lp_seed(mate: list[int], mask: int) -> tuple:
     return mask, mate, mate, matched, matched
 
 
-def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
-              ) -> tuple[int, tuple]:
+def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None,
+              need: int | None = None) -> tuple[int, tuple]:
     """ceil(LP), LP the fractional vertex cover number of the graph on
     ``mask``: half the maximum matching of its bipartite double cover
     (Nemhauser & Trotter 1975).  Returns the bound and the matching, which
     warm-starts the call for a subset of ``mask``.
+
+    With ``need`` set, the call returns as soon as its matching shows
+    ceil(LP) >= ``need``, with a bound of at least ``need`` but possibly
+    below ceil(LP), and a matching that is not maximum.  Below ``need`` the
+    bound is ceil(LP) exactly, so the bound is at least ``need`` exactly
+    when ceil(LP) is.
 
     ``warm`` is (its mask, left, right, lmask, rmask) for any matching of
     the double cover of a superset of ``mask``: a child node passes its
@@ -568,6 +646,8 @@ def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
     reached stay dead ends until the next augmentation, so they are not
     searched again.  The lists of ``warm`` are copied, never changed.
     """
+    # matched left copies that show ceil(LP) = ceil(size / 2) >= need
+    enough = len(adj) + 1 if need is None else 2 * need - 1
     if warm is None:
         left = [-1] * len(adj)              # left copy -> right copy
         right = [-1] * len(adj)             # right copy -> left copy
@@ -591,9 +671,10 @@ def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
                 left[u] = right[v] = -1
                 lmask ^= 1 << u
                 rmask ^= bit
+    size = lmask.bit_count()
     free_left = []
     rest = mask & ~lmask
-    while rest:
+    while rest and size < enough:
         bit = rest & -rest
         rest ^= bit
         u = bit.bit_length() - 1
@@ -604,10 +685,13 @@ def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
             lmask |= bit
             left[u] = r
             right[r] = u
+            size += 1
         else:
             free_left.append(u)
     dead = 0
     for u in free_left:
+        if size >= enough:
+            break
         reached_from = {}
         frontier = [u]
         end = -1
@@ -632,11 +716,12 @@ def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None
         dead = 0
         lmask |= 1 << u
         rmask |= 1 << end
+        size += 1
         while end != -1:                    # flip the augmenting path
             x = reached_from[end]
             right[end] = x
             left[x], end = end, left[x]
-    return (lmask.bit_count() + 1) // 2, (mask, left, right, lmask, rmask)
+    return (size + 1) // 2, (mask, left, right, lmask, rmask)
 
 
 def _vc_kernel(adj: list[int], mask: int, taken: int,
@@ -725,6 +810,7 @@ def _vc_kernel(adj: list[int], mask: int, taken: int,
 
 
 def _vc_greedy(adj: list[int], alive: int) -> int:
+    """Twice the size of the greedy maximal matching on ``alive``: a cover."""
     size = 0
     mask = alive
     rest = alive

@@ -14,9 +14,9 @@ import math
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from eg_matchlab.errors import InputError
+from eg_matchlab.errors import CapabilityError, InputError
 from eg_matchlab.graph_core import Graph, iter_bits, vset, vset_members
-from eg_matchlab.matching import matching_number
+from eg_matchlab.matching import _vc_kernel, matching_number
 
 
 def canonical_edges_by_unique(n: int, edges) -> np.ndarray:
@@ -712,3 +712,154 @@ def _full_p27b(n, p, within_reach):
                 within_reach)
 
     return _sum_falling_layers(n, layers())
+
+
+# The cover search and its 2-SAT pass in their plainest form: every node at
+# the component's full width, every LP bound computed in full, and one
+# successor generator per literal node.  The library's must visit the same
+# nodes and give the same numbering.
+
+def full_width_vc_search(adj: list[int], best: int, stop_at: int,
+                         counter: list[int], budget: int,
+                         warm: tuple | None = None) -> int:
+    """``matching._vc_search`` with every node on the full rows ``adj``."""
+    stack = [((1 << len(adj)) - 1, 0, 0, None, 0, warm)]
+    while stack:
+        mask, taken, gone, deg, clean, warm = stack.pop()
+        counter[0] += 1
+        if counter[0] > budget:
+            raise CapabilityError(
+                f"vertex cover node budget exceeded after {budget} nodes",
+                upper=best)
+        mask, taken, deg, clean = _vc_kernel(adj, mask, taken, deg, clean,
+                                             gone)
+        if taken >= best:
+            continue
+        if not mask:
+            best = taken
+            if taken <= stop_at:
+                break
+            continue
+        bound, warm = full_width_lp_bound(adj, mask, warm)
+        if taken + bound >= best:
+            continue
+        d = max(deg)
+        v = deg.index(d)
+        stack.append((mask, taken + d, (1 << v) | (adj[v] & mask), deg, clean,
+                      warm))
+        stack.append((mask, taken + 1, 1 << v, deg[:], clean, warm))
+    return best
+
+
+def full_width_lp_bound(adj: list[int], mask: int, warm: tuple | None = None
+                        ) -> tuple[int, tuple]:
+    """``matching._lp_bound`` with no threshold: the whole maximum matching
+    of the double cover, grown the same way."""
+    if warm is None:
+        left = [-1] * len(adj)
+        right = [-1] * len(adj)
+        lmask = rmask = 0
+    else:
+        old_mask, left, right, lmask, rmask = warm
+        left = left[:]
+        right = right[:]
+        for v in iter_bits(old_mask & ~mask):
+            bit = 1 << v
+            if lmask & bit:
+                r = left[v]
+                left[v] = right[r] = -1
+                lmask ^= bit
+                rmask ^= 1 << r
+            if rmask & bit:
+                u = right[v]
+                left[u] = right[v] = -1
+                lmask ^= 1 << u
+                rmask ^= bit
+    free_left = []
+    for u in iter_bits(mask & ~lmask):
+        free = adj[u] & mask & ~rmask
+        if free:
+            r = (free & -free).bit_length() - 1
+            rmask |= 1 << r
+            lmask |= 1 << u
+            left[u] = r
+            right[r] = u
+        else:
+            free_left.append(u)
+    dead = 0
+    for u in free_left:
+        reached_from = {}
+        frontier = [u]
+        end = -1
+        while frontier and end == -1:
+            nxt = []
+            for x in frontier:
+                new = adj[x] & mask & ~dead
+                dead |= new
+                for r in iter_bits(new):
+                    reached_from[r] = x
+                    if right[r] == -1:
+                        end = r
+                        break
+                    nxt.append(right[r])
+                if end != -1:
+                    break
+            frontier = nxt
+        if end == -1:
+            continue
+        dead = 0
+        lmask |= 1 << u
+        rmask |= 1 << end
+        while end != -1:
+            x = reached_from[end]
+            right[end] = x
+            left[x], end = end, left[x]
+    return (lmask.bit_count() + 1) // 2, (mask, left, right, lmask, rmask)
+
+
+def generator_cover_literal_sccs(adj: list[list[int]], mate: list[int],
+                                 roots: list[int]) -> list[int]:
+    """``matching._cover_literal_sccs`` with one successor generator per
+    literal node on the Tarjan work stack."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    scc = [-1] * n
+    stack: list[int] = []
+    visits = 0
+    done = 0
+
+    def implied(v):
+        w = mate[v]
+        return (b if mate[b] != -1 else w for b in adj[w] if b != v)
+
+    for root in roots:
+        if mate[root] == -1 or index[root] != -1:
+            continue
+        index[root] = low[root] = visits
+        visits += 1
+        stack.append(root)
+        work = [(root, implied(root))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if index[w] == -1:
+                    index[w] = low[w] = visits
+                    visits += 1
+                    stack.append(w)
+                    work.append((w, implied(w)))
+                    break
+                if scc[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        scc[w] = done
+                        if w == v:
+                            break
+                    done += 1
+    return scc

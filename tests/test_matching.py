@@ -22,9 +22,11 @@ from eg_matchlab.harness import (RegimeSpec, eg_fails_at_nu, has_empty_half,
 from conftest import cycle, path_graph
 from oracles import (brute_independence_number, brute_is_bipartite,
                      brute_matching_number, brute_vertex_cover,
-                     components_by_union_find, gallai_edmonds_by_deletion,
-                     has_augmenting_path, is_bipartite, random_forest,
-                     rescan_vc_kernel, tb_max_over_subsets)
+                     components_by_union_find, full_width_lp_bound,
+                     full_width_vc_search, gallai_edmonds_by_deletion,
+                     generator_cover_literal_sccs, has_augmenting_path,
+                     is_bipartite, random_forest, rescan_vc_kernel,
+                     tb_max_over_subsets)
 
 
 def random_graph(tag: int) -> Graph:
@@ -604,6 +606,132 @@ class TestSearchTree:
         finally:
             sys.setrecursionlimit(limit)
         assert (err.value.lower, err.value.upper) == (200, 240)
+
+
+def search_outcome(search, adj, best, stop_at, budget, warm):
+    """What ``search`` gives, or the upper bound of its budget failure,
+    with the nodes it counted."""
+    counter = [0]
+    try:
+        got = search(adj, best, stop_at, counter, budget, warm)
+    except CapabilityError as exc:
+        got = "exceeded", exc.upper
+    return got, counter[0]
+
+
+# G(n, c/n) past the Karp-Sipser threshold, where components fail the
+# Konig-Egervary test and the search has a tree to walk
+SEARCH_GRAPHS = st.builds(
+    lambda n, c, seed: gen_gnp(GnpParams(n, min(1.0, c / n), seed)),
+    st.integers(8, 80), st.floats(2.0, 7.0), st.integers(0, 2 ** 32))
+
+
+def lp_value(adj, mask) -> int:
+    return full_width_lp_bound(adj, mask)[0]
+
+
+class TestSearchShortcuts:
+    """The search runs on the root kernel's residue, stops an LP once it
+    proves the prune and drops a child its parent's bound prunes; none of
+    this may change an answer, a node count or a budget failure."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(SEARCH_GRAPHS, st.integers(1, 60), st.integers(0, 2 ** 16),
+           st.booleans())
+    def test_search_equals_full_width(self, g, budget, pick, warm_start):
+        # exact calls, capped decisions (cap + 1, cap) as _cover_at_most
+        # makes them, each under a small budget and a large one
+        for adj, lo, hi, lp in matching._cover_parts(g)[1]:
+            warm = lp if warm_start else None
+            cap = lo - 1 + pick % (hi - lo + 2)
+            for best, stop_at in ((hi, lo), (hi, 0), (cap + 1, cap)):
+                for b in (budget, matching.DEFAULT_VC_NODE_BUDGET):
+                    args = adj, best, stop_at, b, warm
+                    assert search_outcome(matching._vc_search, *args) \
+                        == search_outcome(full_width_vc_search, *args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(SEARCH_GRAPHS, st.integers(1, 60), st.integers(0, 80))
+    def test_cover_answers_equal_full_width(self, g, budget, k):
+        # tau, the decision tau <= k and the lower/upper bounds of a budget
+        # failure, each on a fresh graph, against the full-width search
+        def outcomes():
+            half = fresh(g)
+            try:
+                at_most = matching._cover_at_most(half, k, budget)
+            except CapabilityError:
+                at_most = "exceeded"
+            return cover_outcome(fresh(g), budget), at_most
+
+        got = outcomes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_vc_search", full_width_vc_search)
+            assert got == outcomes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEARCH_GRAPHS, st.integers(0, 2 ** 80 - 1), st.integers(0, 2),
+           st.integers(1, 45))
+    def test_lp_stops_only_where_the_full_bound_prunes(self, g, keep, start,
+                                                       need):
+        # cold, seeded from the maximum matching, or warm from the full
+        # mask's LP; the bound reaches ``need`` exactly when ceil(LP) does
+        # and equals it below, and it comes with a matching of the double
+        # cover of the graph on ``mask``
+        adj, full = g.adj_bits, g.full_mask()
+        warm = [None, matching._lp_seed(list(matching._cached_mate(g)), full),
+                matching._lp_bound(adj, full)[1]][start]
+        mask = full & keep
+        value = lp_value(adj, mask)
+        assert matching._lp_bound(adj, mask, warm)[0] == value
+        bound, (at, left, right, lmask, rmask) = matching._lp_bound(
+            adj, mask, warm, need)
+        assert (bound >= need) == (value >= need)
+        assert bound <= value
+        if value < need:
+            assert bound == value
+        assert at == mask and lmask.bit_count() in (2 * bound - 1, 2 * bound)
+        pairs = [(u, r) for u, r in enumerate(left) if r != -1]
+        assert vset(u for u, _ in pairs) == lmask
+        assert vset(r for _, r in pairs) == rmask
+        assert all(right[r] == u and mask >> u & 1 and adj[u] >> r & 1
+                   for u, r in pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEARCH_GRAPHS, st.lists(st.tuples(st.integers(0, 79),
+                                             st.booleans()), max_size=40))
+    def test_bound_never_falls_along_a_path(self, g, path):
+        # taken + ceil(LP) from a node to its child, either branch on any
+        # live vertex: what dropping a child on its parent's bound rests on
+        adj = g.adj_bits
+        mask, taken, deg, clean = _vc_kernel(adj, g.full_mask(), 0)
+        reach = taken + lp_value(adj, mask)
+        for pick, closed in path:
+            if not mask:
+                break
+            v = vset_members(mask)[pick % mask.bit_count()]
+            gone = (1 << v) | (adj[v] & mask if closed else 0)
+            mask, taken, deg, clean = _vc_kernel(
+                adj, mask, taken + (deg[v] if closed else 1), deg, clean, gone)
+            child = taken + lp_value(adj, mask)
+            assert child >= reach
+            reach = child
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300), st.floats(0.2, 6.0), st.integers(0, 2 ** 32),
+           st.integers(0, 2 ** 300 - 1))
+    def test_2sat_pass_equals_generator_pass(self, n, c, seed, keep):
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        mate = matching._cached_mate(g)
+        for roots in (g.support, [v for v in g.support if keep >> v & 1]):
+            assert matching._cover_literal_sccs(g.adj_lists, mate, roots) \
+                == generator_cover_literal_sccs(g.adj_lists, mate, roots)
+
+    @pytest.mark.parametrize("j", range(16))
+    def test_2sat_pass_on_the_middle_pool(self, j):
+        g = pool_graph(j)
+        mate = matching._cached_mate(g)
+        assert matching._cover_literal_sccs(g.adj_lists, mate, g.support) \
+            == generator_cover_literal_sccs(g.adj_lists, mate, g.support)
 
 
 def fresh(g: Graph) -> Graph:
