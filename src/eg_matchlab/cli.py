@@ -109,18 +109,21 @@ def _cmd_egcheck(args) -> int:
     g = _read_graph(args.file)
     if args.k is not None:
         res = decomposition.eg_check(g, args.k, n_exact=args.n_exact)
-        _emit_json(args, _egcheck_json(res))
+        _emit_json(args, _egcheck_json(res, g.n))
         return EXIT_OK
     per_k = decomposition.eg_check_all(g, n_exact=args.n_exact)
-    obj = {"per_k": {str(k): _egcheck_json(v) for k, v in per_k.items()},
+    obj = {"per_k": {str(k): _egcheck_json(v, g.n)
+                     for k, v in per_k.items()},
            "all_hold": all(v.verdict == "holds" for v in per_k.values())}
     _emit_json(args, obj)
     return EXIT_OK
 
 
-def _egcheck_json(res) -> dict:
+def _egcheck_json(res, n: int) -> dict:
     obj = {"k": res.k, "verdict": res.verdict.upper(), "size": res.size,
            "maximizer_count": res.maximizer_count}
+    if 2 * res.k + 1 > n:                   # no (2k + 1)-set: see README
+        obj["two_k_plus_1_exceeds_n"] = True
     if res.counterexample is not None:
         obj["counterexample"] = [list(e) for e in res.counterexample]
     return obj

@@ -372,9 +372,7 @@ def run_trials(spec: RegimeSpec):
         if "eg" in checks:
             if spec.n <= spec.eg_exact_cutoff:
                 verdicts = dec.eg_check_all(g, n_exact=spec.eg_exact_cutoff)
-                rec.eg_all = ("holds" if all(v.verdict == "holds"
-                                             for v in verdicts.values())
-                              else "fails")
+                rec.eg_all = _eg_all(spec.n, verdicts, rec.notes)
             else:
                 rec.eg_all = "skipped"
                 rec.notes.append(
@@ -386,6 +384,21 @@ def run_trials(spec: RegimeSpec):
         records.append(rec)
     summary = _summarize(spec, p, flags, records)
     return records, summary
+
+
+def _eg_all(n: int, verdicts: dict, notes: list[str]) -> str:
+    """'holds' or 'fails' over the k with 2k + 1 <= n, where a (2k + 1)-set
+    exists for the first canonical form; the smallest failing k gets a note.
+    k = n/2 at even n lies beyond that range (there the library reads K_n
+    as not canonical), so a failure there is a note of its own and no
+    verdict."""
+    failing = [k for k, v in verdicts.items() if v.verdict != "holds"]
+    inside = [k for k in failing if 2 * k + 1 <= n]
+    if inside:
+        notes.append(f"eg fails first at k = {inside[0]}")
+    if len(inside) < len(failing):
+        notes.append("eg at k = n/2 (2k+1 > n): fails")
+    return "fails" if inside else "holds"
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96):

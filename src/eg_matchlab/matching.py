@@ -26,18 +26,32 @@ the components that fail it, and there it gives a root bound of nu_c + 1 next
 to the half-integral LP bound (Nemhauser & Trotter 1975).  One search
 serves the exact tau and the decision tau <= k behind the empty half-set.
 
+Before any bitmask row is built, a failing component is cut to its
+Karp-Sipser core on the adjacency lists: leaf removal drops a vertex of
+degree at most 1 and takes its neighbour into the cover, t times in all,
+until every vertex left has degree 2 or more.  Two facts make the core
+stand in for the component.  The core is the same whatever the order of
+the removals (Karp & Sipser 1981; Bauer & Golinelli 2001), so the search
+kernel's own degree sweeps, run on the whole component, would stop at it
+with the same t.  And the leaf rule is exact, for tau and for the LP
+relaxation alike: tau(G) = 1 + tau(G - u - v) and LP(G) = 1 + LP(G - u - v)
+when v is a leaf at u.  So rows, the root LP and the search run on the
+core alone, the search starting with t vertices taken, and the greedy
+upper bound is read off the lists (see ``_cover_parts``).
+
 A search node costs what changed since its parent, at the width of what
 the root's kernel left.  The search runs depth first from an explicit
 stack, so a dive is as deep as it needs to be, and a child starts from its
 parent's kernel fixpoint (degrees and the vertices known to have no
 dominating neighbour) and its parent's LP matching.  The root LP is seeded
-from the cached maximum matching, and each component's search root starts
-from the LP matching of that bound.  Below the root every node runs on the
-root kernel's residue, its live vertices relabelled in ascending order; a
-node's LP stops as soon as it proves the node pruned; and a child that its
-parent's bound already prunes is counted and dropped before its kernel.  A
-node reduces, bounds and branches as one computed afresh would, so none of
-this changes the search tree or its node count (see ``_vc_search``).
+from the cached maximum matching's pairs inside the core, and each
+component's search root starts from the LP matching of that bound.  Below
+the root every node runs on the root kernel's residue, its live vertices
+relabelled in ascending order; a node's LP stops as soon as it proves the
+node pruned; and a child that its parent's bound already prunes is counted
+and dropped before its kernel.  A node reduces, bounds and branches as one
+computed afresh would, so none of this changes the search tree or its node
+count (see ``_vc_search``).
 
 Each graph gets one maximum matching and one Konig-Egervary split, both
 computed on first use and cached on the Graph, read-only.  The exact tau is
@@ -136,18 +150,26 @@ def _maximum_mate(g: Graph) -> list[int]:
     adj = g.adj_lists
     support = g.support
     match = [-1] * n
-    for u in support:                       # cheap greedy warm start
+    _first_fit(adj, support, match)         # cheap greedy warm start
+    labels = _fresh_labels(n)
+    for root in support:
+        if match[root] == -1:
+            _alternating_forest([root], adj, match, *labels)
+    return match
+
+
+def _first_fit(adj: list[list[int]], verts: list[int], match: list[int]
+               ) -> None:
+    """Match each vertex of ``verts`` in turn, if still free in ``match``
+    (-1), to its lowest free neighbour, in place: a maximal matching of the
+    subgraph on ``verts`` when ``verts`` is closed under neighbours."""
+    for u in verts:
         if match[u] == -1:
             for v in adj[u]:
                 if match[v] == -1:
                     match[u] = v
                     match[v] = u
                     break
-    labels = _fresh_labels(n)
-    for root in support:
-        if match[root] == -1:
-            _alternating_forest([root], adj, match, *labels)
-    return match
 
 
 def _fresh_labels(n: int) -> tuple[list[int], list[int], list[bool]]:
@@ -394,12 +416,14 @@ def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
 
     It is nu(G), with no search, when the Konig-Egervary test passes (every
     forest and bipartite graph).  Otherwise each component failing the test
-    is searched by branch and bound: kernel rules (isolated, degree-1,
+    is cut to its leaf-removal core, t vertices taken, and the core is
+    searched by branch and bound from t: kernel rules (isolated, degree-1,
     dominated vertex) before every branch, branching on a maximum-degree
     vertex, and pruning by the half-integral LP bound.  A component's search
     stops as soon as it finds a cover of its root bound
-    max(nu_c + 1, ceil(LP)).  When the node budget runs out, CapabilityError
-    carries the proved lower bound and the best upper bound on tau.
+    max(nu_c + 1, t + ceil(LP(core))).  When the node budget runs out,
+    CapabilityError carries the proved lower bound and the best upper bound
+    on tau.
 
     The answer is cached on ``g`` with the node count of its search; a later
     call returns it when that count fits its own budget, and otherwise
@@ -409,12 +433,12 @@ def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
     known, parts, tau, nodes = _cached_cover(g)
     if tau is not None and nodes <= budget:
         return tau
-    lower = known + sum(part[1] for part in parts)
-    upper = known + sum(part[2] for part in parts)
+    lower = known + sum(part[3] for part in parts)
+    upper = known + sum(part[4] for part in parts)
     counter = [0]
-    for adj, lo, hi, lp in parts:
+    for _, t, rows, lo, hi, lp in parts:
         try:
-            tau_c = _vc_search(adj, hi, lo, counter, budget, lp)
+            tau_c = _vc_search(rows, hi, lo, counter, budget, lp, t)
         except CapabilityError as exc:
             raise CapabilityError(str(exc), lower=lower,
                                   upper=upper - hi + exc.upper) from None
@@ -439,17 +463,18 @@ def _cover_at_most(g: Graph, k: int, budget: int) -> bool:
     known, parts, tau, nodes = _cached_cover(g)
     if tau is not None and nodes <= budget:
         return tau <= k
-    parts = sorted(parts, key=lambda part: len(part[0]))
-    slack = k - known - sum(part[1] for part in parts)
+    parts = sorted(parts, key=lambda part: part[0])  # by component size
+    slack = k - known - sum(part[3] for part in parts)
     counter = [0]
-    for i, (adj, lo, hi, lp) in enumerate(parts):
+    for i, (_, t, rows, lo, hi, lp) in enumerate(parts):
         if slack < 0:
             return False
         if i + 1 < len(parts):
-            slack -= _vc_search(adj, hi, lo, counter, budget, lp) - lo
+            slack -= _vc_search(rows, hi, lo, counter, budget, lp, t) - lo
         elif hi > lo + slack:
             cap = lo + slack
-            slack -= _vc_search(adj, cap + 1, cap, counter, budget, lp) - lo
+            slack -= _vc_search(rows, cap + 1, cap, counter, budget, lp,
+                                t) - lo
     return slack >= 0
 
 
@@ -470,15 +495,24 @@ def _tau_is_nu(g: Graph) -> bool:
 
 def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     """The Konig-Egervary test per component: (the summed nu_c of the
-    components that pass it, one (bitmask adjacency, lower bound, greedy
-    upper bound, LP matching) quadruple per component that fails it).
+    components that pass it, one (n_c, t, core rows, lower bound, greedy
+    upper bound, LP matching) part per component that fails it).
 
     A component with m_c = n_c - 1 edges is a tree, bipartite, so it passes
     with tau_c = nu_c; the 2-SAT pass is rooted only at the matched
     vertices of the components with a cycle, and a forest gets (nu, ())
-    with no pass at all.  The LP bound is seeded from the cached maximum
-    matching (see ``_lp_seed``), and the LP matching it ends with is the
-    warm start of the component's search root."""
+    with no pass at all.
+
+    A failing component is first reduced by leaf removal on the adjacency
+    lists (see ``_leaf_core``), which puts t vertices in the cover and
+    leaves its core; bitmask rows are built for the core alone.  The leaf
+    rule is exact for tau and for the LP, so tau_c = t + tau(core) and the
+    lower bound is max(nu_c + 1, t + ceil(LP(core))).  The LP bound is
+    seeded from the pairs of the cached maximum matching inside the core
+    (see ``_lp_seed``), and the LP matching it ends with is the warm start
+    of the component's search root.  The upper bound is twice the greedy
+    maximal matching (see ``_greedy_cover``).  A failing component has a
+    non-empty core, since tau_c - nu_c = tau(core) - nu(core)."""
     mate = _cached_mate(g)
     known = matching_number(g)
     count, labels = g.component_labels()
@@ -488,7 +522,8 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
              if mate[v] != -1]
     if not roots:
         return known, ()
-    scc = _cover_literal_sccs(g.adj_lists, mate, roots)
+    adj = g.adj_lists
+    scc = _cover_literal_sccs(adj, mate, roots)
     failing = [v for v in roots if scc[v] == scc[mate[v]]]
     if not failing:
         return known, ()
@@ -496,23 +531,77 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     parts = []
     for c in np.unique(labels[failing]).tolist():
         nu_c = int(matched_in[c]) // 2
-        verts = np.flatnonzero(labels == c)     # local vertex i is verts[i]
-        outer = np.array([mate[v] for v in verts.tolist()])
-        local = np.where(outer == -1, -1, np.searchsorted(verts, outer))
-        adj = g.induced_adjacency(verts)
-        alive = (1 << len(adj)) - 1
+        verts = np.flatnonzero(labels == c).tolist()
+        core, taken = _leaf_core(adj, verts)
+        rows = g.induced_adjacency(np.array(core))  # core[i] is local i
+        local = dict(zip(core, range(len(core))))
+        alive = (1 << len(rows)) - 1
+        seed = _lp_seed([local.get(mate[v], -1) for v in core], alive)
+        bound, lp = _lp_bound(rows, alive, seed)
         known -= nu_c
-        bound, lp = _lp_bound(adj, alive, _lp_seed(local.tolist(), alive))
-        parts.append((adj, max(nu_c + 1, bound), _vc_greedy(adj, alive), lp))
+        parts.append((len(verts), taken, rows, max(nu_c + 1, taken + bound),
+                      _greedy_cover(adj, verts), lp))
     return known, tuple(parts)
 
 
+def _leaf_core(adj: list[list[int]], verts: list[int]
+               ) -> tuple[list[int], int]:
+    """(core, t): Karp-Sipser leaf removal on the subgraph on the ascending
+    vertex list ``verts``, closed under neighbours.  A vertex of degree 0
+    is dropped; one of degree 1 is dropped with its neighbour, which is
+    taken into the cover and counted in t; until every vertex left, the
+    ascending list ``core``, has degree 2 or more.  Removals run in stack
+    order here.  The core does not depend on the order, and since each
+    step is exact for tau, neither does t = tau(G) - tau(core) (see the
+    module docstring); so the degree sweeps of ``_vc_kernel``, in vertex
+    order, stop at the same core with the same count."""
+    deg = [-1] * (verts[-1] + 1)            # -1: gone, or not in verts
+    for v in verts:
+        deg[v] = len(adj[v])
+    low = [v for v in verts if deg[v] <= 1]
+    taken = 0
+    while low:
+        v = low.pop()
+        d = deg[v]
+        deg[v] = -1
+        if d <= 0:                          # gone already, or isolated
+            continue
+        for u in adj[v]:                    # its one live neighbour
+            if deg[u] >= 0:
+                break
+        deg[u] = -1
+        taken += 1
+        for w in adj[u]:
+            d = deg[w]
+            if d > 0:
+                deg[w] = d - 1
+                if d <= 2:
+                    low.append(w)
+    return [v for v in verts if deg[v] >= 0], taken
+
+
+def _greedy_cover(adj: list[list[int]], verts: list[int]) -> int:
+    """Twice the size of the first-fit maximal matching of the subgraph on
+    the ascending vertex list ``verts``, closed under neighbours (see
+    ``_first_fit``): both ends of a maximal matching form a cover."""
+    match = [-1] * (verts[-1] + 1)
+    _first_fit(adj, verts, match)
+    return len(match) - match.count(-1)
+
+
 def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
-               budget: int, warm: tuple | None = None) -> int:
-    """The smallest vertex cover size below ``best`` of the graph with
-    bitmask rows ``adj``, or ``best`` when there is none; the search stops
-    at the first cover of size at most ``stop_at``.  ``warm`` warm-starts
-    the root's LP bound (see ``_lp_bound``).
+               budget: int, warm: tuple | None = None, taken: int = 0) -> int:
+    """``taken`` plus the smallest vertex cover size of the graph with
+    bitmask rows ``adj``, where that sum is below ``best``, or ``best`` when
+    there is none; the search stops at the first sum of at most
+    ``stop_at``.  ``warm`` warm-starts the root's LP bound (see
+    ``_lp_bound``).  ``_cover_parts`` passes a component's leaf-removal
+    core, its rows in ascending vertex order, and the t vertices the
+    removal took, so every bound and answer is the component's own.  The
+    search is the one on the whole component's rows: there the root
+    kernel sweeps degree-1 and isolated vertices before any other rule,
+    which stops at the same core with the same t (see ``_leaf_core``), and
+    every later rule and branch picks the same vertex in the same order.
 
     Depth first from an explicit stack, so no dive is limited by the
     recursion limit: a node is popped, counted against ``budget``, reduced
@@ -542,9 +631,9 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     copy.  Every node reduces, bounds and branches as one computed afresh
     would, so the search tree and its node count do not depend on this.
     """
-    # the root's kernel runs on the full rows, before the root is counted;
-    # the loop's kernel call on its fixpoint then changes nothing
-    mask, taken, deg, _ = _vc_kernel(adj, (1 << len(adj)) - 1, 0)
+    # the root's kernel runs before the root is counted; the loop's kernel
+    # call on its fixpoint then changes nothing
+    mask, taken, deg, _ = _vc_kernel(adj, (1 << len(adj)) - 1, taken)
     adj, deg, warm = _vc_residue(adj, mask, deg, warm)
     mask = (1 << len(adj)) - 1              # every live vertex is clean
     stack = [(mask, taken, 0, deg, mask, warm, 0)]
@@ -807,20 +896,3 @@ def _vc_kernel(adj: list[int], mask: int, taken: int,
             break
         else:
             return mask, taken, deg, clean
-
-
-def _vc_greedy(adj: list[int], alive: int) -> int:
-    """Twice the size of the greedy maximal matching on ``alive``: a cover."""
-    size = 0
-    mask = alive
-    rest = alive
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest ^= rest & -rest
-        nb = adj[v] & mask
-        if nb:
-            u = (nb & -nb).bit_length() - 1
-            mask &= ~(1 << v) & ~(1 << u)
-            rest &= mask
-            size += 2
-    return size

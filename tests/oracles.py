@@ -185,6 +185,61 @@ def brute_vertex_cover(g: Graph) -> int:
     return g.n
 
 
+def milp_vertex_cover(g: Graph) -> int:
+    """tau(G) as an integer program: the fewest x_v = 1 with x_u + x_v >= 1
+    on every edge, x binary, solved by HiGHS through ``scipy.optimize``."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    if g.m == 0:
+        return 0
+    rows = np.zeros((g.m, g.n))
+    rows[np.arange(g.m)[:, None], g.edge_array()] = 1
+    res = milp(np.ones(g.n), integrality=np.ones(g.n), bounds=Bounds(0, 1),
+               constraints=LinearConstraint(rows, lb=1))
+    assert res.success, res.message
+    return round(res.fun)
+
+
+def random_order_leaf_core(adj: list[list[int]], verts: list[int],
+                           seed: int) -> tuple[list[int], int]:
+    """Leaf removal on the subgraph on ``verts`` (closed under neighbours)
+    with each step a uniform pick among the live vertices of degree at most
+    1, found by rescanning: (the ascending core, the vertices taken)."""
+    rng = np.random.default_rng(seed)
+    live = set(verts)
+    taken = 0
+    while True:
+        low = [v for v in sorted(live)
+               if sum(w in live for w in adj[v]) <= 1]
+        if not low:
+            return sorted(live), taken
+        v = low[rng.integers(len(low))]
+        live.discard(v)
+        near = [w for w in adj[v] if w in live]
+        if near:
+            live.discard(near[0])
+            taken += 1
+
+
+def rows_greedy_cover(adj: list[int], alive: int) -> int:
+    """Twice the size of the greedy maximal matching on ``alive``, read off
+    bitmask rows: each vertex in ascending order, if still free, takes its
+    lowest free neighbour."""
+    size = 0
+    mask = alive
+    rest = alive
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest ^= rest & -rest
+        nb = adj[v] & mask
+        if nb:
+            u = (nb & -nb).bit_length() - 1
+            mask &= ~(1 << v) & ~(1 << u)
+            rest &= mask
+            size += 2
+    return size
+
+
 def brute_is_bipartite(g: Graph) -> bool:
     """Whether some 2-colouring of the vertices leaves no edge monochrome."""
     edges = g.edge_list()
@@ -721,9 +776,9 @@ def _full_p27b(n, p, within_reach):
 
 def full_width_vc_search(adj: list[int], best: int, stop_at: int,
                          counter: list[int], budget: int,
-                         warm: tuple | None = None) -> int:
+                         warm: tuple | None = None, taken: int = 0) -> int:
     """``matching._vc_search`` with every node on the full rows ``adj``."""
-    stack = [((1 << len(adj)) - 1, 0, 0, None, 0, warm)]
+    stack = [((1 << len(adj)) - 1, taken, 0, None, 0, warm)]
     while stack:
         mask, taken, gone, deg, clean, warm = stack.pop()
         counter[0] += 1

@@ -122,6 +122,17 @@ class TestSubcommands:
         assert code == 0
         assert obj["verdict"] == "HOLDS" and obj["size"] == 5
 
+    def test_egcheck_marks_k_beyond_range(self, capsys, tmp_path):
+        # K_6: k = 3 has 2k + 1 > n; only that k carries the mark
+        path = write_graph(tmp_path, complete_graph(6))
+        code, out, _ = run(capsys, ["egcheck", path])
+        per_k = json.loads(out)["per_k"]
+        assert code == 0
+        assert [k for k, obj in per_k.items()
+                if obj.get("two_k_plus_1_exceeds_n")] == ["3"]
+        code, out, _ = run(capsys, ["egcheck", path, "--k", "3"])
+        assert json.loads(out)["two_k_plus_1_exceeds_n"] is True
+
     def test_extremal_json(self, capsys, tmp_path):
         path = write_graph(tmp_path, cycle(5))
         code, out, _ = run(capsys, ["extremal", path, "--k", "1"])

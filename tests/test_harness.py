@@ -412,6 +412,29 @@ class TestRunTrials:
         assert all(r.eg_all in ("holds", "fails") for r in records)
         assert "eg_all_holds" in summary["rates"]
 
+    def test_kn_even_reads_holds_with_boundary_note(self):
+        # K_12: every k <= 5 holds; k = 6 = n/2 "fails" only because no
+        # 13-set exists, which is a note, not the trial's verdict
+        spec = RegimeSpec(n=12, p_rule="dense", trials=2, master_seed=1)
+        records, summary = run_trials(spec)
+        assert [(r.m, r.eg_all, r.notes) for r in records] == [
+            (66, "holds", ["eg at k = n/2 (2k+1 > n): fails"])] * 2
+        assert summary["rates"]["eg_all_holds"]["count"] == 2
+
+    def test_eg_all_counts_pinned(self):
+        # G(12, 0.5), 20 trials: every trial has a perfect matching and
+        # fails at k = 6; trials 2 and 6 also fail inside the range
+        spec = RegimeSpec(n=12, p_rule="custom", p_explicit=0.5, trials=20,
+                          master_seed=1, checks=("nu", "eg"))
+        records, summary = run_trials(spec)
+        boundary = "eg at k = n/2 (2k+1 > n): fails"
+        assert all(r.nu == 6 and r.notes[-1] == boundary for r in records)
+        assert {r.trial: (r.eg_all, r.notes[:-1]) for r in records
+                if r.eg_all != "holds"} == {
+            2: ("fails", ["eg fails first at k = 5"]),
+            6: ("fails", ["eg fails first at k = 4"])}
+        assert summary["rates"]["eg_all_holds"]["count"] == 18
+
     def test_eg_skipped_above_cutoff(self):
         spec = RegimeSpec(n=30, p_rule="custom", p_explicit=0.1, trials=2,
                           master_seed=3, checks=("eg",), eg_exact_cutoff=12)

@@ -25,8 +25,9 @@ from oracles import (brute_independence_number, brute_is_bipartite,
                      components_by_union_find, full_width_lp_bound,
                      full_width_vc_search, gallai_edmonds_by_deletion,
                      generator_cover_literal_sccs, has_augmenting_path,
-                     is_bipartite, random_forest, rescan_vc_kernel,
-                     tb_max_over_subsets)
+                     is_bipartite, milp_vertex_cover, random_forest,
+                     random_order_leaf_core, rescan_vc_kernel,
+                     rows_greedy_cover, tb_max_over_subsets)
 
 
 def random_graph(tag: int) -> Graph:
@@ -376,8 +377,8 @@ class TestVertexCover:
                     failing.append((c.n, tau_c))
             split_known, parts = matching._cover_parts(g)
             assert split_known == known, i
-            assert [n_c for n_c, _ in failing] == [len(p[0]) for p in parts]
-            assert all(lo <= tau_c <= hi for (_, tau_c), (_, lo, hi, _)
+            assert [n_c for n_c, _ in failing] == [p[0] for p in parts]
+            assert all(lo <= tau_c <= hi for (_, tau_c), (*_, lo, hi, _)
                        in zip(failing, parts)), i
 
     def test_nu_tau_sandwich(self):
@@ -608,12 +609,12 @@ class TestSearchTree:
         assert (err.value.lower, err.value.upper) == (200, 240)
 
 
-def search_outcome(search, adj, best, stop_at, budget, warm):
+def search_outcome(search, adj, best, stop_at, budget, warm, taken=0):
     """What ``search`` gives, or the upper bound of its budget failure,
     with the nodes it counted."""
     counter = [0]
     try:
-        got = search(adj, best, stop_at, counter, budget, warm)
+        got = search(adj, best, stop_at, counter, budget, warm, taken)
     except CapabilityError as exc:
         got = "exceeded", exc.upper
     return got, counter[0]
@@ -630,6 +631,16 @@ def lp_value(adj, mask) -> int:
     return full_width_lp_bound(adj, mask)[0]
 
 
+def failing_components(g: Graph) -> list[np.ndarray]:
+    """The vertices of each component that fails the Konig-Egervary test,
+    in the order of the parts of ``_cover_parts``."""
+    mate = matching._cached_mate(g)
+    scc = matching._cover_literal_sccs(g.adj_lists, mate, g.support)
+    labels = g.component_labels()[1]
+    bad = [v for v in g.support if mate[v] != -1 and scc[v] == scc[mate[v]]]
+    return [np.flatnonzero(labels == c) for c in np.unique(labels[bad])]
+
+
 class TestSearchShortcuts:
     """The search runs on the root kernel's residue, stops an LP once it
     proves the prune and drops a child its parent's bound prunes; none of
@@ -640,15 +651,24 @@ class TestSearchShortcuts:
            st.booleans())
     def test_search_equals_full_width(self, g, budget, pick, warm_start):
         # exact calls, capped decisions (cap + 1, cap) as _cover_at_most
-        # makes them, each under a small budget and a large one
-        for adj, lo, hi, lp in matching._cover_parts(g)[1]:
+        # makes them, each under a small budget and a large one: the search
+        # on the core with t taken against the full-width search on the
+        # whole component
+        parts = matching._cover_parts(g)[1]
+        comps = failing_components(g)
+        assert [p[0] for p in parts] == [len(c) for c in comps]
+        for verts, (_, t, rows, lo, hi, lp) in zip(comps, parts):
+            full = g.induced_adjacency(verts)
             warm = lp if warm_start else None
+            full_warm = (full_width_lp_bound(full, (1 << len(full)) - 1)[1]
+                         if warm_start else None)
             cap = lo - 1 + pick % (hi - lo + 2)
             for best, stop_at in ((hi, lo), (hi, 0), (cap + 1, cap)):
                 for b in (budget, matching.DEFAULT_VC_NODE_BUDGET):
-                    args = adj, best, stop_at, b, warm
-                    assert search_outcome(matching._vc_search, *args) \
-                        == search_outcome(full_width_vc_search, *args)
+                    assert search_outcome(matching._vc_search, rows, best,
+                                          stop_at, b, warm, t) \
+                        == search_outcome(full_width_vc_search, full, best,
+                                          stop_at, b, full_warm)
 
     @settings(max_examples=100, deadline=None)
     @given(SEARCH_GRAPHS, st.integers(1, 60), st.integers(0, 80))
@@ -745,6 +765,89 @@ def cover_outcome(g: Graph, budget: int):
         return vertex_cover_number(g, budget)
     except CapabilityError as exc:
         return "exceeded", exc.lower, exc.upper
+
+
+# G(n, c/n) from below the Karp-Sipser threshold e/n to well above it
+CORE_GRAPHS = st.builds(
+    lambda n, c, seed: gen_gnp(GnpParams(n, min(1.0, c / n), seed)),
+    st.integers(8, 200), st.floats(0.8, 7.0), st.integers(0, 2 ** 32))
+
+
+class TestCoreReduction:
+    """Each failing component is cut to its leaf-removal core before any
+    bitmask row is built; the kernel residue, the taken count, the root LP
+    bound and the greedy bound must be those of the whole component."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(SEARCH_GRAPHS, CORE_GRAPHS), st.integers(0, 2 ** 32))
+    def test_core_pipeline_equals_full_width(self, g, order_seed):
+        mate = matching._cached_mate(g)
+        parts = matching._cover_parts(g)[1]
+        comps = failing_components(g)
+        assert [p[0] for p in parts] == [len(c) for c in comps]
+        for verts, (n_c, t, rows, lo, hi, _) in zip(comps, parts):
+            core, taken = matching._leaf_core(g.adj_lists, verts.tolist())
+            assert (taken, rows) == (t, g.induced_adjacency(np.array(core)))
+            assert core and all(row.bit_count() >= 2 for row in rows)
+            # the same core and count in a random removal order
+            assert random_order_leaf_core(g.adj_lists, verts.tolist(),
+                                          order_seed) == (core, t)
+            full = g.induced_adjacency(verts)
+            alive = (1 << n_c) - 1
+            residue, full_taken, _, _ = _vc_kernel(full, alive, 0)
+            core_residue, core_taken, _, _ = _vc_kernel(
+                rows, (1 << len(rows)) - 1, t)
+            assert [core[i] for i in vset_members(core_residue)] \
+                == verts[vset_members(residue)].tolist()
+            assert core_taken == full_taken
+            full_lp = full_width_lp_bound(full, alive)[0]
+            assert t + lp_value(rows, (1 << len(rows)) - 1) == full_lp
+            nu_c = sum(mate[v] != -1 for v in verts.tolist()) // 2
+            assert lo == max(nu_c + 1, full_lp)
+            assert hi == matching._greedy_cover(g.adj_lists, verts.tolist()) \
+                == rows_greedy_cover(full, alive)
+
+
+    def test_root_bound_counts_the_taken_vertices(self):
+        # a hub joined to one corner of each of five triangles, and a leaf
+        # at a second corner of the first: leaf removal takes 2 vertices,
+        # and the LP of the core (the hub and four triangles) is 6.5, so
+        # the root bound t + ceil(LP(core)) = 9 beats nu_c + 1 = 8
+        edges = [(1, 16)]
+        for a in range(1, 16, 3):
+            edges += [(0, a), (a, a + 1), (a + 1, a + 2), (a, a + 2)]
+        g = Graph(17, edges)
+        (part,) = matching._cover_parts(g)[1]
+        assert (part[0], part[1], len(part[2]), part[3]) == (17, 2, 13, 9)
+        assert matching_number(g) == 7 and vertex_cover_number(g) == 10
+
+    def test_decision_solves_smaller_components_first(self, monkeypatch):
+        # a triangle with a 2-path hanging off it (5 vertices, core 3) and
+        # a K4 (4 vertices, core 4): the decision solves the K4 exactly
+        # first, ordered by component size, not by core size
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
+        edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+        widths = []
+        original = matching._vc_search
+        monkeypatch.setattr(matching, "_vc_search",
+                            lambda rows, *a: widths.append(len(rows))
+                            or original(rows, *a))
+        assert matching._cover_at_most(Graph(9, edges), 6, 100)
+        assert widths == [4, 3]
+
+
+class TestMilpOracle:
+    """tau past the reach of brute force, against an integer program."""
+
+    def test_sparse_graphs_up_to_40(self):
+        for seed in range(200):
+            n = 15 + seed % 26
+            g = gen_gnp(GnpParams(n, 3.5 / n, trial_seed(0x4D1F, seed)))
+            tau = milp_vertex_cover(g)
+            assert vertex_cover_number(fresh(g)) == tau, seed
+            budget = matching.DEFAULT_VC_NODE_BUDGET
+            assert not matching._cover_at_most(fresh(g), tau - 1, budget)
+            assert matching._cover_at_most(fresh(g), tau, budget)
 
 
 class TestOncePerGraph:
@@ -897,7 +1000,7 @@ class TestOncePerGraph:
         (known_g, parts_g), (known_h, parts_h) = (
             matching._cover_parts(g), matching._cover_parts(h))
         assert known_h == known_g
-        assert [p[:3] for p in parts_h] == [p[:3] for p in parts_g]
+        assert [p[:5] for p in parts_h] == [p[:5] for p in parts_g]
         assert vertex_cover_number(h) == vertex_cover_number(g)
 
     def test_cached_mate_is_read_only(self, petersen):
