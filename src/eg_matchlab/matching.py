@@ -20,24 +20,27 @@ Every vertex cover has at least nu vertices.  One of exactly nu vertices
 exists iff a 2-SAT formula over the matching edges is satisfiable, which
 one strongly-connected-components pass decides in O(n + m) (Deming 1979).
 A tree (m_c = n_c - 1) is bipartite and passes with no pass at all, so
-the split runs the pass only over the components with a cycle, found from
-two counts over the component labels; it leaves branch and bound only for
-the components that fail it, and there it gives a root bound of nu_c + 1 next
-to the half-integral LP bound (Nemhauser & Trotter 1975).  One search
-serves the exact tau and the decision tau <= k behind the empty half-set.
+the split looks only at the components with a cycle, found from two counts
+over the component labels, and a forest takes no pass.
 
-Before any bitmask row is built, a failing component is cut to its
-Karp-Sipser core on the adjacency lists: leaf removal drops a vertex of
-degree at most 1 and takes its neighbour into the cover, t times in all,
-until every vertex left has degree 2 or more.  Two facts make the core
-stand in for the component.  The core is the same whatever the order of
-the removals (Karp & Sipser 1981; Bauer & Golinelli 2001), so the search
-kernel's own degree sweeps, run on the whole component, would stop at it
-with the same t.  And the leaf rule is exact, for tau and for the LP
-relaxation alike: tau(G) = 1 + tau(G - u - v) and LP(G) = 1 + LP(G - u - v)
-when v is a leaf at u.  So rows, the root LP and the search run on the
-core alone, the search starting with t vertices taken, and the greedy
-upper bound is read off the lists (see ``_cover_parts``).
+Those components are first cut to their Karp-Sipser core on the adjacency
+lists: leaf removal drops a vertex of degree at most 1 and takes its
+neighbour into the cover, t times in all, until every vertex left has
+degree 2 or more.  The core is the same whatever the order of the
+removals (Karp & Sipser 1981; Bauer & Golinelli 2001), and the leaf rule
+is exact for tau, nu and the LP relaxation alike: each of them is 1 more
+on G than on G - u - v when v is a leaf at u.  So tau_c - nu_c is the same
+on a component and on its core, and the 2-SAT pass runs on the core alone,
+over the cached maximum matching M cut to the core, which is a maximum
+matching of the core: the t taken vertices cover every edge that meets a
+removed vertex, so at most t edges of M leave the core, while
+nu(G) = t + nu(core).  A component fails iff a piece of its core does.
+It leaves branch and bound, with a root bound of nu_c + 1 next to the
+half-integral LP bound (Nemhauser & Trotter 1975); rows, the root LP and
+the search run on its core, the search starting with t vertices taken,
+and the greedy upper bound is read off the lists (see ``_cover_parts``).
+One search serves the exact tau and the decision tau <= k behind the
+empty half-set.
 
 A search node costs what changed since its parent, at the width of what
 the root's kernel left.  The search runs depth first from an explicit
@@ -49,7 +52,11 @@ component's search root starts from the LP matching of that bound.  Below
 the root every node runs on the root kernel's residue, its live vertices
 relabelled in ascending order; a node's LP stops as soon as it proves the
 node pruned; and a child that its parent's bound already prunes is counted
-and dropped before its kernel.  A node reduces, bounds and branches as one
+and dropped before its kernel.  The dominated-vertex rule looks only at
+the vertices on a triangle of the root's rows: it runs once every live
+vertex has degree 2 or more, and then a v with N(v) inside N[u] has a
+second neighbour, which u sees too, so v lies on a triangle; deleting
+vertices never makes one.  A node reduces, bounds and branches as one
 computed afresh would, so none of this changes the search tree or its node
 count (see ``_vc_search``).
 
@@ -499,48 +506,65 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     upper bound, LP matching) part per component that fails it).
 
     A component with m_c = n_c - 1 edges is a tree, bipartite, so it passes
-    with tau_c = nu_c; the 2-SAT pass is rooted only at the matched
-    vertices of the components with a cycle, and a forest gets (nu, ())
-    with no pass at all.
+    with tau_c = nu_c, and a forest gets (nu, ()) with no pass at all.  The
+    components with a cycle take one leaf-removal pass (see ``_leaf_core``)
+    and the 2-SAT pass runs on the core it leaves: on the core's own
+    adjacency, rooted at its matched vertices, with the cached mate cut to
+    the core, where a vertex matched outside it reads as exposed.  That is
+    exact per component: tau_c - nu_c = tau(core_c) - nu(core_c), and M cut
+    to the core is a maximum matching of it (see the module docstring).
 
-    A failing component is first reduced by leaf removal on the adjacency
-    lists (see ``_leaf_core``), which puts t vertices in the cover and
-    leaves its core; bitmask rows are built for the core alone.  The leaf
-    rule is exact for tau and for the LP, so tau_c = t + tau(core) and the
-    lower bound is max(nu_c + 1, t + ceil(LP(core))).  The LP bound is
-    seeded from the pairs of the cached maximum matching inside the core
-    (see ``_lp_seed``), and the LP matching it ends with is the warm start
-    of the component's search root.  The upper bound is twice the greedy
-    maximal matching (see ``_greedy_cover``).  A failing component has a
-    non-empty core, since tau_c - nu_c = tau(core) - nu(core)."""
+    A failing component keeps its core from that pass, t vertices taken,
+    where t = nu_c - nu(core_c), read off the cut mate; bitmask rows are
+    built for the core alone.  The leaf rule is exact for tau and for the
+    LP, so tau_c = t + tau(core) and the lower bound is
+    max(nu_c + 1, t + ceil(LP(core))).  The LP bound is seeded from the
+    pairs of the cut mate (see ``_lp_seed``), and the LP matching it ends
+    with is the warm start of the component's search root.  The upper bound
+    is twice the greedy maximal matching (see ``_greedy_cover``)."""
     mate = _cached_mate(g)
     known = matching_number(g)
     count, labels = g.component_labels()
     cyclic = (np.bincount(labels[g.edge_array()[:, 0]], minlength=count)
               >= np.bincount(labels, minlength=count))
-    roots = [v for v in np.flatnonzero(cyclic[labels]).tolist()
-             if mate[v] != -1]
-    if not roots:
+    verts = np.flatnonzero(cyclic[labels]).tolist()
+    if not verts:
         return known, ()
     adj = g.adj_lists
-    scc = _cover_literal_sccs(adj, mate, roots)
-    failing = [v for v in roots if scc[v] == scc[mate[v]]]
+    core, _ = _leaf_core(adj, verts)
+    in_core = bytearray(g.n)
+    for v in core:
+        in_core[v] = 1
+    core_adj = [()] * g.n                   # the core's own adjacency
+    core_mate = [-1] * g.n                  # the cached mate inside the core
+    for v in core:
+        core_adj[v] = [w for w in adj[v] if in_core[w]]
+        w = mate[v]
+        if w != -1 and in_core[w]:
+            core_mate[v] = w
+    roots = [v for v in core if core_mate[v] != -1]
+    scc = _cover_literal_sccs(core_adj, core_mate, roots)
+    failing = [v for v in roots if scc[v] == scc[core_mate[v]]]
     if not failing:
         return known, ()
-    matched_in = np.bincount(labels[roots], minlength=count)
+    core = np.array(core)
+    core_labels = labels[core]
+    matched = np.bincount(labels[np.asarray(mate) != -1], minlength=count)
+    core_matched = np.bincount(labels[roots], minlength=count)
     parts = []
     for c in np.unique(labels[failing]).tolist():
-        nu_c = int(matched_in[c]) // 2
-        verts = np.flatnonzero(labels == c).tolist()
-        core, taken = _leaf_core(adj, verts)
-        rows = g.induced_adjacency(np.array(core))  # core[i] is local i
-        local = dict(zip(core, range(len(core))))
+        comp = np.flatnonzero(labels == c).tolist()
+        nu_c = int(matched[c]) // 2
+        taken = nu_c - int(core_matched[c]) // 2
+        core_c = core[core_labels == c]
+        rows = g.induced_adjacency(core_c)  # core_c[i] is local i
+        local = dict(zip(core_c.tolist(), range(len(rows))))
         alive = (1 << len(rows)) - 1
-        seed = _lp_seed([local.get(mate[v], -1) for v in core], alive)
+        seed = _lp_seed([local.get(core_mate[v], -1) for v in local], alive)
         bound, lp = _lp_bound(rows, alive, seed)
         known -= nu_c
-        parts.append((len(verts), taken, rows, max(nu_c + 1, taken + bound),
-                      _greedy_cover(adj, verts), lp))
+        parts.append((len(comp), taken, rows, max(nu_c + 1, taken + bound),
+                      _greedy_cover(adj, comp), lp))
     return known, tuple(parts)
 
 
@@ -554,7 +578,10 @@ def _leaf_core(adj: list[list[int]], verts: list[int]
     order here.  The core does not depend on the order, and since each
     step is exact for tau, neither does t = tau(G) - tau(core) (see the
     module docstring); so the degree sweeps of ``_vc_kernel``, in vertex
-    order, stop at the same core with the same count."""
+    order, stop at the same core with the same count.  No removal crosses
+    a component, so one pass over several components leaves each its own
+    core, and t is their summed count; per component it is
+    nu_c - nu(core_c), as each step is exact for nu too."""
     deg = [-1] * (verts[-1] + 1)            # -1: gone, or not in verts
     for v in verts:
         deg[v] = len(adj[v])
@@ -609,12 +636,18 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     first vertex v of maximum degree, with "v in the cover" pushed last so
     that it is searched first and "all neighbours of v in" after it.
 
-    Three shortcuts leave the search tree and its node count as they are:
+    Four shortcuts leave the search tree and its node count as they are:
 
     - Every node below the root runs on the root kernel's residue, its live
       vertices relabelled 0..r-1 in ascending order (see ``_vc_residue``).
       The relabelling keeps the vertex order, so every "first" or "lowest"
       choice of the kernel and of the branching picks the same vertex.
+      Where the root kernel removed nothing, every vertex is live with
+      degree 2 or more, the relabelling is the identity, and it is skipped.
+    - The kernel checks for a dominated vertex only on the triangle
+      vertices of ``adj``, computed once (see ``_triangle_mask``) and
+      carried through the relabelling: every other vertex stays without a
+      dominating neighbour at every node (see ``_vc_kernel``).
     - The LP bound stops once it proves the prune, ceil(LP) >= best - taken
       (see ``_lp_bound``): the LP value is unique, and only its comparison
       with best - taken is read.  A node that branches computes it in full.
@@ -633,10 +666,13 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     """
     # the root's kernel runs before the root is counted; the loop's kernel
     # call on its fixpoint then changes nothing
-    mask, taken, deg, _ = _vc_kernel(adj, (1 << len(adj)) - 1, taken)
-    adj, deg, warm = _vc_residue(adj, mask, deg, warm)
-    mask = (1 << len(adj)) - 1              # every live vertex is clean
-    stack = [(mask, taken, 0, deg, mask, warm, 0)]
+    full = (1 << len(adj)) - 1
+    tri = _triangle_mask(adj)
+    mask, taken, deg, _ = _vc_kernel(adj, full, taken, tri=tri)
+    if mask != full:
+        adj, deg, warm, tri = _vc_residue(adj, mask, deg, warm, tri)
+        mask = (1 << len(adj)) - 1
+    stack = [(mask, taken, 0, deg, mask, warm, 0)]  # every vertex is clean
     while stack:
         mask, taken, gone, deg, clean, warm, reach = stack.pop()
         counter[0] += 1
@@ -647,7 +683,7 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
         if reach >= best:                   # the parent's bound prunes it
             continue
         mask, taken, deg, clean = _vc_kernel(adj, mask, taken, deg, clean,
-                                             gone)
+                                             gone, tri)
         if taken >= best:
             continue
         if not mask:                        # a cover: no edge is left
@@ -667,18 +703,20 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     return best
 
 
-def _vc_residue(adj: list[int], mask: int, deg: list[int], warm: tuple | None
-                ) -> tuple[list[int], list[int], tuple | None]:
+def _vc_residue(adj: list[int], mask: int, deg: list[int], warm: tuple | None,
+                tri: int) -> tuple[list[int], list[int], tuple | None, int]:
     """The graph on ``mask``, a kernel fixpoint with degrees ``deg``, with
     its vertices relabelled 0..r-1 in ascending order: its bitmask rows,
-    its degrees and the pairs of the double-cover matching ``warm`` (see
-    ``_lp_bound``) with both ends in ``mask``, all on the new ids."""
+    its degrees, the pairs of the double-cover matching ``warm`` (see
+    ``_lp_bound``) with both ends in ``mask`` and the vertices of ``tri``
+    in ``mask``, all on the new ids."""
     live = [v for v, d in enumerate(deg) if d]  # no live vertex of degree 0
     ids = [-1] * len(adj)
     for i, v in enumerate(live):
         ids[v] = i
     rows = []
-    for v in live:
+    on_tri = 0
+    for i, v in enumerate(live):
         row = 0
         near = adj[v] & mask
         while near:                         # highest first: ``near`` shrinks
@@ -686,9 +724,11 @@ def _vc_residue(adj: list[int], mask: int, deg: list[int], warm: tuple | None
             row |= 1 << ids[w]
             near ^= 1 << w
         rows.append(row)
+        if tri >> v & 1:
+            on_tri |= 1 << i
     deg = [deg[v] for v in live]
     if warm is None:
-        return rows, deg, None
+        return rows, deg, None, on_tri
     old_left = warm[1]                      # -1 where a left copy is free
     left = [-1] * len(live)
     right = [-1] * len(live)
@@ -700,7 +740,24 @@ def _vc_residue(adj: list[int], mask: int, deg: list[int], warm: tuple | None
             right[j] = i
             lmask |= 1 << i
             rmask |= 1 << j
-    return rows, deg, ((1 << len(live)) - 1, left, right, lmask, rmask)
+    warm = ((1 << len(live)) - 1, left, right, lmask, rmask)
+    return rows, deg, warm, on_tri
+
+
+def _triangle_mask(adj: list[int]) -> int:
+    """The vertices of the graph with bitmask rows ``adj`` that lie on a
+    triangle, read off each edge vu with u > v: v, u and their common
+    neighbours."""
+    tri = 0
+    for v, row in enumerate(adj):
+        above = row & ~((2 << v) - 1)
+        while above:
+            bit = above & -above
+            above ^= bit
+            common = adj[bit.bit_length() - 1] & row
+            if common:
+                tri |= (1 << v) | bit | common
+    return tri
 
 
 def _lp_seed(mate: list[int], mask: int) -> tuple:
@@ -814,8 +871,8 @@ def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None,
 
 
 def _vc_kernel(adj: list[int], mask: int, taken: int,
-               deg: list[int] | None = None, clean: int = 0, gone: int = 0
-               ) -> tuple[int, int, list[int], int]:
+               deg: list[int] | None = None, clean: int = 0, gone: int = 0,
+               tri: int = -1) -> tuple[int, int, list[int], int]:
     """Apply the reduction rules to a fixpoint: sweeps in vertex order that
     drop a vertex of degree 0, or take the neighbour of one of degree 1,
     repeated while a sweep changes anything; then take the first u with
@@ -835,6 +892,14 @@ def _vc_kernel(adj: list[int], mask: int, taken: int,
     of ``gone`` leave first.  No live vertex of a fixpoint has degree 1 or
     less, so only the neighbours of ``gone`` can be swept, and only they
     lose their place in ``clean``.
+
+    Only the vertices of ``tri`` are checked for a dominating neighbour;
+    the search passes the vertices on a triangle of its root's rows.  No
+    other vertex can be dominated: the check runs once no live vertex has
+    degree 1 or less, and then a v with N(v) inside N[u] has a neighbour
+    w other than u, in N(u), so vuw is a triangle, of the root's rows too,
+    since deleting vertices never makes one.  A vertex outside ``tri``
+    never joins ``clean``; the rest of the result is that of checking all.
     """
     low = 0                                 # live vertices of degree <= 1
     if deg is None:
@@ -877,7 +942,7 @@ def _vc_kernel(adj: list[int], mask: int, taken: int,
                     taken += 1
                 drop(bit | nb)
                 cand = low & mask & ~((bit << 1) - 1)
-        rest = mask & ~clean
+        rest = mask & tri & ~clean
         while rest:
             bit = rest & -rest
             rest ^= bit

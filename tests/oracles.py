@@ -16,7 +16,9 @@ from scipy.special import gammaln, logsumexp
 
 from eg_matchlab.errors import CapabilityError, InputError
 from eg_matchlab.graph_core import Graph, iter_bits, vset, vset_members
-from eg_matchlab.matching import _vc_kernel, matching_number
+from eg_matchlab.matching import (_cached_mate, _cover_literal_sccs,
+                                  _greedy_cover, _leaf_core, _lp_bound,
+                                  _lp_seed, _vc_kernel, matching_number)
 
 
 def canonical_edges_by_unique(n: int, edges) -> np.ndarray:
@@ -769,10 +771,11 @@ def _full_p27b(n, p, within_reach):
     return _sum_falling_layers(n, layers())
 
 
-# The cover search and its 2-SAT pass in their plainest form: every node at
-# the component's full width, every LP bound computed in full, and one
-# successor generator per literal node.  The library's must visit the same
-# nodes and give the same numbering.
+# The cover search, its 2-SAT pass and the Konig-Egervary split in their
+# plainest form: every node at the component's full width, every LP bound
+# computed in full, one successor generator per literal node, and the 2-SAT
+# pass over whole components.  The library's must visit the same nodes, give
+# the same numbering and build the same parts.
 
 def full_width_vc_search(adj: list[int], best: int, stop_at: int,
                          counter: list[int], budget: int,
@@ -918,3 +921,39 @@ def generator_cover_literal_sccs(adj: list[list[int]], mate: list[int],
                             break
                     done += 1
     return scc
+
+
+def whole_component_cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
+    """``matching._cover_parts`` with the 2-SAT pass over every matched
+    vertex of the components with a cycle, the whole component's adjacency
+    and the whole cached mate, and one leaf-removal pass per failing
+    component."""
+    mate = _cached_mate(g)
+    known = matching_number(g)
+    count, labels = g.component_labels()
+    cyclic = (np.bincount(labels[g.edge_array()[:, 0]], minlength=count)
+              >= np.bincount(labels, minlength=count))
+    roots = [v for v in np.flatnonzero(cyclic[labels]).tolist()
+             if mate[v] != -1]
+    if not roots:
+        return known, ()
+    adj = g.adj_lists
+    scc = _cover_literal_sccs(adj, mate, roots)
+    failing = [v for v in roots if scc[v] == scc[mate[v]]]
+    if not failing:
+        return known, ()
+    matched_in = np.bincount(labels[roots], minlength=count)
+    parts = []
+    for c in np.unique(labels[failing]).tolist():
+        nu_c = int(matched_in[c]) // 2
+        verts = np.flatnonzero(labels == c).tolist()
+        core, taken = _leaf_core(adj, verts)
+        rows = g.induced_adjacency(np.array(core))  # core[i] is local i
+        local = dict(zip(core, range(len(core))))
+        alive = (1 << len(rows)) - 1
+        seed = _lp_seed([local.get(mate[v], -1) for v in core], alive)
+        bound, lp = _lp_bound(rows, alive, seed)
+        known -= nu_c
+        parts.append((len(verts), taken, rows, max(nu_c + 1, taken + bound),
+                      _greedy_cover(adj, verts), lp))
+    return known, tuple(parts)

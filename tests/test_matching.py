@@ -27,7 +27,8 @@ from oracles import (brute_independence_number, brute_is_bipartite,
                      generator_cover_literal_sccs, has_augmenting_path,
                      is_bipartite, milp_vertex_cover, random_forest,
                      random_order_leaf_core, rescan_vc_kernel,
-                     rows_greedy_cover, tb_max_over_subsets)
+                     rows_greedy_cover, tb_max_over_subsets,
+                     whole_component_cover_parts)
 
 
 def random_graph(tag: int) -> Graph:
@@ -836,6 +837,175 @@ class TestCoreReduction:
         assert widths == [4, 3]
 
 
+# two triangles joined through a vertex that carries a pendant leaf: leaf
+# removal takes the joint, and the core falls apart into the two triangles
+TWO_TRIANGLES_JOINED = Graph(8, TRIANGLE + [(3, 4), (4, 5), (3, 5), (2, 6),
+                                            (3, 6), (6, 7)])
+# a triangle with a pendant 2-path: the cached matching pairs corner 2 with
+# 3, which leaf removal takes, so 2 is exposed inside the core
+TRIANGLE_PATH2 = Graph(5, TRIANGLE + [(2, 3), (3, 4)])
+
+
+def relabelled_mate(g: Graph, seed: int) -> list[int]:
+    """A maximum matching of ``g`` as a mate array: the cached one of a
+    copy with its vertex ids shuffled, mapped back."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    mate = matching._cached_mate(Graph(g.n, perm[g.edge_array()]))
+    back = np.argsort(perm).tolist()
+    return [-1 if mate[perm[v]] == -1 else back[mate[perm[v]]]
+            for v in range(g.n)]
+
+
+class TestCoreDecision:
+    """The Konig-Egervary pass runs on the leaf-removal core of the
+    components with a cycle, with the cached mate restricted to it; the
+    split must be the whole-component split, part for part."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(SEARCH_GRAPHS, CORE_GRAPHS))
+    @example(TWO_TRIANGLES_JOINED)
+    @example(TRIANGLE_PATH2)
+    def test_split_equals_whole_component_split(self, g):
+        assert matching._cover_parts(fresh(g)) \
+            == whole_component_cover_parts(fresh(g))
+
+    @pytest.mark.parametrize("j", range(16))
+    def test_split_on_the_middle_pool(self, j):
+        assert matching._cover_parts(pool_graph(j)) \
+            == whole_component_cover_parts(pool_graph(j))
+
+    def test_core_in_two_pieces(self):
+        # t = 1 (the joint) for the whole component, whose core is two
+        # triangles, each failing; nu_c = 3, ceil(LP) = 1 + 3
+        g = fresh(TWO_TRIANGLES_JOINED)
+        (part,) = matching._cover_parts(g)[1]
+        assert (part[0], part[1], len(part[2]), part[3]) == (8, 1, 6, 4)
+        assert matching_number(g) == 3 and vertex_cover_number(g) == 5
+
+    def test_core_vertex_matched_outside_the_core(self):
+        g = fresh(TRIANGLE_PATH2)
+        assert matching._cached_mate(g)[2] == 3
+        (part,) = matching._cover_parts(g)[1]
+        assert (part[0], part[1], len(part[2]), part[3]) == (5, 1, 3, 3)
+        assert vertex_cover_number(g) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 18), st.floats(0.8, 7.0), st.integers(0, 2 ** 32),
+           st.integers(0, 2 ** 32))
+    def test_mate_inside_the_core_is_maximum(self, n, c, seed, perm_seed):
+        # the cached matching and a second maximum matching, each cut to
+        # the core: nu - t pairs, and no augmenting path in the core
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        if not g.support:
+            return
+        core, t = matching._leaf_core(g.adj_lists, g.support)
+        local = {v: i for i, v in enumerate(core)}
+        h = Graph(len(core), [(local[u], local[v]) for u, v in g.edge_list()
+                              if u in local and v in local])
+        for mate in (matching._cached_mate(g), relabelled_mate(g, perm_seed)):
+            pairs = [(local[u], local[mate[u]]) for u in core
+                     if mate[u] > u and mate[u] in local]
+            assert len(pairs) == matching_number(g) - t
+            assert not has_augmenting_path(h, pairs)
+
+
+class TestTriangleKernel:
+    """The dominated-vertex rule looks only at the vertices on a triangle
+    of the root's rows, and the search skips the relabel where the root
+    kernel removed nothing; the kernel, the residue and the search must
+    come out as before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from([2.0, 4.0, 8.0, 16.0]),
+           st.integers(0, 2 ** 32))
+    def test_triangle_mask_equals_brute_force(self, n, c, seed):
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        adj = g.adj_bits
+        want = vset(v for trio in itertools.combinations(range(n), 3)
+                    if all(adj[a] >> b & 1
+                           for a, b in itertools.combinations(trio, 2))
+                    for v in trio)
+        assert matching._triangle_mask(adj) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from([3.0, 8.0, 16.0, 32.0]),
+           st.integers(0, 2 ** 32),
+           st.lists(st.tuples(st.lists(st.integers(0, 59), min_size=1,
+                                       max_size=4), st.booleans()),
+                    max_size=30))
+    def test_kernel_along_a_path(self, n, c, seed, path):
+        # from the root, a random set of live vertices leaves at each step,
+        # with or without its neighbours: the kernel with the triangle mask
+        # and without it agree on the mask, the taken count, the degrees
+        # and the clean bits of the triangle vertices
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        adj = g.adj_bits
+        tri = matching._triangle_mask(adj)
+        plain = _vc_kernel(adj, g.full_mask(), 0)
+        fast = _vc_kernel(adj, g.full_mask(), 0, tri=tri)
+        for picks, closed in [((), False)] + path:
+            if picks:
+                mask, taken = plain[0], plain[1] + 1
+                if not mask:
+                    break
+                live = vset_members(mask)
+                gone = vset(live[i % len(live)] for i in picks)
+                if closed:
+                    gone |= mask & vset(w for v in vset_members(gone)
+                                        for w in vset_members(adj[v]))
+                plain = _vc_kernel(adj, mask, taken, plain[2][:], plain[3],
+                                   gone)
+                fast = _vc_kernel(adj, mask, taken, fast[2][:], fast[3],
+                                  gone, tri)
+            assert fast[:3] == plain[:3]
+            assert fast[3] & tri == plain[3] & tri
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from([1.0, 3.0, 8.0, 16.0]),
+           st.integers(0, 2 ** 32), st.booleans())
+    def test_residue_carries_the_triangle_mask(self, n, c, seed, warm_start):
+        # the relabelled mask holds the live vertices of the root's mask,
+        # every triangle of the residue among them
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        adj = g.adj_bits
+        tri = matching._triangle_mask(adj)
+        mask, _, deg, _ = _vc_kernel(adj, g.full_mask(), 0, tri=tri)
+        warm = matching._lp_bound(adj, g.full_mask())[1] if warm_start \
+            else None
+        rows, _, _, on_tri = matching._vc_residue(adj, mask, deg[:], warm,
+                                                  tri)
+        live = vset_members(mask)
+        assert on_tri == vset(i for i, v in enumerate(live) if tri >> v & 1)
+        assert matching._triangle_mask(rows) & ~on_tri == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(SEARCH_GRAPHS, st.builds(
+        lambda n, c, seed, isolated: Graph(
+            n + isolated, gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+            .edge_list()),
+        st.integers(3, 40), st.floats(1.0, 16.0), st.integers(0, 2 ** 32),
+        st.integers(0, 2))), st.integers(1, 60))
+    @example(Graph(6, cycle(5).edge_list()), 60)
+    @example(cycle(7), 60)
+    def test_relabel_skipped_only_on_the_identity(self, g, budget):
+        # whole rows, so the root kernel may drop isolated vertices, take
+        # leaves' neighbours and dominating vertices, or remove nothing:
+        # the relabel runs exactly when it removed something, and the
+        # search matches the full-width search node for node
+        adj = g.adj_bits
+        mask = _vc_kernel(adj, g.full_mask(), 0)[0]
+        calls = []
+        original = matching._vc_residue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_vc_residue",
+                       lambda *a: calls.append(1) or original(*a))
+            got = search_outcome(matching._vc_search, adj, g.n + 1, 0,
+                                 budget, None)
+        assert calls == ([] if mask == g.full_mask() else [1])
+        assert got == search_outcome(full_width_vc_search, adj, g.n + 1, 0,
+                                     budget, None)
+
+
 class TestMilpOracle:
     """tau past the reach of brute force, against an integer program."""
 
@@ -941,6 +1111,18 @@ class TestOncePerGraph:
         assert vertex_cover_number(g) == matching_number(g) + 1
         assert scc_roots == [[v for v in triangle if mate[v] != -1]]
         assert len(scc_roots[0]) == 2
+
+    def test_2sat_pass_rooted_only_in_the_core(self, scc_roots):
+        # a triangle with a pendant tree at corner 2: leaf removal takes
+        # the tree's inner vertices 3 and 5, so the pass runs on the
+        # triangle alone, rooted at its corners matched inside it; the
+        # tree's matched vertices, and corner 2, matched into the tree,
+        # are no roots
+        g = Graph(7, TRIANGLE + [(2, 3), (3, 4), (3, 5), (5, 6)])
+        mate = matching._cached_mate(g)
+        assert [mate[v] for v in (2, 3, 5, 6)] == [3, 2, 6, 5]
+        assert vertex_cover_number(g) == matching_number(g) + 1 == 4
+        assert scc_roots == [[0, 1]]
 
     def test_one_incidence_index(self, monkeypatch):
         # the arc keys are sorted once per graph, whichever of the
