@@ -107,8 +107,9 @@ def vset_flags(mask: int, n: int) -> np.ndarray:
 class Graph:
     """Immutable simple undirected graph with labeled vertices 0..n-1."""
 
-    # _mate and _cover are the maximum matching and the Konig-Egervary split
-    # that ``matching`` computes once per graph and caches here
+    # _mate and _cover are the maximum matching (with its size, its
+    # leaf-removal core and the core's adjacency) and the Konig-Egervary
+    # split that ``matching`` computes once per graph and caches here
     __slots__ = ("n", "_edges", "_degrees", "_index", "_adj_bits",
                  "_adj_lists", "_support", "_labels", "_mate", "_cover")
 

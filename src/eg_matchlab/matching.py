@@ -8,37 +8,41 @@ vertex it finds an augmenting path, and grown from every exposed vertex of a
 maximum matching its even labels are the Gallai-Edmonds set D, whose outside
 neighbourhood A(G) is an optimal witness S.
 
+The maximum matching starts with one Karp-Sipser leaf-removal pass: a
+vertex of degree 1 is matched to its one live neighbour and both leave, a
+vertex of degree 0 leaves exposed, t pairs in all, until every vertex left,
+the core, has degree 2 or more.  The core is the same whatever the order
+of the removals (Karp & Sipser 1981; Bauer & Golinelli 2001), and the leaf
+rule is exact for tau, nu and the LP relaxation alike: each of them is 1
+more on G than on G - u - v when v is a leaf at u.  So nu(G) = t +
+nu(core), and the warm start, a first-fit maximal matching, and the
+augmenting searches run on the core alone, over its own adjacency lists:
+no pair crosses the core boundary, and the matching on the core is a
+maximum matching of it.
+
 A search costs what it touches: its labels live in arrays allocated once per
-maximum-matching computation, it resets only the vertices it labelled, and a
-blossom contraction relabels only the members of the blossoms it merges.
-Each per-graph pass pays for the edges and the non-isolated vertices (the
-support, ``Graph.support``), not for n: the warm start, the augmenting
-roots and the Tutte-Berge forest range over the support, and an isolated
-vertex, which no matching covers, is never visited.
+maximum-matching computation, and only when a search runs; it resets only
+the vertices it labelled; and the bases of nested blossoms are kept in a
+disjoint-set forest (Gabow & Tarjan 1985), so a blossom contraction
+relabels no member of the blossoms it merges and visits only the two
+blossom paths.  Each per-graph pass pays for the edges and the
+non-isolated vertices (the support, ``Graph.support``), not for n: leaf
+removal and the Tutte-Berge forest range over the support, the warm start
+and the augmenting roots over its core, and an isolated vertex, which no
+matching covers, is never visited.
 
 Every vertex cover has at least nu vertices.  One of exactly nu vertices
 exists iff a 2-SAT formula over the matching edges is satisfiable, which
 one strongly-connected-components pass decides in O(n + m) (Deming 1979).
-A tree (m_c = n_c - 1) is bipartite and passes with no pass at all, so
-the split looks only at the components with a cycle, found from two counts
-over the component labels, and a forest takes no pass.
-
-Those components are first cut to their Karp-Sipser core on the adjacency
-lists: leaf removal drops a vertex of degree at most 1 and takes its
-neighbour into the cover, t times in all, until every vertex left has
-degree 2 or more.  The core is the same whatever the order of the
-removals (Karp & Sipser 1981; Bauer & Golinelli 2001), and the leaf rule
-is exact for tau, nu and the LP relaxation alike: each of them is 1 more
-on G than on G - u - v when v is a leaf at u.  So tau_c - nu_c is the same
-on a component and on its core, and the 2-SAT pass runs on the core alone,
-over the cached maximum matching M cut to the core, which is a maximum
-matching of the core: the t taken vertices cover every edge that meets a
-removed vertex, so at most t edges of M leave the core, while
-nu(G) = t + nu(core).  A component fails iff a piece of its core does.
-It leaves branch and bound, with a root bound of nu_c + 1 next to the
-half-integral LP bound (Nemhauser & Trotter 1975); rows, the root LP and
-the search run on its core, the search starting with t vertices taken,
-and the greedy upper bound is read off the lists (see ``_cover_parts``).
+The pass runs on the core that the matching left, over the cached
+matching: tau_c - nu_c is the same on a component and on its core, since
+each leaf step is exact for both, and a component fails iff a piece of its
+core does; a tree peels away entirely, so a forest takes no pass.  A
+failing component leaves branch and bound, with a root bound of nu_c + 1
+next to the half-integral LP bound (Nemhauser & Trotter 1975); rows, the
+root LP and the search run on its core, the search starting with t
+vertices taken, and the greedy upper bound is read off the lists (see
+``_cover_parts``).
 One search serves the exact tau and the decision tau <= k behind the
 empty half-set.
 
@@ -60,8 +64,9 @@ vertices never makes one.  A node reduces, bounds and branches as one
 computed afresh would, so none of this changes the search tree or its node
 count (see ``_vc_search``).
 
-Each graph gets one maximum matching and one Konig-Egervary split, both
-computed on first use and cached on the Graph, read-only.  The exact tau is
+Each graph gets one maximum matching, kept with its size nu, its core and
+the core's adjacency, and one Konig-Egervary split, both computed on first
+use and cached on the Graph, read-only.  The exact tau is
 cached with the number of nodes its search took, and answers the decision
 tau <= k whenever that number fits the decision's node budget (see
 ``_cover_at_most``).
@@ -130,39 +135,75 @@ class TBWitness:
 # ---------------------------------------------------------------------------
 
 def max_matching(g: Graph) -> Matching:
-    """Maximum matching via augmenting-path search with blossom contraction."""
+    """Maximum matching: Karp-Sipser leaf removal, then augmenting-path
+    search with blossom contraction on the core it leaves."""
     mate = _cached_mate(g)
     return Matching(tuple((u, mate[u]) for u in g.support if mate[u] > u))
 
 
 def matching_number(g: Graph) -> int:
-    return (g.n - _cached_mate(g).count(-1)) // 2
+    return _cached_matching(g)[1]
 
 
 def _cached_mate(g: Graph) -> tuple[int, ...]:
     """The mate array of ``_maximum_mate``, computed once per graph and
     cached on it as a tuple, so that no caller can change it."""
+    return _cached_matching(g)[0]
+
+
+def _cached_matching(g: Graph) -> tuple:
+    """(mate, nu, core, core adjacency) of ``_maximum_mate``, computed once
+    per graph and cached on it, read-only."""
     if g._mate is None:
-        g._mate = tuple(_maximum_mate(g))
+        mate, *rest = _maximum_mate(g)
+        g._mate = (tuple(mate), *rest)
     return g._mate
 
 
-def _maximum_mate(g: Graph) -> list[int]:
-    """mate[v] in a maximum matching, -1 where v is exposed: a greedy warm
-    start, then one augmenting search from each exposed vertex in turn.
-    Both run over the support in ascending order: an isolated vertex can
-    be neither matched nor searched from, so skipping it finds the same
-    pairs a scan over all n vertices would."""
-    n = g.n
+def _maximum_mate(g: Graph) -> tuple[list[int], int, list[int], list]:
+    """(mate, nu, core, core adjacency): mate[v] in a maximum matching, -1
+    where v is exposed, its size nu, and the Karp-Sipser core of the
+    support with the core's own adjacency lists.
+
+    One leaf-removal pass over the support matches each vertex of degree 1
+    to its one live neighbour, t pairs in all, and drops each vertex of
+    degree 0 (see ``_leaf_core``).  This is exact, nu(G) = t + nu(core)
+    (Karp & Sipser 1981), so the rest runs on the core alone: a first-fit
+    warm start, then one augmenting search from each exposed core vertex
+    in ascending order.  Both read the core's adjacency, so no pair
+    crosses the core boundary.  When leaf removal removes nothing, that
+    adjacency is ``g.adj_lists`` itself, no copy, and the pairs are those
+    of first fit and the searches on the whole support; when it removes
+    everything, no core vertex reads it, and it is ``g.adj_lists`` too.
+    The search labels are allocated only when a search runs: a forest, or
+    a core that first fit matches perfectly, allocates none."""
     adj = g.adj_lists
     support = g.support
-    match = [-1] * n
-    _first_fit(adj, support, match)         # cheap greedy warm start
-    labels = _fresh_labels(n)
-    for root in support:
+    match = [-1] * g.n
+    core, t = _leaf_core(adj, support, match) if support else ([], 0)
+    core_adj = _core_lists(adj, core) if 0 < len(core) < len(support) else adj
+    _first_fit(core_adj, core, match)       # cheap greedy warm start
+    labels = None
+    exposed = 0
+    for root in core:
         if match[root] == -1:
-            _alternating_forest([root], adj, match, *labels)
-    return match
+            if labels is None:
+                labels = _fresh_labels(g.n)
+            _alternating_forest([root], core_adj, match, *labels)
+            exposed += match[root] == -1    # a failed root stays exposed
+    return match, t + (len(core) - exposed) // 2, core, core_adj
+
+
+def _core_lists(adj: list[list[int]], core: list[int]) -> list:
+    """The adjacency lists of the subgraph on the ascending list ``core``:
+    its neighbours inside ``core`` for each vertex of it, () elsewhere."""
+    in_core = bytearray(len(adj))
+    for v in core:
+        in_core[v] = 1
+    rows = [()] * len(adj)
+    for v in core:
+        rows[v] = [w for w in adj[v] if in_core[w]]
+    return rows
 
 
 def _first_fit(adj: list[list[int]], verts: list[int], match: list[int]
@@ -180,12 +221,12 @@ def _first_fit(adj: list[list[int]], verts: list[int], match: list[int]
 
 
 def _fresh_labels(n: int) -> tuple[list[int], list[int], list[bool]]:
-    """Unlabelled ``parent``, ``base`` and ``even`` arrays for a search."""
+    """Unlabelled ``parent``, ``link`` and ``even`` arrays for a search."""
     return [-1] * n, list(range(n)), [False] * n
 
 
 def _alternating_forest(roots: list[int], adj: list[list[int]],
-                        match: list[int], parent: list[int], base: list[int],
+                        match: list[int], parent: list[int], link: list[int],
                         even: list[bool]) -> list[int]:
     """Grow alternating trees from the exposed ``roots`` breadth first,
     contracting each odd cycle (blossom) into its base.  When a tree reaches
@@ -197,42 +238,60 @@ def _alternating_forest(roots: list[int], adj: list[list[int]],
     ``match`` is maximum, so a search from several roots is run only on a
     maximum matching, where it completes the whole forest.
 
-    ``parent``, ``base`` and ``even`` must come unlabelled (see
+    The blossoms are the sets of a disjoint-set forest over ``link``, with
+    path compression and the smaller sets linked under the largest, each
+    set's root mapped to its blossom's base (Gabow & Tarjan 1985).  A
+    contraction merges the sets on the two blossom paths and makes even
+    only their odd vertices, queued in ascending order, the order a scan
+    over all vertices of the merged blossoms would meet them in; so it
+    costs the length of the paths, not the size of the blossoms.
+
+    ``parent``, ``link`` and ``even`` must come unlabelled (see
     ``_fresh_labels``); the search resets the entries it labelled before it
-    returns, so one set of arrays serves any number of searches.  A blossom
-    contraction visits the members of the merged blossoms in ascending order,
-    the order a scan over all vertices would meet them in.
+    returns, so one set of arrays serves any number of searches.
     """
     touched = list(roots)
-    members: dict[int, list[int]] = {}      # base -> vertices, for blossoms
+    base: dict[int, int] = {}               # set root -> blossom base
+    size: dict[int, int] = {}               # set root -> members, if > 1
     for r in roots:
         even[r] = True
     queue = deque(roots)
     finish = -1
     while queue and finish == -1:
         v = queue.popleft()
+        mv = match[v]
+        rv = link[v]
+        if rv != v:
+            rv = _find(v, link)
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
+            if to == mv:
+                continue
+            rt = link[to]
+            if rt != to:
+                rt = _find(to, link)
+            if rt == rv:
                 continue
             # an even ``to`` (a root, or the mate of an odd vertex) closes an
             # odd cycle: contract the blossom up to the common base
             if even[to] if match[to] == -1 else parent[match[to]] != -1:
-                cur = _lowest_common_base(v, to, base, match, parent)
-                marked: set[int] = set()
-                _mark_blossom_path(v, cur, to, marked, base, match, parent)
-                _mark_blossom_path(to, cur, v, marked, base, match, parent)
-                inside = []
-                for b in marked:
-                    inside += members.pop(b, (b,))
-                inside.sort()
-                for i in inside:
-                    base[i] = cur
-                    if not even[i]:
-                        even[i] = True
-                        queue.append(i)
-                if cur not in marked:
-                    inside += members.get(cur, (cur,))
-                members[cur] = inside
+                cur = _lowest_common_base(v, to, link, base, match, parent)
+                marked = {_find(cur, link)}
+                _mark_blossom_path(v, cur, to, marked, link, base, match,
+                                   parent)
+                _mark_blossom_path(to, cur, v, marked, link, base, match,
+                                   parent)
+                top = max(marked, key=lambda r: size.get(r, 1))
+                total = 0
+                for r in marked:
+                    total += size.pop(r, 1)
+                    link[r] = top
+                size[top] = total
+                base[top] = cur
+                # a set's root is even unless the set is one odd vertex
+                for i in sorted(r for r in marked if not even[r]):
+                    even[i] = True
+                    queue.append(i)
+                rv = top
             elif parent[to] == -1:
                 parent[to] = v
                 touched.append(to)
@@ -252,29 +311,49 @@ def _alternating_forest(roots: list[int], adj: list[list[int]],
     labelled_even = [v for v in touched if even[v]]
     for v in touched:
         parent[v] = -1
-        base[v] = v
+        link[v] = v
         even[v] = False
     return labelled_even
 
 
-def _lowest_common_base(a, b, base, match, parent):
+def _find(v: int, link: list[int]) -> int:
+    """The root of v's set in the disjoint-set forest ``link``, compressing
+    the path to it."""
+    root = link[v]
+    while link[root] != root:
+        root = link[root]
+    while link[v] != root:
+        link[v], v = root, link[v]
+    return root
+
+
+def _lowest_common_base(a, b, link, base, match, parent):
     seen = set()
-    a = base[a]
+    a = _find(a, link)
+    a = base.get(a, a)
     while True:
         seen.add(a)
         if match[a] == -1:
             break
-        a = base[parent[match[a]]]
-    b = base[b]
+        a = _find(parent[match[a]], link)
+        a = base.get(a, a)
+    b = _find(b, link)
+    b = base.get(b, b)
     while b not in seen:
-        b = base[parent[match[b]]]
+        b = _find(parent[match[b]], link)
+        b = base.get(b, b)
     return b
 
 
-def _mark_blossom_path(v, b, child, marked, base, match, parent):
-    while base[v] != b:
-        marked.add(base[v])
-        marked.add(base[match[v]])
+def _mark_blossom_path(v, b, child, marked, link, base, match, parent):
+    """Point the parents along the path from v up to the base b back
+    towards ``child``, and add the roots of the sets on it to ``marked``."""
+    while True:
+        r = _find(v, link)
+        if base.get(r, r) == b:
+            return
+        marked.add(r)
+        marked.add(_find(match[v], link))
         parent[v] = child
         child = match[v]
         v = parent[match[v]]
@@ -505,48 +584,32 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     components that pass it, one (n_c, t, core rows, lower bound, greedy
     upper bound, LP matching) part per component that fails it).
 
-    A component with m_c = n_c - 1 edges is a tree, bipartite, so it passes
-    with tau_c = nu_c, and a forest gets (nu, ()) with no pass at all.  The
-    components with a cycle take one leaf-removal pass (see ``_leaf_core``)
-    and the 2-SAT pass runs on the core it leaves: on the core's own
-    adjacency, rooted at its matched vertices, with the cached mate cut to
-    the core, where a vertex matched outside it reads as exposed.  That is
-    exact per component: tau_c - nu_c = tau(core_c) - nu(core_c), and M cut
-    to the core is a maximum matching of it (see the module docstring).
+    The 2-SAT pass runs on the Karp-Sipser core that the cached matching
+    left (see ``_maximum_mate``): on the core's own adjacency, rooted at
+    its matched vertices, over the cached mate, whose core vertices are
+    matched inside the core or exposed.  A tree peels away entirely, so
+    the core holds just the components with a cycle, and a forest gets
+    (nu, ()) with no pass at all.  That is exact per component:
+    tau_c - nu_c = tau(core_c) - nu(core_c), and the mate on the core is a
+    maximum matching of it (see the module docstring).
 
-    A failing component keeps its core from that pass, t vertices taken,
-    where t = nu_c - nu(core_c), read off the cut mate; bitmask rows are
-    built for the core alone.  The leaf rule is exact for tau and for the
-    LP, so tau_c = t + tau(core) and the lower bound is
+    A failing component keeps its piece of that core, t vertices taken,
+    where t = nu_c - nu(core_c), read off the mate; bitmask rows are built
+    for the core alone.  The leaf rule is exact for tau and for the LP, so
+    tau_c = t + tau(core) and the lower bound is
     max(nu_c + 1, t + ceil(LP(core))).  The LP bound is seeded from the
-    pairs of the cut mate (see ``_lp_seed``), and the LP matching it ends
-    with is the warm start of the component's search root.  The upper bound
-    is twice the greedy maximal matching (see ``_greedy_cover``)."""
-    mate = _cached_mate(g)
-    known = matching_number(g)
-    count, labels = g.component_labels()
-    cyclic = (np.bincount(labels[g.edge_array()[:, 0]], minlength=count)
-              >= np.bincount(labels, minlength=count))
-    verts = np.flatnonzero(cyclic[labels]).tolist()
-    if not verts:
+    mate's pairs in the core (see ``_lp_seed``), and the LP matching it
+    ends with is the warm start of the component's search root.  The upper
+    bound is twice the greedy maximal matching (see ``_greedy_cover``)."""
+    mate, known, core, core_adj = _cached_matching(g)
+    roots = [v for v in core if mate[v] != -1]
+    if not roots:
         return known, ()
-    adj = g.adj_lists
-    core, _ = _leaf_core(adj, verts)
-    in_core = bytearray(g.n)
-    for v in core:
-        in_core[v] = 1
-    core_adj = [()] * g.n                   # the core's own adjacency
-    core_mate = [-1] * g.n                  # the cached mate inside the core
-    for v in core:
-        core_adj[v] = [w for w in adj[v] if in_core[w]]
-        w = mate[v]
-        if w != -1 and in_core[w]:
-            core_mate[v] = w
-    roots = [v for v in core if core_mate[v] != -1]
-    scc = _cover_literal_sccs(core_adj, core_mate, roots)
-    failing = [v for v in roots if scc[v] == scc[core_mate[v]]]
+    scc = _cover_literal_sccs(core_adj, mate, roots)
+    failing = [v for v in roots if scc[v] == scc[mate[v]]]
     if not failing:
         return known, ()
+    count, labels = g.component_labels()
     core = np.array(core)
     core_labels = labels[core]
     matched = np.bincount(labels[np.asarray(mate) != -1], minlength=count)
@@ -560,31 +623,38 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
         rows = g.induced_adjacency(core_c)  # core_c[i] is local i
         local = dict(zip(core_c.tolist(), range(len(rows))))
         alive = (1 << len(rows)) - 1
-        seed = _lp_seed([local.get(core_mate[v], -1) for v in local], alive)
+        seed = _lp_seed([local.get(mate[v], -1) for v in local], alive)
         bound, lp = _lp_bound(rows, alive, seed)
         known -= nu_c
         parts.append((len(comp), taken, rows, max(nu_c + 1, taken + bound),
-                      _greedy_cover(adj, comp), lp))
+                      _greedy_cover(g.adj_lists, comp), lp))
     return known, tuple(parts)
 
 
-def _leaf_core(adj: list[list[int]], verts: list[int]
-               ) -> tuple[list[int], int]:
+def _leaf_core(adj: list[list[int]], verts: list[int],
+               match: list[int] | None = None) -> tuple[list[int], int]:
     """(core, t): Karp-Sipser leaf removal on the subgraph on the ascending
     vertex list ``verts``, closed under neighbours.  A vertex of degree 0
     is dropped; one of degree 1 is dropped with its neighbour, which is
     taken into the cover and counted in t; until every vertex left, the
-    ascending list ``core``, has degree 2 or more.  Removals run in stack
-    order here.  The core does not depend on the order, and since each
-    step is exact for tau, neither does t = tau(G) - tau(core) (see the
-    module docstring); so the degree sweeps of ``_vc_kernel``, in vertex
-    order, stop at the same core with the same count.  No removal crosses
-    a component, so one pass over several components leaves each its own
-    core, and t is their summed count; per component it is
-    nu_c - nu(core_c), as each step is exact for nu too."""
+    ascending list ``core``, has degree 2 or more.  Each such leaf is
+    matched to the neighbour it is dropped with, in ``match`` (a fresh
+    array when none is given), in place: t pairs, which some maximum
+    matching contains.
+
+    Removals run in stack order here.  The core does not depend on the
+    order, and since each step is exact for tau, neither does
+    t = tau(G) - tau(core) (see the module docstring); so the degree
+    sweeps of ``_vc_kernel``, in vertex order, stop at the same core with
+    the same count.  No removal crosses a component, so one pass over
+    several components leaves each its own core, and t is their summed
+    count; per component it is nu_c - nu(core_c), as each step is exact
+    for nu too."""
     deg = [-1] * (verts[-1] + 1)            # -1: gone, or not in verts
     for v in verts:
         deg[v] = len(adj[v])
+    if match is None:
+        match = [-1] * len(deg)
     low = [v for v in verts if deg[v] <= 1]
     taken = 0
     while low:
@@ -598,6 +668,8 @@ def _leaf_core(adj: list[list[int]], verts: list[int]
                 break
         deg[u] = -1
         taken += 1
+        match[v] = u
+        match[u] = v
         for w in adj[u]:
             d = deg[w]
             if d > 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -17,8 +18,9 @@ from scipy.special import gammaln, logsumexp
 from eg_matchlab.errors import CapabilityError, InputError
 from eg_matchlab.graph_core import Graph, iter_bits, vset, vset_members
 from eg_matchlab.matching import (_cached_mate, _cover_literal_sccs,
-                                  _greedy_cover, _leaf_core, _lp_bound,
-                                  _lp_seed, _vc_kernel, matching_number)
+                                  _first_fit, _fresh_labels, _greedy_cover,
+                                  _leaf_core, _lp_bound, _lp_seed, _vc_kernel,
+                                  matching_number)
 
 
 def canonical_edges_by_unique(n: int, edges) -> np.ndarray:
@@ -298,6 +300,120 @@ def has_augmenting_path(g: Graph, pairs) -> bool:
         return False
 
     return any(dfs(s, {s}, False) for s in exposed)
+
+
+def first_fit_augmenting_mate(g: Graph) -> list[int]:
+    """The maximum matching as it was found before leaf removal: first fit
+    over the whole support, then one relabel-all search from each exposed
+    vertex in ascending order, on the whole adjacency."""
+    match = [-1] * g.n
+    _first_fit(g.adj_lists, g.support, match)
+    labels = _fresh_labels(g.n)
+    for root in g.support:
+        if match[root] == -1:
+            relabel_all_alternating_forest([root], g.adj_lists, match,
+                                           *labels)
+    return match
+
+
+def relabel_all_alternating_forest(roots: list[int], adj: list[list[int]],
+                                   match: list[int], parent: list[int],
+                                   base: list[int], even: list[bool]
+                                   ) -> list[int]:
+    """The blossom search as it was before its bases moved to union-find:
+    every contraction relabels every member of the blossoms it merges.
+
+    Grow alternating trees from the exposed ``roots`` breadth first,
+    contracting each odd cycle (blossom) into its base.  When a tree reaches
+    an exposed vertex that is not a root, augment ``match`` along that path
+    and stop.
+
+    Returns the vertices labelled even: the roots, the mates of odd vertices
+    and every vertex of a contracted blossom.  Two trees never meet when
+    ``match`` is maximum, so a search from several roots is run only on a
+    maximum matching, where it completes the whole forest.
+
+    ``parent``, ``base`` and ``even`` must come unlabelled (see
+    ``matching._fresh_labels``); the search resets the entries it labelled
+    before it returns, so one set of arrays serves any number of searches.
+    A blossom contraction visits the members of the merged blossoms in
+    ascending order, the order a scan over all vertices would meet them in.
+    """
+    touched = list(roots)
+    members: dict[int, list[int]] = {}      # base -> vertices, for blossoms
+    for r in roots:
+        even[r] = True
+    queue = deque(roots)
+    finish = -1
+    while queue and finish == -1:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            # an even ``to`` (a root, or the mate of an odd vertex) closes an
+            # odd cycle: contract the blossom up to the common base
+            if even[to] if match[to] == -1 else parent[match[to]] != -1:
+                cur = _relabel_all_common_base(v, to, base, match, parent)
+                marked: set[int] = set()
+                _relabel_all_mark_path(v, cur, to, marked, base, match, parent)
+                _relabel_all_mark_path(to, cur, v, marked, base, match, parent)
+                inside = []
+                for b in marked:
+                    inside += members.pop(b, (b,))
+                inside.sort()
+                for i in inside:
+                    base[i] = cur
+                    if not even[i]:
+                        even[i] = True
+                        queue.append(i)
+                if cur not in marked:
+                    inside += members.get(cur, (cur,))
+                members[cur] = inside
+            elif parent[to] == -1:
+                parent[to] = v
+                touched.append(to)
+                if match[to] == -1:
+                    finish = to
+                    break
+                even[match[to]] = True
+                touched.append(match[to])
+                queue.append(match[to])
+    v = finish
+    while v != -1:
+        pv = parent[v]
+        nxt = match[pv]
+        match[v] = pv
+        match[pv] = v
+        v = nxt
+    labelled_even = [v for v in touched if even[v]]
+    for v in touched:
+        parent[v] = -1
+        base[v] = v
+        even[v] = False
+    return labelled_even
+
+
+def _relabel_all_common_base(a, b, base, match, parent):
+    seen = set()
+    a = base[a]
+    while True:
+        seen.add(a)
+        if match[a] == -1:
+            break
+        a = base[parent[match[a]]]
+    b = base[b]
+    while b not in seen:
+        b = base[parent[match[b]]]
+    return b
+
+
+def _relabel_all_mark_path(v, b, child, marked, base, match, parent):
+    while base[v] != b:
+        marked.add(base[v])
+        marked.add(base[match[v]])
+        parent[v] = child
+        child = match[v]
+        v = parent[match[v]]
 
 
 def random_forest(n: int, seed: int, attach_prob: float = 0.8) -> Graph:

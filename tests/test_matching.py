@@ -22,13 +22,14 @@ from eg_matchlab.harness import (RegimeSpec, eg_fails_at_nu, has_empty_half,
 from conftest import cycle, path_graph
 from oracles import (brute_independence_number, brute_is_bipartite,
                      brute_matching_number, brute_vertex_cover,
-                     components_by_union_find, full_width_lp_bound,
-                     full_width_vc_search, gallai_edmonds_by_deletion,
+                     components_by_union_find, first_fit_augmenting_mate,
+                     full_width_lp_bound, full_width_vc_search,
+                     gallai_edmonds_by_deletion,
                      generator_cover_literal_sccs, has_augmenting_path,
                      is_bipartite, milp_vertex_cover, random_forest,
-                     random_order_leaf_core, rescan_vc_kernel,
-                     rows_greedy_cover, tb_max_over_subsets,
-                     whole_component_cover_parts)
+                     random_order_leaf_core, relabel_all_alternating_forest,
+                     rescan_vc_kernel, rows_greedy_cover,
+                     tb_max_over_subsets, whole_component_cover_parts)
 
 
 def random_graph(tag: int) -> Graph:
@@ -141,9 +142,11 @@ def pin_graphs() -> list[Graph]:
 
 
 class TestMatchingPins:
-    """sha256 of max_matching(g).pairs, recorded before the augmenting
-    search was shared with the witness search: which maximum matching is
-    found (and so the output of ``eg-matchlab nu``) must not change."""
+    """sha256 of max_matching(g).pairs: which maximum matching is found
+    (and so the output of ``eg-matchlab nu``) must not change.  Recorded
+    before the augmenting search was shared with the witness search; the
+    pins of graphs with a degree-1 vertex were recorded again, once, when
+    leaf removal began to pair each leaf with its neighbour."""
 
     def test_petersen(self, petersen):
         assert pairs_digest(petersen) == (
@@ -153,13 +156,13 @@ class TestMatchingPins:
         matchings = [[list(e) for e in max_matching(g).pairs]
                      for g in pin_graphs()]
         assert hashlib.sha256(json.dumps(matchings).encode()).hexdigest() == (
-            "d1ac57d8ab7b9f5dae86cfbe421f3bc0b4ebcc4e554f2df978064b3dede7b36f")
+            "9124e3d9ea43b5556eb1e919e79f2b2a82de56978c87540b6179a63b70e9f6b7")
 
     @pytest.mark.parametrize("n,c,seed,nu,digest", [
         (5000, 0.1, 11, 246,
-         "82988038c597245f1a2b58caa6f9dcdca5ac972fb0a235da7226b56e243e8505"),
+         "4df74e161c79a602c22908c067dc2a8374c63beca13b4f3a95f18b000c1d1611"),
         (1000, 3.0, 12, 462,
-         "db69b7608a1f722d57dfa67836d6360a5444a0fe1863d58611b8baf5b0443727"),
+         "a11efbad443683f9bd119194e604d3e939592a51f46da3626c48a9aafcf421c5"),
     ], ids=["forest5000", "middle1000"])
     def test_sparse_gnp(self, n, c, seed, nu, digest):
         g = gen_gnp(GnpParams(n, c / n, seed))
@@ -171,17 +174,17 @@ class TestMatchingPins:
     # relabel order inside a blossom changes which matching is found.
     @pytest.mark.parametrize("c,seed,nu,digest", [
         (1.0, 21, 527,
-         "af4c396a7a577d416f3b5f61c9ac4aca212547e337d6c40322bce64951a1962e"),
+         "ab6c14d9e39ed8607bfaccf95a3cd8d5c0b269688f8364cfeaae9cde9750101d"),
         (1.0, 22, 546,
-         "ef5f99844c7f335000353d3ba55ea49c91a19f14cee0d0b7e223467fc5606661"),
+         "f7c12bba7e8cecc6ddda84fe92d8cfc54318036fbb0bff25fd05da43e70cae51"),
         (math.e, 21, 899,
-         "0c9308ab5f2ad090e95c83b0d31a32ff69bd8623bcc6a6e352014d4f78ae64b8"),
+         "d8fd4fef3bd3041c4ecfe981a15bfd86112579fdfcd5f6230985cd4f5e822477"),
         (math.e, 22, 895,
-         "7c3c21ae23367f663b6c390438b8c892caff86e39572cbf6f3c164e189f8dd42"),
+         "17c070141cb198fe049954cbf12c2fe5b4fc2d5e670054e04bda8b0150f56438"),
         (5.0, 21, 995,
-         "b6666b15de529486404666e343d92707bdd66af5c9a150546decb803c1882964"),
+         "522833e345a9207cb44b9dcea6767fa04d59cc3c501b9fe6f50e9e87ac60c7bb"),
         (5.0, 22, 993,
-         "48de410b13b15a079d8426075ce3616a782ad8a7ec3ec418ce7cb181728a3832"),
+         "5a6924ba70bf1a72c18a4e77cb657d5b3fe38e3633fc93eff89484cee6418cc1"),
         (20.0, 21, 1000,
          "dbef9e4f2fd52a2d524a429d5d3054d063cc7b5720a170c1c222347283c44adc"),
         (20.0, 22, 1000,
@@ -841,8 +844,8 @@ class TestCoreReduction:
 # removal takes the joint, and the core falls apart into the two triangles
 TWO_TRIANGLES_JOINED = Graph(8, TRIANGLE + [(3, 4), (4, 5), (3, 5), (2, 6),
                                             (3, 6), (6, 7)])
-# a triangle with a pendant 2-path: the cached matching pairs corner 2 with
-# 3, which leaf removal takes, so 2 is exposed inside the core
+# a triangle with a pendant 2-path: leaf removal pairs 3 with the leaf 4,
+# so corner 2 is exposed inside the core
 TRIANGLE_PATH2 = Graph(5, TRIANGLE + [(2, 3), (3, 4)])
 
 
@@ -882,9 +885,11 @@ class TestCoreDecision:
         assert (part[0], part[1], len(part[2]), part[3]) == (8, 1, 6, 4)
         assert matching_number(g) == 3 and vertex_cover_number(g) == 5
 
-    def test_core_vertex_matched_outside_the_core(self):
+    def test_core_vertex_left_exposed_by_leaf_removal(self):
+        # leaf removal pairs 4 with 3, so corner 2 is exposed and the
+        # matching stays inside the triangle and inside the tail
         g = fresh(TRIANGLE_PATH2)
-        assert matching._cached_mate(g)[2] == 3
+        assert matching._cached_mate(g) == (1, 0, -1, 4, 3)
         (part,) = matching._cover_parts(g)[1]
         assert (part[0], part[1], len(part[2]), part[3]) == (5, 1, 3, 3)
         assert vertex_cover_number(g) == 3
@@ -907,6 +912,177 @@ class TestCoreDecision:
                      if mate[u] > u and mate[u] in local]
             assert len(pairs) == matching_number(g) - t
             assert not has_augmenting_path(h, pairs)
+
+
+@st.composite
+def odd_cycles_with_pendant_trees(draw) -> Graph:
+    """One to three odd cycles, each joined to the one before by an edge or
+    not, with trees hung on them: each new vertex joins an earlier one."""
+    edges, n = [], 0
+    for length in draw(st.lists(st.sampled_from([3, 5, 7]), min_size=1,
+                                max_size=3)):
+        if n and draw(st.booleans()):
+            edges.append((draw(st.integers(0, n - 1)), n))
+        edges += [(n + i, n + (i + 1) % length) for i in range(length)]
+        n += length
+    for pick in draw(st.lists(st.integers(0, 2 ** 20), max_size=20)):
+        edges.append((pick % n, n))
+        n += 1
+    return Graph(n, edges)
+
+
+@st.composite
+def gnp_with_cherries(draw) -> Graph:
+    """G(n, c/n) with a cherry, two new leaves, on some of its vertices."""
+    n = draw(st.integers(1, 25))
+    g = gen_gnp(GnpParams(n, min(1.0, draw(st.floats(0.5, 7.0)) / n),
+                          draw(st.integers(0, 2 ** 32))))
+    edges = g.edge_list()
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=5, unique=True)):
+        edges += [(v, n), (v, n + 1)]
+        n += 2
+    return Graph(n, edges)
+
+
+LEAFY_GRAPHS = st.one_of(
+    odd_cycles_with_pendant_trees(), gnp_with_cherries(),
+    st.builds(lambda n, c, seed: gen_gnp(GnpParams(n, min(1.0, c / n), seed)),
+              st.integers(1, 40), st.floats(0.5, 7.0),
+              st.integers(0, 2 ** 32)))
+
+# a 5-cycle with a pendant path 0-5-6: leaf removal pairs 5 with 6, and
+# the failed search from 4 contracts the cycle, which makes 0 even, so a
+# search on the whole adjacency would go on to 5 and 6
+C5_PENDANT = Graph(7, cycle(5).edge_list() + [(0, 5), (5, 6)])
+
+
+def leafless(g: Graph) -> Graph:
+    """``g`` cut to the edges of its Karp-Sipser core, on the same ids."""
+    if not g.support:
+        return g
+    core = set(matching._leaf_core(g.adj_lists, g.support)[0])
+    return Graph(g.n, [(u, v) for u, v in g.edge_list()
+                       if u in core and v in core])
+
+
+class TestLeafRemovalMatching:
+    """The maximum matching pairs each leaf of the leaf-removal pass with
+    its neighbour and searches only the core that the pass leaves."""
+
+    def test_tree_takes_leaf_pairs_alone(self):
+        # leaves 0, 2, 4, removed from the top of the stack: 4 pairs with
+        # 3, then 2 with 1, and 0 is left with no neighbour
+        g = Graph(5, TREE5)
+        assert matching._cached_matching(g)[:3] == ((-1, 2, 1, 4, 3), 2, [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(LEAFY_GRAPHS)
+    @example(path_graph(5))
+    @example(C5_PENDANT)
+    @example(TRIANGLE_PATH2)
+    def test_maximum_and_split_at_the_core(self, g):
+        mate = matching._cached_mate(g)
+        pairs = max_matching(g).pairs
+        assert all(mate[w] == u and g.has_edge(u, w)
+                   for u, w in enumerate(mate) if w != -1)
+        assert matching_number(g) == len(pairs)
+        if g.m <= 80:                       # the path enumeration explodes
+            assert not has_augmenting_path(g, pairs)
+        assert certified(g, tutte_berge_witness(g))
+        core = matching._cached_matching(g)[2]
+        assert core == (matching._leaf_core(g.adj_lists, g.support)[0]
+                        if g.support else [])
+        in_core = set(core)
+        assert all((u in in_core) == (w in in_core) for u, w in pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(LEAFY_GRAPHS)
+    @example(C5_PENDANT)
+    def test_core_searches_read_only_the_core(self, g):
+        read = set()
+        original = matching._alternating_forest
+
+        class Recorded(list):
+            def __getitem__(self, v):
+                read.add(v)
+                return list.__getitem__(self, v)
+
+        def recorded(roots, adj, *labels):
+            return original(roots, Recorded(adj), *labels)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_alternating_forest", recorded)
+            core = matching._cached_matching(fresh(g))[2]
+        assert read <= set(core)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda n, c, seed: leafless(
+            gen_gnp(GnpParams(n, min(1.0, c / n), seed))),
+            st.integers(3, 60), st.floats(2.0, 20.0), st.integers(0, 2 ** 32)),
+        st.sampled_from(BLOSSOM_GRAPHS)))
+    def test_leafless_graph_takes_the_first_fit_path(self, g):
+        # no copy of the adjacency, and the pairs of first fit and the
+        # ascending searches over the whole support
+        g = fresh(g)
+        assert matching._cached_matching(g)[3] is g.adj_lists
+        assert list(matching._cached_mate(g)) == first_fit_augmenting_mate(g)
+
+
+def random_maximal_matching(g: Graph, seed: int) -> list[int]:
+    """A mate array: the edges of ``g`` in a random order, each taken when
+    both its ends are still free."""
+    match = [-1] * g.n
+    for u, v in np.random.default_rng(seed).permutation(g.edge_array()):
+        if match[u] == match[v] == -1:
+            match[u], match[v] = int(v), int(u)
+    return match
+
+
+class TestUnionFindSearch:
+    """From the same matching and roots, the union-find blossom search
+    augments as the relabel-all search did and returns the same even
+    vertices, in the same order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.sampled_from([1.0, math.e, 5.0, 20.0]),
+           st.integers(0, 2 ** 32), st.booleans())
+    def test_single_root_searches_equal_relabel_all(self, n, c, seed,
+                                                    first_fit):
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        adj = g.adj_lists
+        if first_fit:
+            match = [-1] * n
+            matching._first_fit(adj, g.support, match)
+        else:
+            match = random_maximal_matching(g, seed)
+        labels = matching._fresh_labels(n)
+        old_labels = matching._fresh_labels(n)
+        for root in g.support:
+            if match[root] == -1:
+                want = match[:]
+                even = relabel_all_alternating_forest([root], adj, want,
+                                                      *old_labels)
+                assert matching._alternating_forest(
+                    [root], adj, match, *labels) == even
+                assert match == want
+        assert labels == matching._fresh_labels(n)   # every label reset
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.sampled_from([1.0, math.e, 5.0, 20.0]),
+           st.integers(0, 2 ** 32))
+    def test_forest_on_a_maximum_matching_equals_relabel_all(self, n, c,
+                                                             seed):
+        # the witness search: every exposed vertex of the support a root
+        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
+        mate = list(matching._cached_mate(g))
+        roots = [v for v in g.support if mate[v] == -1]
+        want = mate[:]
+        even = relabel_all_alternating_forest(roots, g.adj_lists, want,
+                                              *matching._fresh_labels(n))
+        assert matching._alternating_forest(
+            roots, g.adj_lists, mate, *matching._fresh_labels(n)) == even
+        assert mate == want == list(matching._cached_mate(g))
 
 
 class TestTriangleKernel:
@@ -1113,14 +1289,14 @@ class TestOncePerGraph:
         assert len(scc_roots[0]) == 2
 
     def test_2sat_pass_rooted_only_in_the_core(self, scc_roots):
-        # a triangle with a pendant tree at corner 2: leaf removal takes
-        # the tree's inner vertices 3 and 5, so the pass runs on the
-        # triangle alone, rooted at its corners matched inside it; the
-        # tree's matched vertices, and corner 2, matched into the tree,
-        # are no roots
+        # a triangle with a pendant tree at corner 2: leaf removal pairs
+        # the tree's inner vertices 3 and 5 with its leaves 4 and 6, so
+        # the pass runs on the triangle alone, rooted at its corners
+        # matched inside it; the tree's matched vertices, and corner 2,
+        # left exposed, are no roots
         g = Graph(7, TRIANGLE + [(2, 3), (3, 4), (3, 5), (5, 6)])
         mate = matching._cached_mate(g)
-        assert [mate[v] for v in (2, 3, 5, 6)] == [3, 2, 6, 5]
+        assert [mate[v] for v in (2, 3, 4, 5, 6)] == [-1, 4, 3, 6, 5]
         assert vertex_cover_number(g) == matching_number(g) + 1 == 4
         assert scc_roots == [[0, 1]]
 
