@@ -410,16 +410,6 @@ class Graph:
             self._labels = result
         return result
 
-    def induced_adjacency(self, verts: np.ndarray) -> list[int]:
-        """Bitmask adjacency rows of the subgraph induced on the ascending
-        vertex array ``verts``, vertex verts[i] renumbered i."""
-        local = np.full(self.n, -1)         # verts[i] -> i, -1 outside
-        local[verts] = np.arange(verts.size)
-        local = local.tolist()
-        adj = self.adj_lists
-        return [vset(i for w in adj[v] if (i := local[w]) >= 0)
-                for v in verts.tolist()]
-
     # -- serialization --------------------------------------------------------
 
     def to_edge_list_text(self) -> str:

@@ -39,30 +39,47 @@ matching: tau_c - nu_c is the same on a component and on its core, since
 each leaf step is exact for both, and a component fails iff a piece of its
 core does; a tree peels away entirely, so a forest takes no pass.  A
 failing component leaves branch and bound, with a root bound of nu_c + 1
-next to the half-integral LP bound (Nemhauser & Trotter 1975); rows, the
-root LP and the search run on its core, the search starting with t
-vertices taken, and the greedy upper bound is read off the lists (see
-``_cover_parts``).
+next to the half-integral LP bound (Nemhauser & Trotter 1975).  The
+greedy upper bound is read off the lists; the rows, the root LP and the
+search see only what is left of the component's core once it is folded
+at degree 2 (see ``_cover_parts``).
 One search serves the exact tau and the decision tau <= k behind the
 empty half-set.
+
+The fold runs once per failing component, at the root, to a fixpoint
+(Chen, Kanj & Jia 2001): a vertex of degree 1 gives its neighbour to the
+cover, one of degree 2 on a triangle its two neighbours, and one of degree
+2 whose neighbours u and w are not adjacent is merged with them into one
+vertex with the neighbourhood N(u) | N(w) - {v}, one vertex counted.  Each
+rule is exact for tau, so tau_c is the t vertices taken by leaf removal
+and the fold plus tau of what is left, where every vertex has degree 3 or
+more; and the LP falls by at most what a rule counts, so t + ceil(LP) of
+what is left is a root bound at least as high as the core's.  The cores of
+G(n, c/n) just past c = e are mostly vertices of degree 2, and many fold
+to nothing.  The fold changes the rows, so the search tree is the one on
+the folded rows, not the whole component's; folding below the root would
+need rows that change along a dive, and is not done.
 
 A search node costs what changed since its parent, at the width of what
 the root's kernel left.  The search runs depth first from an explicit
 stack, so a dive is as deep as it needs to be, and a child starts from its
 parent's kernel fixpoint (degrees and the vertices known to have no
-dominating neighbour) and its parent's LP matching.  The root LP is seeded
-from the cached maximum matching's pairs inside the core, and each
-component's search root starts from the LP matching of that bound.  Below
-the root every node runs on the root kernel's residue, its live vertices
-relabelled in ascending order; a node's LP stops as soon as it proves the
-node pruned; and a child that its parent's bound already prunes is counted
-and dropped before its kernel.  The dominated-vertex rule looks only at
+dominating neighbour) and its parent's LP matching.  The root LP is
+seeded from the cached maximum matching, carried through the fold: a pair
+loses a vertex that leaves, and a fold hands w's mate to u when u is free.
+So the LP starts near its maximum and has few augmenting searches left,
+each as wide as the folded rows.  Each component's search root starts
+from the LP matching of that bound.  Below the root every node runs on
+the root kernel's residue, its live vertices relabelled in ascending
+order; a node's LP stops as soon as it proves the node pruned; and a
+child that its parent's bound already prunes is counted and dropped
+before its kernel.  The dominated-vertex rule looks only at
 the vertices on a triangle of the root's rows: it runs once every live
 vertex has degree 2 or more, and then a v with N(v) inside N[u] has a
 second neighbour, which u sees too, so v lies on a triangle; deleting
 vertices never makes one.  A node reduces, bounds and branches as one
-computed afresh would, so none of this changes the search tree or its node
-count (see ``_vc_search``).
+computed afresh would, so none of this changes the search tree on the
+given rows or its node count (see ``_vc_search``).
 
 Each graph gets one maximum matching, kept with its size nu, its core and
 the core's adjacency, and one Konig-Egervary split, both computed on first
@@ -81,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .graph_core import Graph, vset_from_flags, vset_of
+from .graph_core import Graph, vset, vset_from_flags, vset_of
 
 DEFAULT_VC_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EG_MATCHLAB_BUDGET"
@@ -502,14 +519,14 @@ def vertex_cover_number(g: Graph, node_budget: int | None = None) -> int:
 
     It is nu(G), with no search, when the Konig-Egervary test passes (every
     forest and bipartite graph).  Otherwise each component failing the test
-    is cut to its leaf-removal core, t vertices taken, and the core is
-    searched by branch and bound from t: kernel rules (isolated, degree-1,
-    dominated vertex) before every branch, branching on a maximum-degree
-    vertex, and pruning by the half-integral LP bound.  A component's search
-    stops as soon as it finds a cover of its root bound
-    max(nu_c + 1, t + ceil(LP(core))).  When the node budget runs out,
-    CapabilityError carries the proved lower bound and the best upper bound
-    on tau.
+    is cut to its leaf-removal core and the core folded at degree 2, t
+    vertices taken in all, and what is left is searched by branch and bound
+    from t: kernel rules (isolated, degree-1, dominated vertex) before every
+    branch, branching on a maximum-degree vertex, and pruning by the
+    half-integral LP bound.  A component's search stops as soon as it finds
+    a cover of its root bound max(nu_c + 1, t + ceil(LP(folded core))).
+    When the node budget runs out, CapabilityError carries the proved lower
+    bound and the best upper bound on tau.
 
     The answer is cached on ``g`` with the node count of its search; a later
     call returns it when that count fits its own budget, and otherwise
@@ -581,8 +598,8 @@ def _tau_is_nu(g: Graph) -> bool:
 
 def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     """The Konig-Egervary test per component: (the summed nu_c of the
-    components that pass it, one (n_c, t, core rows, lower bound, greedy
-    upper bound, LP matching) part per component that fails it).
+    components that pass it, one (n_c, t, folded core rows, lower bound,
+    greedy upper bound, LP matching) part per component that fails it).
 
     The 2-SAT pass runs on the Karp-Sipser core that the cached matching
     left (see ``_maximum_mate``): on the core's own adjacency, rooted at
@@ -593,14 +610,17 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     tau_c - nu_c = tau(core_c) - nu(core_c), and the mate on the core is a
     maximum matching of it (see the module docstring).
 
-    A failing component keeps its piece of that core, t vertices taken,
-    where t = nu_c - nu(core_c), read off the mate; bitmask rows are built
-    for the core alone.  The leaf rule is exact for tau and for the LP, so
-    tau_c = t + tau(core) and the lower bound is
-    max(nu_c + 1, t + ceil(LP(core))).  The LP bound is seeded from the
-    mate's pairs in the core (see ``_lp_seed``), and the LP matching it
-    ends with is the warm start of the component's search root.  The upper
-    bound is twice the greedy maximal matching (see ``_greedy_cover``)."""
+    A failing component keeps its piece of that core, nu_c - nu(core_c)
+    vertices taken by leaf removal, read off the mate, and the piece is
+    folded at degree 2 (see ``_fold_core``), f more taken; bitmask rows are
+    built only for what the fold leaves, and t is the sum of both counts.
+    Every rule is exact for tau, so tau_c = t + tau(rows), and none lets
+    t + LP fall, so the lower bound max(nu_c + 1, t + ceil(LP(rows))) is at
+    least the one the unfolded core gives.  The LP bound is seeded from
+    what the fold leaves of the cached matching on the core (see
+    ``_lp_seed``), and the LP matching it ends with is the warm start of
+    the component's search root.  The upper bound is twice the greedy
+    maximal matching of the whole component (see ``_greedy_cover``)."""
     mate, known, core, core_adj = _cached_matching(g)
     roots = [v for v in core if mate[v] != -1]
     if not roots:
@@ -619,12 +639,11 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
         comp = np.flatnonzero(labels == c).tolist()
         nu_c = int(matched[c]) // 2
         taken = nu_c - int(core_matched[c]) // 2
-        core_c = core[core_labels == c]
-        rows = g.induced_adjacency(core_c)  # core_c[i] is local i
-        local = dict(zip(core_c.tolist(), range(len(rows))))
+        f, rows, pairs = _fold_core(core_adj,
+                                    core[core_labels == c].tolist(), mate)
+        taken += f
         alive = (1 << len(rows)) - 1
-        seed = _lp_seed([local.get(mate[v], -1) for v in local], alive)
-        bound, lp = _lp_bound(rows, alive, seed)
+        bound, lp = _lp_bound(rows, alive, _lp_seed(pairs, alive))
         known -= nu_c
         parts.append((len(comp), taken, rows, max(nu_c + 1, taken + bound),
                       _greedy_cover(g.adj_lists, comp), lp))
@@ -679,6 +698,104 @@ def _leaf_core(adj: list[list[int]], verts: list[int],
     return [v for v in verts if deg[v] >= 0], taken
 
 
+def _fold_core(adj: list, verts: list[int], mate: list[int]
+               ) -> tuple[int, list[int], list[int]]:
+    """(f, rows, pairs): the rules of ``_fold_step`` applied to a fixpoint
+    on the subgraph on the ascending vertex list ``verts``, closed under
+    neighbours in ``adj``, f vertices taken in all; the bitmask rows of the
+    graph left, its vertices renumbered 0..r-1 in ascending id order; and
+    the mate array, on the new ids, of a matching of it, what is left of
+    the matching ``mate`` (-1 where a vertex is exposed) after each step.
+    Each rule is exact for tau, so tau = f + tau(rows).
+
+    The vertices of degree 2 or less wait on a stack, highest id on top,
+    and every vertex whose degree falls to 2 or less goes on top of it; a
+    popped vertex takes the rule of its degree then, or none if it has
+    gone or its degree has risen above 2 in a fold.  So every vertex left
+    has degree 3 or more."""
+    near = {v: set(adj[v]) for v in verts}
+    pair = {v: mate[v] for v in verts if mate[v] != -1}
+    low = [v for v in verts if len(near[v]) <= 2]
+    taken = 0
+    while low:
+        v = low.pop()
+        if v in near and len(near[v]) <= 2:
+            taken += _fold_step(near, pair, v, low)
+    ids = {v: i for i, v in enumerate(sorted(near))}
+    return (taken, [vset(ids[w] for w in near[v]) for v in ids],
+            [ids[pair[v]] if v in pair else -1 for v in ids])
+
+
+def _fold_step(near: dict[int, set[int]], pair: dict[int, int], v: int,
+               low: list[int]) -> int:
+    """Apply to v, of degree 2 or less in the graph of neighbour sets
+    ``near``, the rule of its degree, in place, and return the number of
+    vertices it takes; a vertex whose degree it brings to 2 or less is
+    appended to ``low``.  Each rule is exact for tau: tau(G) = taken +
+    tau(G') (Chen, Kanj & Jia 2001), and LP(G) <= taken + LP(G'), so a
+    bound read off G' never weakens.
+
+    - degree 0: v is dropped;
+    - degree 1: v is dropped and its neighbour taken (1);
+    - degree 2, its neighbours u < w adjacent: v is dropped and both are
+      taken (2);
+    - degree 2, u and w not adjacent: v is folded with them (1): v and w
+      leave, and u stays with the neighbourhood N(u) | N(w) - {v}.  A
+      smallest cover of G' that holds u, with w added, covers G; one that
+      misses u holds all of N(u) | N(w) - {v}, and with v added covers G.
+
+    ``pair`` maps each matched vertex to its mate in a matching of the
+    graph, and stays one: a pair goes when one of its vertices leaves, and
+    in a fold w's mate passes to u, a neighbour of it now, when u is
+    free."""
+    nv = near[v]
+    if len(nv) < 2:
+        _fold_drop(near, pair, v, low)
+        for u in nv:
+            _fold_drop(near, pair, u, low)
+        return len(nv)
+    u, w = sorted(nv)
+    nu = near[u]
+    if w in nu:
+        for x in (v, u, w):
+            _fold_drop(near, pair, x, low)
+        return 2
+    _fold_drop(near, pair, v, low)
+    x = pair.pop(w, None)
+    if x is not None:
+        del pair[x]
+        if u not in pair:
+            pair[u] = x
+            pair[x] = u
+    for y in near.pop(w):                   # w's edges move to u
+        ny = near[y]
+        ny.discard(w)
+        if u in ny:
+            if len(ny) <= 2:
+                low.append(y)
+        else:
+            ny.add(u)
+            nu.add(y)
+    if len(nu) <= 2:
+        low.append(u)
+    return 1
+
+
+def _fold_drop(near: dict[int, set[int]], pair: dict[int, int], v: int,
+               low: list[int]) -> None:
+    """Remove v from the graph of neighbour sets ``near`` and its pair from
+    ``pair``, appending to ``low`` each neighbour whose degree falls to 2
+    or less."""
+    x = pair.pop(v, None)
+    if x is not None:
+        del pair[x]
+    for w in near.pop(v):
+        nw = near[w]
+        nw.discard(v)
+        if len(nw) <= 2:
+            low.append(w)
+
+
 def _greedy_cover(adj: list[list[int]], verts: list[int]) -> int:
     """Twice the size of the first-fit maximal matching of the subgraph on
     the ascending vertex list ``verts``, closed under neighbours (see
@@ -694,13 +811,11 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     bitmask rows ``adj``, where that sum is below ``best``, or ``best`` when
     there is none; the search stops at the first sum of at most
     ``stop_at``.  ``warm`` warm-starts the root's LP bound (see
-    ``_lp_bound``).  ``_cover_parts`` passes a component's leaf-removal
-    core, its rows in ascending vertex order, and the t vertices the
-    removal took, so every bound and answer is the component's own.  The
-    search is the one on the whole component's rows: there the root
-    kernel sweeps degree-1 and isolated vertices before any other rule,
-    which stops at the same core with the same t (see ``_leaf_core``), and
-    every later rule and branch picks the same vertex in the same order.
+    ``_lp_bound``).  ``_cover_parts`` passes the rows of what leaf removal
+    and the fold leave of a component, in ascending vertex order, and the t
+    vertices they took, so every bound and answer is the component's own.
+    The rows differ from the whole component's, and so do the search tree
+    and its node count: each rule is exact for tau, not for the tree.
 
     Depth first from an explicit stack, so no dive is limited by the
     recursion limit: a node is popped, counted against ``budget``, reduced
@@ -855,12 +970,12 @@ def _lp_bound(adj: list[int], mask: int, warm: tuple | None = None,
 
     ``warm`` is (its mask, left, right, lmask, rmask) for any matching of
     the double cover of a superset of ``mask``: a child node passes its
-    parent's, and ``_cover_parts`` one made by ``_lp_seed`` from the
-    maximum matching.  The maximum matching has one size whatever the
-    start, so every start gives the same bound.  The pairs of the warm
-    start that survive in ``mask`` are kept, each unmatched left copy takes
-    its first free right copy, and the rest grow the matching by
-    breadth-first augmenting searches.  Right copies that a failed search
+    parent's, and ``_cover_parts`` one made by ``_lp_seed`` from the cached
+    maximum matching, carried through the fold.  The maximum matching has
+    one size whatever the start, so every start gives the same bound.  The
+    pairs of the warm start that survive in ``mask`` are kept, each
+    unmatched left copy takes its first free right copy, and the rest grow
+    the matching by breadth-first augmenting searches.  Right copies that a failed search
     reached stay dead ends until the next augmentation, so they are not
     searched again.  The lists of ``warm`` are copied, never changed.
     """

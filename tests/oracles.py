@@ -2,14 +2,15 @@
 
 Everything here is deliberately written against different algorithmic ideas
 than the package (edge-subset dynamic programming, full subset scans,
-alternating-path enumeration, isolated 3-paths counted on packed edge
-bitmaps) so agreement is meaningful.
+alternating-path enumeration, the rank of a random Tutte matrix, isolated
+3-paths counted on packed edge bitmaps) so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import deque
 
 import numpy as np
@@ -300,6 +301,42 @@ def has_augmenting_path(g: Graph, pairs) -> bool:
         return False
 
     return any(dfs(s, {s}, False) for s in exposed)
+
+
+TUTTE_PRIME = (1 << 61) - 1
+
+
+def tutte_matching_number(g: Graph, seed: int = 0x7077E) -> int:
+    """nu(G) as half the rank of the Tutte matrix of G over GF(2^61 - 1),
+    each edge uv entered as x at (u, v) and -x at (v, u), x drawn at random
+    from a fixed seed (Tutte 1947; Lovasz 1979).  The rank is never above
+    2 nu, and falls below it only where a nonzero minor of degree at most n
+    vanishes, with probability at most n / (2^61 - 1) (Schwartz-Zippel).
+    Gaussian elimination in Python ints, O(n^3) over the support: no
+    matching idea and no path enumeration."""
+    p = TUTTE_PRIME
+    rng = random.Random(seed)
+    ids = {v: i for i, v in enumerate(g.support)}
+    size = len(ids)
+    rows = [[0] * size for _ in range(size)]
+    for u, v in g.edge_list():
+        x = rng.randrange(1, p)
+        rows[ids[u]][ids[v]] = x
+        rows[ids[v]][ids[u]] = p - x
+    rank = 0
+    for col in range(size):
+        pivot = next((r for r in range(rank, size) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], p - 2, p)
+        for r in range(rank + 1, size):
+            if rows[r][col]:
+                f = rows[r][col] * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank // 2
 
 
 def first_fit_augmenting_mate(g: Graph) -> list[int]:
@@ -888,10 +925,11 @@ def _full_p27b(n, p, within_reach):
 
 
 # The cover search, its 2-SAT pass and the Konig-Egervary split in their
-# plainest form: every node at the component's full width, every LP bound
+# plainest form: every node at the full width of its rows, every LP bound
 # computed in full, one successor generator per literal node, and the 2-SAT
-# pass over whole components.  The library's must visit the same nodes, give
-# the same numbering and build the same parts.
+# pass over whole components with no fold.  On the same rows the library's
+# search must visit the same nodes, its 2-SAT pass give the same numbering,
+# and its split find the same failing components, greedy bounds and tau.
 
 def full_width_vc_search(adj: list[int], best: int, stop_at: int,
                          counter: list[int], budget: int,
@@ -1039,11 +1077,23 @@ def generator_cover_literal_sccs(adj: list[list[int]], mate: list[int],
     return scc
 
 
+def induced_adjacency(g: Graph, verts: np.ndarray) -> list[int]:
+    """Bitmask adjacency rows of the subgraph of ``g`` induced on the
+    ascending vertex array ``verts``, vertex verts[i] renumbered i."""
+    local = np.full(g.n, -1)                # verts[i] -> i, -1 outside
+    local[verts] = np.arange(verts.size)
+    local = local.tolist()
+    adj = g.adj_lists
+    return [vset(i for w in adj[v] if (i := local[w]) >= 0)
+            for v in verts.tolist()]
+
+
 def whole_component_cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     """``matching._cover_parts`` with the 2-SAT pass over every matched
     vertex of the components with a cycle, the whole component's adjacency
     and the whole cached mate, and one leaf-removal pass per failing
-    component."""
+    component, whose core is searched unfolded: its rows built in full and
+    its root LP seeded from the cached mate's pairs inside it."""
     mate = _cached_mate(g)
     known = matching_number(g)
     count, labels = g.component_labels()
@@ -1064,7 +1114,7 @@ def whole_component_cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
         nu_c = int(matched_in[c]) // 2
         verts = np.flatnonzero(labels == c).tolist()
         core, taken = _leaf_core(adj, verts)
-        rows = g.induced_adjacency(np.array(core))  # core[i] is local i
+        rows = induced_adjacency(g, np.array(core))  # core[i] is local i
         local = dict(zip(core, range(len(core))))
         alive = (1 << len(rows)) - 1
         seed = _lp_seed([local.get(mate[v], -1) for v in core], alive)

@@ -145,9 +145,9 @@ class TestEmptyHalf:
         assert has_empty_half(g) == (verdict, None)
 
     def test_budget_unknown(self):
-        # tau = 96 > nu = 94 and the search needs 7 nodes to find a cover
+        # tau = 98 > nu = 95 and the search needs 7 nodes to find a cover
         # of at most 100 vertices
-        g = gen_gnp(GnpParams(200, 0.015, 3))
+        g = gen_gnp(GnpParams(200, 0.015, 10))
         verdict, reason = has_empty_half(g, node_budget=2)
         assert verdict == "unknown"
         assert "budget" in reason
@@ -158,7 +158,7 @@ class TestEmptyHalf:
         # empty half-set too
         monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
         monkeypatch.setattr(matching, "DEFAULT_VC_NODE_BUDGET", 2)
-        g = gen_gnp(GnpParams(200, 0.015, 3))
+        g = gen_gnp(GnpParams(200, 0.015, 10))
         g2 = Graph(206, g.edge_list() + [(200, 201), (201, 202),
                                          (203, 204), (204, 205)])
         out = "vertex cover node budget 2 exceeded"
@@ -471,7 +471,7 @@ class TestRunTrials:
 
     def test_empty_half_budget_note_before_tau_note(self):
         spec = RegimeSpec(n=100, p_rule="middle", p_explicit=0.04, trials=1,
-                          master_seed=0, vc_budget=1, is_budget=1)
+                          master_seed=2, vc_budget=1, is_budget=1)
         (rec,), _ = run_trials(spec)
         assert (rec.empty_half, rec.tau_eq_nu, rec.tau) == ("unknown", "no",
                                                              None)

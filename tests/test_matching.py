@@ -26,10 +26,12 @@ from oracles import (brute_independence_number, brute_is_bipartite,
                      full_width_lp_bound, full_width_vc_search,
                      gallai_edmonds_by_deletion,
                      generator_cover_literal_sccs, has_augmenting_path,
-                     is_bipartite, milp_vertex_cover, random_forest,
+                     induced_adjacency, is_bipartite, milp_vertex_cover,
+                     random_forest,
                      random_order_leaf_core, relabel_all_alternating_forest,
                      rescan_vc_kernel, rows_greedy_cover,
-                     tb_max_over_subsets, whole_component_cover_parts)
+                     tb_max_over_subsets, tutte_matching_number,
+                     whole_component_cover_parts)
 
 
 def random_graph(tag: int) -> Graph:
@@ -559,7 +561,7 @@ class TestForest:
 # trial_seed(0x3DD1E, j): tau and the nodes its search takes
 POOL_TAU = [467, 472, 465, 458, 448, 465, 465, 462, 475, 468, 480, 467, 461,
             472, 469, 454]
-POOL_NODES = [0, 5, 0, 17, 0, 25, 19, 11, 83, 9, 59, 0, 5, 131, 6, 5]
+POOL_NODES = [0, 2, 0, 13, 0, 1, 1, 1, 25, 1, 11, 0, 1, 23, 1, 1]
 
 
 def pool_graph(j: int) -> Graph:
@@ -584,13 +586,13 @@ class TestSearchTree:
         nodes = POOL_NODES[j]
         assert vertex_cover_number(pool_graph(j), max(nodes, 1)) \
             == POOL_TAU[j]
-        if nodes:
+        if nodes > 1:                       # a budget is 1 node or more
             with pytest.raises(CapabilityError,
                                match=f"after {nodes - 1} nodes"):
                 vertex_cover_number(pool_graph(j), nodes - 1)
 
     @pytest.mark.parametrize("seed,budget,lower,upper", [
-        (1000, 100, 490, 526), (1000, 300, 490, 525), (1001, 300, 487, 530)])
+        (1000, 100, 491, 525), (1000, 300, 491, 525), (1001, 300, 487, 527)])
     def test_budget_out_bounds(self, seed, budget, lower, upper):
         g = gen_gnp(GnpParams(1000, 4 / 1000, seed))
         with pytest.raises(CapabilityError,
@@ -599,7 +601,7 @@ class TestSearchTree:
         assert (err.value.lower, err.value.upper) == (lower, upper)
 
     def test_dive_deeper_than_the_recursion_limit(self):
-        # the first dive on this graph is 86 branchings deep; the search
+        # the first dive on this graph is 81 branchings deep; the search
         # keeps its own stack, so a recursion limit 40 frames above this
         # test does not stop it
         g = gen_gnp(GnpParams(400, 6 / 400, 0))
@@ -610,7 +612,7 @@ class TestSearchTree:
                 vertex_cover_number(g, 200)
         finally:
             sys.setrecursionlimit(limit)
-        assert (err.value.lower, err.value.upper) == (200, 240)
+        assert (err.value.lower, err.value.upper) == (200, 239)
 
 
 def search_outcome(search, adj, best, stop_at, budget, warm, taken=0):
@@ -635,6 +637,15 @@ def lp_value(adj, mask) -> int:
     return full_width_lp_bound(adj, mask)[0]
 
 
+def folded_core(g: Graph, verts: np.ndarray) -> tuple[int, list[int]]:
+    """(t, rows) of the component on ``verts``: the vertices that leaf
+    removal and the fold take, and the rows of what the fold leaves."""
+    core, taken = matching._leaf_core(g.adj_lists, verts.tolist())
+    f, rows, _ = matching._fold_core(matching._core_lists(g.adj_lists, core),
+                                     core, matching._cached_mate(g))
+    return taken + f, rows
+
+
 def failing_components(g: Graph) -> list[np.ndarray]:
     """The vertices of each component that fails the Konig-Egervary test,
     in the order of the parts of ``_cover_parts``."""
@@ -656,23 +667,23 @@ class TestSearchShortcuts:
     def test_search_equals_full_width(self, g, budget, pick, warm_start):
         # exact calls, capped decisions (cap + 1, cap) as _cover_at_most
         # makes them, each under a small budget and a large one: the search
-        # on the core with t taken against the full-width search on the
-        # whole component
+        # on each part's folded core with t taken against the full-width
+        # search on the same rows
         parts = matching._cover_parts(g)[1]
         comps = failing_components(g)
         assert [p[0] for p in parts] == [len(c) for c in comps]
         for verts, (_, t, rows, lo, hi, lp) in zip(comps, parts):
-            full = g.induced_adjacency(verts)
+            assert (t, rows) == folded_core(g, verts)
             warm = lp if warm_start else None
-            full_warm = (full_width_lp_bound(full, (1 << len(full)) - 1)[1]
+            full_warm = (full_width_lp_bound(rows, (1 << len(rows)) - 1)[1]
                          if warm_start else None)
             cap = lo - 1 + pick % (hi - lo + 2)
             for best, stop_at in ((hi, lo), (hi, 0), (cap + 1, cap)):
                 for b in (budget, matching.DEFAULT_VC_NODE_BUDGET):
                     assert search_outcome(matching._vc_search, rows, best,
                                           stop_at, b, warm, t) \
-                        == search_outcome(full_width_vc_search, full, best,
-                                          stop_at, b, full_warm)
+                        == search_outcome(full_width_vc_search, rows, best,
+                                          stop_at, b, full_warm, t)
 
     @settings(max_examples=100, deadline=None)
     @given(SEARCH_GRAPHS, st.integers(1, 60), st.integers(0, 80))
@@ -778,9 +789,10 @@ CORE_GRAPHS = st.builds(
 
 
 class TestCoreReduction:
-    """Each failing component is cut to its leaf-removal core before any
-    bitmask row is built; the kernel residue, the taken count, the root LP
-    bound and the greedy bound must be those of the whole component."""
+    """Each failing component is cut to its leaf-removal core and folded
+    before any bitmask row is built; the core and its count must be leaf
+    removal's in any order, t + tau(rows) the whole component's tau, the
+    root bound at least its LP bound, and the greedy bound its own."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(SEARCH_GRAPHS, CORE_GRAPHS), st.integers(0, 2 ** 32))
@@ -791,44 +803,46 @@ class TestCoreReduction:
         assert [p[0] for p in parts] == [len(c) for c in comps]
         for verts, (n_c, t, rows, lo, hi, _) in zip(comps, parts):
             core, taken = matching._leaf_core(g.adj_lists, verts.tolist())
-            assert (taken, rows) == (t, g.induced_adjacency(np.array(core)))
-            assert core and all(row.bit_count() >= 2 for row in rows)
+            assert core
             # the same core and count in a random removal order
             assert random_order_leaf_core(g.adj_lists, verts.tolist(),
-                                          order_seed) == (core, t)
-            full = g.induced_adjacency(verts)
+                                          order_seed) == (core, taken)
+            assert (t, rows) == folded_core(g, verts)
+            assert t >= taken and all(row.bit_count() >= 3 for row in rows)
+            # exact for tau, and the root bound is at least the LP bound of
+            # the whole component
+            full = induced_adjacency(g, verts)
             alive = (1 << n_c) - 1
-            residue, full_taken, _, _ = _vc_kernel(full, alive, 0)
-            core_residue, core_taken, _, _ = _vc_kernel(
-                rows, (1 << len(rows)) - 1, t)
-            assert [core[i] for i in vset_members(core_residue)] \
-                == verts[vset_members(residue)].tolist()
-            assert core_taken == full_taken
-            full_lp = full_width_lp_bound(full, alive)[0]
-            assert t + lp_value(rows, (1 << len(rows)) - 1) == full_lp
+            budget = matching.DEFAULT_VC_NODE_BUDGET
+            assert full_width_vc_search(rows, n_c + 1, 0, [0], budget, None,
+                                        t) \
+                == milp_vertex_cover(component_graph(g, vset(verts.tolist())))
+            root = t + lp_value(rows, (1 << len(rows)) - 1)
+            assert root >= full_width_lp_bound(full, alive)[0]
             nu_c = sum(mate[v] != -1 for v in verts.tolist()) // 2
-            assert lo == max(nu_c + 1, full_lp)
+            assert lo == max(nu_c + 1, root)
             assert hi == matching._greedy_cover(g.adj_lists, verts.tolist()) \
                 == rows_greedy_cover(full, alive)
-
 
     def test_root_bound_counts_the_taken_vertices(self):
         # a hub joined to one corner of each of five triangles, and a leaf
         # at a second corner of the first: leaf removal takes 2 vertices,
-        # and the LP of the core (the hub and four triangles) is 6.5, so
-        # the root bound t + ceil(LP(core)) = 9 beats nu_c + 1 = 8
+        # the fold 8 more (the two free corners of each of the four other
+        # triangles), and nothing is left; so the root bound t = 10 beats
+        # nu_c + 1 = 8
         edges = [(1, 16)]
         for a in range(1, 16, 3):
             edges += [(0, a), (a, a + 1), (a + 1, a + 2), (a, a + 2)]
         g = Graph(17, edges)
         (part,) = matching._cover_parts(g)[1]
-        assert (part[0], part[1], len(part[2]), part[3]) == (17, 2, 13, 9)
+        assert (part[0], part[1], len(part[2]), part[3]) == (17, 10, 0, 10)
         assert matching_number(g) == 7 and vertex_cover_number(g) == 10
 
     def test_decision_solves_smaller_components_first(self, monkeypatch):
-        # a triangle with a 2-path hanging off it (5 vertices, core 3) and
-        # a K4 (4 vertices, core 4): the decision solves the K4 exactly
-        # first, ordered by component size, not by core size
+        # a triangle with a 2-path hanging off it (5 vertices, folded to
+        # nothing) and a K4 (4 vertices, left as it is): the decision solves
+        # the K4 exactly first, ordered by component size, not by the
+        # width of the rows
         edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]
         edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
         widths = []
@@ -837,7 +851,7 @@ class TestCoreReduction:
                             lambda rows, *a: widths.append(len(rows))
                             or original(rows, *a))
         assert matching._cover_at_most(Graph(9, edges), 6, 100)
-        assert widths == [4, 3]
+        assert widths == [4, 0]
 
 
 # two triangles joined through a vertex that carries a pendant leaf: leaf
@@ -847,6 +861,16 @@ TWO_TRIANGLES_JOINED = Graph(8, TRIANGLE + [(3, 4), (4, 5), (3, 5), (2, 6),
 # a triangle with a pendant 2-path: leaf removal pairs 3 with the leaf 4,
 # so corner 2 is exposed inside the core
 TRIANGLE_PATH2 = Graph(5, TRIANGLE + [(2, 3), (3, 4)])
+
+
+def split_fields(split: tuple) -> tuple:
+    """The known sum of a split, and per part n_c, the greedy bound and
+    tau, each part solved exactly by the library's search."""
+    known, parts = split
+    budget = matching.DEFAULT_VC_NODE_BUDGET
+    return known, [(n_c, hi, matching._vc_search(rows, hi + 1, 0, [0], budget,
+                                                 lp, t))
+                   for n_c, t, rows, _, hi, lp in parts]
 
 
 def relabelled_mate(g: Graph, seed: int) -> list[int]:
@@ -862,36 +886,40 @@ def relabelled_mate(g: Graph, seed: int) -> list[int]:
 class TestCoreDecision:
     """The Konig-Egervary pass runs on the leaf-removal core of the
     components with a cycle, with the cached mate restricted to it; the
-    split must be the whole-component split, part for part."""
+    split must be the whole-component split, part for part, in every field
+    the fold leaves alone: the known sum, which components fail, their
+    sizes, the greedy bounds and each part's tau."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(SEARCH_GRAPHS, CORE_GRAPHS))
     @example(TWO_TRIANGLES_JOINED)
     @example(TRIANGLE_PATH2)
     def test_split_equals_whole_component_split(self, g):
-        assert matching._cover_parts(fresh(g)) \
-            == whole_component_cover_parts(fresh(g))
+        assert split_fields(matching._cover_parts(fresh(g))) \
+            == split_fields(whole_component_cover_parts(fresh(g)))
 
     @pytest.mark.parametrize("j", range(16))
     def test_split_on_the_middle_pool(self, j):
-        assert matching._cover_parts(pool_graph(j)) \
-            == whole_component_cover_parts(pool_graph(j))
+        assert split_fields(matching._cover_parts(pool_graph(j))) \
+            == split_fields(whole_component_cover_parts(pool_graph(j)))
 
     def test_core_in_two_pieces(self):
         # t = 1 (the joint) for the whole component, whose core is two
-        # triangles, each failing; nu_c = 3, ceil(LP) = 1 + 3
+        # triangles, each failing; the fold takes two corners of each, so
+        # t = 5 with nothing left, and the root bound is 5 > nu_c + 1 = 4
         g = fresh(TWO_TRIANGLES_JOINED)
         (part,) = matching._cover_parts(g)[1]
-        assert (part[0], part[1], len(part[2]), part[3]) == (8, 1, 6, 4)
+        assert (part[0], part[1], len(part[2]), part[3]) == (8, 5, 0, 5)
         assert matching_number(g) == 3 and vertex_cover_number(g) == 5
 
     def test_core_vertex_left_exposed_by_leaf_removal(self):
         # leaf removal pairs 4 with 3, so corner 2 is exposed and the
-        # matching stays inside the triangle and inside the tail
+        # matching stays inside the triangle and inside the tail; the fold
+        # takes two corners of the triangle, t = 3 with nothing left
         g = fresh(TRIANGLE_PATH2)
         assert matching._cached_mate(g) == (1, 0, -1, 4, 3)
         (part,) = matching._cover_parts(g)[1]
-        assert (part[0], part[1], len(part[2]), part[3]) == (5, 1, 3, 3)
+        assert (part[0], part[1], len(part[2]), part[3]) == (5, 3, 0, 3)
         assert vertex_cover_number(g) == 3
 
     @settings(max_examples=300, deadline=None)
@@ -985,9 +1013,7 @@ class TestLeafRemovalMatching:
         pairs = max_matching(g).pairs
         assert all(mate[w] == u and g.has_edge(u, w)
                    for u, w in enumerate(mate) if w != -1)
-        assert matching_number(g) == len(pairs)
-        if g.m <= 80:                       # the path enumeration explodes
-            assert not has_augmenting_path(g, pairs)
+        assert matching_number(g) == len(pairs) == tutte_matching_number(g)
         assert certified(g, tutte_berge_witness(g))
         core = matching._cached_matching(g)[2]
         assert core == (matching._leaf_core(g.adj_lists, g.support)[0]
@@ -1027,6 +1053,129 @@ class TestLeafRemovalMatching:
         g = fresh(g)
         assert matching._cached_matching(g)[3] is g.adj_lists
         assert list(matching._cached_mate(g)) == first_fit_augmenting_mate(g)
+
+
+@st.composite
+def subdivided_gnp(draw) -> Graph:
+    """G(n, c/n) with some of its edges subdivided: each edge uv becomes,
+    with probability q, a path from u to v through 1 or 2 new vertices."""
+    n = draw(st.integers(4, 40))
+    g = gen_gnp(GnpParams(n, min(1.0, draw(st.floats(2.0, 8.0)) / n),
+                          draw(st.integers(0, 2 ** 32))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    q = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    edges = []
+    for u, v in g.edge_list():
+        k = int(rng.integers(1, 3)) if rng.random() < q else 0
+        walk = [u, *range(n, n + k), v]
+        n += k
+        edges += zip(walk, walk[1:])
+    return Graph(n, edges)
+
+
+@st.composite
+def cycles_with_chords(draw) -> Graph:
+    """A cycle on 3 to 30 vertices with up to n/2 chords."""
+    n = draw(st.integers(3, 30))
+    ends = st.integers(0, n - 1)
+    chords = draw(st.lists(st.tuples(ends, ends), max_size=n // 2))
+    return Graph(n, cycle(n).edge_list()
+                 + [(a, b) for a, b in chords if a != b])
+
+
+# graphs rich in degree-2 vertices, where the fold has work to do
+FOLD_GRAPHS = st.one_of(subdivided_gnp(), cycles_with_chords(),
+                        odd_cycles_with_pendant_trees())
+
+
+def graph_of(near: dict[int, set[int]]) -> Graph:
+    """The graph of the neighbour sets ``near``, renumbered in ascending
+    order; each set must be free of its own vertex and symmetric."""
+    ids = {v: i for i, v in enumerate(sorted(near))}
+    assert all(v not in nv and all(v in near[w] for w in nv)
+               for v, nv in near.items())
+    return Graph(len(ids), [(ids[v], ids[w]) for v, nv in near.items()
+                            for w in nv if v < w])
+
+
+class TestFold:
+    """Each failing core is folded at degree 2 before branch and bound:
+    every rule must be exact for tau, and so must every answer built on
+    the folded rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(FOLD_GRAPHS, SEARCH_GRAPHS))
+    @example(TWO_TRIANGLES_JOINED)
+    @example(cycle(9))
+    def test_tau_and_every_decision_equal_milp(self, g):
+        tau = milp_vertex_cover(g)
+        if g.n <= 14:
+            assert brute_vertex_cover(g) == tau
+        assert vertex_cover_number(fresh(g)) == tau
+        h = fresh(g)                        # no exact tau cached on it
+        budget = matching.DEFAULT_VC_NODE_BUDGET
+        for k in range(g.n + 1):
+            assert matching._cover_at_most(h, k, budget) == (k >= tau), k
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(FOLD_GRAPHS, SEARCH_GRAPHS), st.integers(1, 6))
+    def test_budget_out_bounds_hold(self, g, budget):
+        tau = milp_vertex_cover(g)
+        got = cover_outcome(fresh(g), budget)
+        if got != tau:
+            _, lower, upper = got
+            assert lower <= tau <= upper
+
+    @settings(max_examples=200, deadline=None)
+    @given(FOLD_GRAPHS, st.lists(st.integers(0, 2 ** 16), min_size=1,
+                                 max_size=6))
+    def test_each_step_is_exact(self, g, picks):
+        # any vertex of degree 2 or less, in any order, not only the
+        # order of _fold_core: tau(G) = taken + tau(G') at every step, a
+        # fold takes 1, merging w's edges into u, and what is left of the
+        # cached matching stays a matching
+        near = {v: set(g.adj_lists[v]) for v in g.support}
+        mate = matching._cached_mate(g)
+        pair = {v: mate[v] for v in g.support if mate[v] != -1}
+        tau = milp_vertex_cover(g)
+        for pick in picks:
+            low = sorted(v for v, nv in near.items() if len(nv) <= 2)
+            if not low:
+                break
+            v = low[pick % len(low)]
+            nv = sorted(near[v])
+            folds = len(nv) == 2 and nv[1] not in near[nv[0]]
+            if folds:
+                u, w = nv
+                merged = (near[u] | near[w]) - {v}
+            taken = matching._fold_step(near, pair, v, [])
+            assert all(pair[pair[x]] == x and pair[x] in near[x]
+                       for x in pair)
+            after = milp_vertex_cover(graph_of(near))
+            assert tau == taken + after
+            if folds:
+                assert taken == 1 and near[u] == merged
+                assert v not in near and w not in near
+            tau = after
+
+    @settings(max_examples=200, deadline=None)
+    @given(FOLD_GRAPHS)
+    def test_fixpoint_has_no_vertex_of_degree_two(self, g):
+        # the rows of what is left: symmetric, every degree 3 or more, and
+        # tau = f + tau(rows); the pairs are a matching of them
+        if not g.support:
+            return
+        f, rows, pairs = matching._fold_core(g.adj_lists, g.support,
+                                             matching._cached_mate(g))
+        assert all(row >> i & 1 == 0 and row.bit_count() >= 3
+                   and all(rows[j] >> i & 1 for j in vset_members(row))
+                   for i, row in enumerate(rows))
+        assert len(pairs) == len(rows)
+        assert all(j == -1 or (pairs[j] == i and rows[i] >> j & 1)
+                   for i, j in enumerate(pairs))
+        rest = Graph(len(rows), [(i, j) for i, row in enumerate(rows)
+                                 for j in vset_members(row) if i < j])
+        assert f + milp_vertex_cover(rest) == milp_vertex_cover(g)
 
 
 def random_maximal_matching(g: Graph, seed: int) -> list[int]:
