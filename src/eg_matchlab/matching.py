@@ -60,26 +60,24 @@ to nothing.  The fold changes the rows, so the search tree is the one on
 the folded rows, not the whole component's; folding below the root would
 need rows that change along a dive, and is not done.
 
-A search node costs what changed since its parent, at the width of what
-the root's kernel left.  The search runs depth first from an explicit
-stack, so a dive is as deep as it needs to be, and a child starts from its
-parent's kernel fixpoint (degrees and the vertices known to have no
-dominating neighbour) and its parent's LP matching.  The root LP is
-seeded from the cached maximum matching, carried through the fold: a pair
-loses a vertex that leaves, and a fold hands w's mate to u when u is free.
-So the LP starts near its maximum and has few augmenting searches left,
-each as wide as the folded rows.  Each component's search root starts
-from the LP matching of that bound.  Below the root every node runs on
-the root kernel's residue, its live vertices relabelled in ascending
-order; a node's LP stops as soon as it proves the node pruned; and a
-child that its parent's bound already prunes is counted and dropped
-before its kernel.  The dominated-vertex rule looks only at
-the vertices on a triangle of the root's rows: it runs once every live
-vertex has degree 2 or more, and then a v with N(v) inside N[u] has a
-second neighbour, which u sees too, so v lies on a triangle; deleting
-vertices never makes one.  A node reduces, bounds and branches as one
-computed afresh would, so none of this changes the search tree on the
-given rows or its node count (see ``_vc_search``).
+A search node costs what changed since its parent, at the width of the
+folded rows.  The search runs depth first from an explicit stack, so a
+dive is as deep as it needs to be, and a child starts from its parent's
+kernel fixpoint (degrees and the vertices known to have no dominating
+neighbour) and its parent's LP matching.  The root LP is seeded from the
+cached maximum matching, carried through the fold: a pair loses a vertex
+that leaves, and a fold hands w's mate to u when u is free.  So the LP
+starts near its maximum and has few augmenting searches left, each as wide
+as the folded rows.  Each component's search root starts from the LP
+matching of that bound.  A node's LP stops as soon as it proves the node
+pruned, and a child that its parent's bound already prunes is counted and
+dropped before its kernel.  The dominated-vertex rule looks only at the
+vertices on a triangle of the root's rows: it runs once every live vertex
+has degree 2 or more, and then a v with N(v) inside N[u] has a second
+neighbour, which u sees too, so v lies on a triangle; deleting vertices
+never makes one.  A node reduces, bounds and branches as one computed
+afresh would, so none of this changes the search tree on the given rows or
+its node count (see ``_vc_search``).
 
 Each graph gets one maximum matching, kept with its size nu, its core and
 the core's adjacency, and one Konig-Egervary split, both computed on first
@@ -651,29 +649,24 @@ def _cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
 
 
 def _leaf_core(adj: list[list[int]], verts: list[int],
-               match: list[int] | None = None) -> tuple[list[int], int]:
+               match: list[int]) -> tuple[list[int], int]:
     """(core, t): Karp-Sipser leaf removal on the subgraph on the ascending
     vertex list ``verts``, closed under neighbours.  A vertex of degree 0
     is dropped; one of degree 1 is dropped with its neighbour, which is
     taken into the cover and counted in t; until every vertex left, the
     ascending list ``core``, has degree 2 or more.  Each such leaf is
-    matched to the neighbour it is dropped with, in ``match`` (a fresh
-    array when none is given), in place: t pairs, which some maximum
-    matching contains.
+    matched to the neighbour it is dropped with, in ``match``, in place:
+    t pairs, which some maximum matching contains.
 
     Removals run in stack order here.  The core does not depend on the
     order, and since each step is exact for tau, neither does
-    t = tau(G) - tau(core) (see the module docstring); so the degree
-    sweeps of ``_vc_kernel``, in vertex order, stop at the same core with
-    the same count.  No removal crosses a component, so one pass over
-    several components leaves each its own core, and t is their summed
-    count; per component it is nu_c - nu(core_c), as each step is exact
-    for nu too."""
+    t = tau(G) - tau(core) (see the module docstring).  No removal crosses
+    a component, so one pass over several components leaves each its own
+    core, and t is their summed count; per component it is
+    nu_c - nu(core_c), as each step is exact for nu too."""
     deg = [-1] * (verts[-1] + 1)            # -1: gone, or not in verts
     for v in verts:
         deg[v] = len(adj[v])
-    if match is None:
-        match = [-1] * len(deg)
     low = [v for v in verts if deg[v] <= 1]
     taken = 0
     while low:
@@ -823,18 +816,12 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     first vertex v of maximum degree, with "v in the cover" pushed last so
     that it is searched first and "all neighbours of v in" after it.
 
-    Four shortcuts leave the search tree and its node count as they are:
+    Three shortcuts leave the search tree and its node count as they are:
 
-    - Every node below the root runs on the root kernel's residue, its live
-      vertices relabelled 0..r-1 in ascending order (see ``_vc_residue``).
-      The relabelling keeps the vertex order, so every "first" or "lowest"
-      choice of the kernel and of the branching picks the same vertex.
-      Where the root kernel removed nothing, every vertex is live with
-      degree 2 or more, the relabelling is the identity, and it is skipped.
     - The kernel checks for a dominated vertex only on the triangle
-      vertices of ``adj``, computed once (see ``_triangle_mask``) and
-      carried through the relabelling: every other vertex stays without a
-      dominating neighbour at every node (see ``_vc_kernel``).
+      vertices of ``adj``, computed once (see ``_triangle_mask``): every
+      other vertex stays without a dominating neighbour at every node (see
+      ``_vc_kernel``).
     - The LP bound stops once it proves the prune, ceil(LP) >= best - taken
       (see ``_lp_bound``): the LP value is unique, and only its comparison
       with best - taken is read.  A node that branches computes it in full.
@@ -851,15 +838,8 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
     copy.  Every node reduces, bounds and branches as one computed afresh
     would, so the search tree and its node count do not depend on this.
     """
-    # the root's kernel runs before the root is counted; the loop's kernel
-    # call on its fixpoint then changes nothing
-    full = (1 << len(adj)) - 1
     tri = _triangle_mask(adj)
-    mask, taken, deg, _ = _vc_kernel(adj, full, taken, tri=tri)
-    if mask != full:
-        adj, deg, warm, tri = _vc_residue(adj, mask, deg, warm, tri)
-        mask = (1 << len(adj)) - 1
-    stack = [(mask, taken, 0, deg, mask, warm, 0)]  # every vertex is clean
+    stack = [((1 << len(adj)) - 1, taken, 0, None, 0, warm, 0)]
     while stack:
         mask, taken, gone, deg, clean, warm, reach = stack.pop()
         counter[0] += 1
@@ -888,47 +868,6 @@ def _vc_search(adj: list[int], best: int, stop_at: int, counter: list[int],
                       warm, reach))
         stack.append((mask, taken + 1, 1 << v, deg[:], clean, warm, reach))
     return best
-
-
-def _vc_residue(adj: list[int], mask: int, deg: list[int], warm: tuple | None,
-                tri: int) -> tuple[list[int], list[int], tuple | None, int]:
-    """The graph on ``mask``, a kernel fixpoint with degrees ``deg``, with
-    its vertices relabelled 0..r-1 in ascending order: its bitmask rows,
-    its degrees, the pairs of the double-cover matching ``warm`` (see
-    ``_lp_bound``) with both ends in ``mask`` and the vertices of ``tri``
-    in ``mask``, all on the new ids."""
-    live = [v for v, d in enumerate(deg) if d]  # no live vertex of degree 0
-    ids = [-1] * len(adj)
-    for i, v in enumerate(live):
-        ids[v] = i
-    rows = []
-    on_tri = 0
-    for i, v in enumerate(live):
-        row = 0
-        near = adj[v] & mask
-        while near:                         # highest first: ``near`` shrinks
-            w = near.bit_length() - 1
-            row |= 1 << ids[w]
-            near ^= 1 << w
-        rows.append(row)
-        if tri >> v & 1:
-            on_tri |= 1 << i
-    deg = [deg[v] for v in live]
-    if warm is None:
-        return rows, deg, None, on_tri
-    old_left = warm[1]                      # -1 where a left copy is free
-    left = [-1] * len(live)
-    right = [-1] * len(live)
-    lmask = rmask = 0
-    for i, v in enumerate(live):
-        u = old_left[v]
-        if u != -1 and ids[u] != -1:
-            left[i] = j = ids[u]
-            right[j] = i
-            lmask |= 1 << i
-            rmask |= 1 << j
-    warm = ((1 << len(live)) - 1, left, right, lmask, rmask)
-    return rows, deg, warm, on_tri
 
 
 def _triangle_mask(adj: list[int]) -> int:

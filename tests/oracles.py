@@ -1113,7 +1113,7 @@ def whole_component_cover_parts(g: Graph) -> tuple[int, tuple[tuple, ...]]:
     for c in np.unique(labels[failing]).tolist():
         nu_c = int(matched_in[c]) // 2
         verts = np.flatnonzero(labels == c).tolist()
-        core, taken = _leaf_core(adj, verts)
+        core, taken = _leaf_core(adj, verts, [-1] * g.n)
         rows = induced_adjacency(g, np.array(core))  # core[i] is local i
         local = dict(zip(core, range(len(core))))
         alive = (1 << len(rows)) - 1

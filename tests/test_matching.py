@@ -640,7 +640,8 @@ def lp_value(adj, mask) -> int:
 def folded_core(g: Graph, verts: np.ndarray) -> tuple[int, list[int]]:
     """(t, rows) of the component on ``verts``: the vertices that leaf
     removal and the fold take, and the rows of what the fold leaves."""
-    core, taken = matching._leaf_core(g.adj_lists, verts.tolist())
+    core, taken = matching._leaf_core(g.adj_lists, verts.tolist(),
+                                      [-1] * g.n)
     f, rows, _ = matching._fold_core(matching._core_lists(g.adj_lists, core),
                                      core, matching._cached_mate(g))
     return taken + f, rows
@@ -657,13 +658,17 @@ def failing_components(g: Graph) -> list[np.ndarray]:
 
 
 class TestSearchShortcuts:
-    """The search runs on the root kernel's residue, stops an LP once it
-    proves the prune and drops a child its parent's bound prunes; none of
-    this may change an answer, a node count or a budget failure."""
+    """The search checks domination only at triangle vertices, stops an LP
+    once it proves the prune and drops a child its parent's bound prunes;
+    none of this may change an answer, a node count or a budget failure."""
 
     @settings(max_examples=150, deadline=None)
     @given(SEARCH_GRAPHS, st.integers(1, 60), st.integers(0, 2 ** 16),
            st.booleans())
+    # the two pool graphs whose folded root kernel still removes vertices,
+    # by domination
+    @example(pool_graph(9), 1, 0, True)
+    @example(pool_graph(10), 5, 7, False)
     def test_search_equals_full_width(self, g, budget, pick, warm_start):
         # exact calls, capped decisions (cap + 1, cap) as _cover_at_most
         # makes them, each under a small budget and a large one: the search
@@ -802,7 +807,8 @@ class TestCoreReduction:
         comps = failing_components(g)
         assert [p[0] for p in parts] == [len(c) for c in comps]
         for verts, (n_c, t, rows, lo, hi, _) in zip(comps, parts):
-            core, taken = matching._leaf_core(g.adj_lists, verts.tolist())
+            core, taken = matching._leaf_core(g.adj_lists, verts.tolist(),
+                                              [-1] * g.n)
             assert core
             # the same core and count in a random removal order
             assert random_order_leaf_core(g.adj_lists, verts.tolist(),
@@ -931,7 +937,7 @@ class TestCoreDecision:
         g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
         if not g.support:
             return
-        core, t = matching._leaf_core(g.adj_lists, g.support)
+        core, t = matching._leaf_core(g.adj_lists, g.support, [-1] * g.n)
         local = {v: i for i, v in enumerate(core)}
         h = Graph(len(core), [(local[u], local[v]) for u, v in g.edge_list()
                               if u in local and v in local])
@@ -988,7 +994,7 @@ def leafless(g: Graph) -> Graph:
     """``g`` cut to the edges of its Karp-Sipser core, on the same ids."""
     if not g.support:
         return g
-    core = set(matching._leaf_core(g.adj_lists, g.support)[0])
+    core = set(matching._leaf_core(g.adj_lists, g.support, [-1] * g.n)[0])
     return Graph(g.n, [(u, v) for u, v in g.edge_list()
                        if u in core and v in core])
 
@@ -1016,7 +1022,8 @@ class TestLeafRemovalMatching:
         assert matching_number(g) == len(pairs) == tutte_matching_number(g)
         assert certified(g, tutte_berge_witness(g))
         core = matching._cached_matching(g)[2]
-        assert core == (matching._leaf_core(g.adj_lists, g.support)[0]
+        assert core == (matching._leaf_core(g.adj_lists, g.support,
+                                            [-1] * g.n)[0]
                         if g.support else [])
         in_core = set(core)
         assert all((u in in_core) == (w in in_core) for u, w in pairs)
@@ -1236,9 +1243,8 @@ class TestUnionFindSearch:
 
 class TestTriangleKernel:
     """The dominated-vertex rule looks only at the vertices on a triangle
-    of the root's rows, and the search skips the relabel where the root
-    kernel removed nothing; the kernel, the residue and the search must
-    come out as before."""
+    of the root's rows; the kernel and the search must come out as
+    before."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.sampled_from([2.0, 4.0, 8.0, 16.0]),
@@ -1286,24 +1292,6 @@ class TestTriangleKernel:
             assert fast[3] & tri == plain[3] & tri
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 60), st.sampled_from([1.0, 3.0, 8.0, 16.0]),
-           st.integers(0, 2 ** 32), st.booleans())
-    def test_residue_carries_the_triangle_mask(self, n, c, seed, warm_start):
-        # the relabelled mask holds the live vertices of the root's mask,
-        # every triangle of the residue among them
-        g = gen_gnp(GnpParams(n, min(1.0, c / n), seed))
-        adj = g.adj_bits
-        tri = matching._triangle_mask(adj)
-        mask, _, deg, _ = _vc_kernel(adj, g.full_mask(), 0, tri=tri)
-        warm = matching._lp_bound(adj, g.full_mask())[1] if warm_start \
-            else None
-        rows, _, _, on_tri = matching._vc_residue(adj, mask, deg[:], warm,
-                                                  tri)
-        live = vset_members(mask)
-        assert on_tri == vset(i for i, v in enumerate(live) if tri >> v & 1)
-        assert matching._triangle_mask(rows) & ~on_tri == 0
-
-    @settings(max_examples=200, deadline=None)
     @given(st.one_of(SEARCH_GRAPHS, st.builds(
         lambda n, c, seed, isolated: Graph(
             n + isolated, gen_gnp(GnpParams(n, min(1.0, c / n), seed))
@@ -1312,23 +1300,15 @@ class TestTriangleKernel:
         st.integers(0, 2))), st.integers(1, 60))
     @example(Graph(6, cycle(5).edge_list()), 60)
     @example(cycle(7), 60)
-    def test_relabel_skipped_only_on_the_identity(self, g, budget):
+    def test_whole_rows_match_full_width(self, g, budget):
         # whole rows, so the root kernel may drop isolated vertices, take
         # leaves' neighbours and dominating vertices, or remove nothing:
-        # the relabel runs exactly when it removed something, and the
-        # search matches the full-width search node for node
+        # the search matches the full-width search node for node
         adj = g.adj_bits
-        mask = _vc_kernel(adj, g.full_mask(), 0)[0]
-        calls = []
-        original = matching._vc_residue
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matching, "_vc_residue",
-                       lambda *a: calls.append(1) or original(*a))
-            got = search_outcome(matching._vc_search, adj, g.n + 1, 0,
-                                 budget, None)
-        assert calls == ([] if mask == g.full_mask() else [1])
-        assert got == search_outcome(full_width_vc_search, adj, g.n + 1, 0,
-                                     budget, None)
+        assert search_outcome(matching._vc_search, adj, g.n + 1, 0, budget,
+                              None) \
+            == search_outcome(full_width_vc_search, adj, g.n + 1, 0, budget,
+                              None)
 
 
 class TestMilpOracle:
