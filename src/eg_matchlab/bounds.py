@@ -29,6 +29,7 @@ from scipy.special import gammaln
 from .errors import InputError
 
 _LN_MAX = 709.0          # exp overflow threshold for float64
+_EXP_ZERO = -750.0       # exp(x) rounds to 0.0 for x < -745.14
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ def binom_tail_exact(m: int, q: float, t: float, side: str) -> float:
     return float(min(1.0, math.exp(_logsumexp(logpmf))))
 
 
-def _logsumexp(a, top=None) -> float:
+def _logsumexp(a, top=None, rows=None) -> float:
     """log sum exp over all entries of ``a``: scipy.special.logsumexp's
     formula (scipy 1.17) step for step, so bitwise equal to it, without its
     fixed cost of about 0.15 ms a call.  With M the largest entry and m the
@@ -172,20 +173,40 @@ def _logsumexp(a, top=None) -> float:
     log1p(s/m) + log(m) + M.  The entries at M are zeroed in place rather
     than dropped, so the pairwise summation groups the terms as scipy's
     does.  When M is not finite the value is log(sum(exp(a))), as in scipy;
-    empty input gives -inf.  ``top``, when given, is M."""
+    empty input gives -inf.  ``top``, when given, is M.
+
+    ``rows``, when given, is (widths, size), and the entries summed are
+    rows of ``size``: row i holds the next widths[i] entries of ``a``, in C
+    order, and -inf after them.  Only exps that do not round to 0.0 are
+    taken, and each is put at its place in a zeroed array of the rows'
+    shape, which is summed: every term keeps its position and every other
+    entry is the 0.0 its exp would be, so the value is bit for bit that of
+    the full rows."""
     a = np.asarray(a, dtype=np.float64)
     if a.size == 0:
         return -math.inf
     if top is None:
         top = a.max()
-    if not math.isfinite(top):
+    if not math.isfinite(top):  # zeros, infs or NaNs: any order sums alike
         with np.errstate(over="ignore", divide="ignore"):
             return float(np.log(np.exp(a).sum()))
-    at_top = a == top
-    m = np.count_nonzero(at_top)
     shifted = a - top
+    if rows is not None:
+        at = np.flatnonzero(shifted >= _EXP_ZERO)
+        shifted = shifted.ravel()[at]
+    at_top = shifted == 0.0
+    m = np.count_nonzero(at_top)
     np.exp(shifted, out=shifted)
     shifted[at_top] = 0.0
+    if rows is not None:
+        widths, size = rows
+        ends = np.cumsum(widths)
+        if ends[-1] < widths.size * size:   # move past the short rows' gaps
+            row = np.searchsorted(ends, at, side="right")
+            at += row * size - (ends[row] - widths[row])
+        full = np.zeros(widths.size * size)
+        full[at] = shifted
+        shifted = full
     s = shifted.sum()
     if m == 1:                  # s / 1 == s, and log(1) adds +0.0
         return float(np.log1p(s) + top)
@@ -641,6 +662,9 @@ _C7_WINDOW = 256          # parity steps kept around the dominant end
                           # dominates: tests check against the full sum)
 _C7_SPAN = 2 * (_C7_WINDOW - 1)   # a window's last s less its first
 _C7_K1 = {True: 0.1 * 0.1 / 2.0, False: 0.9 * 0.9 / 2.0}   # event 1 by side
+_C7_GROUP = 64            # rows whose terms are computed at once: each
+                          # temporary stays at 128 KB or less, so memory is
+                          # reused instead of faulted in afresh
 _C7_WHOLE = 16            # row ranges of at most this many blocks are
                           # computed whole: below about 20 blocks bounding
                           # them costs more (timed at n = 2^13..2^16)
@@ -698,6 +722,13 @@ def _c7_s_his(n, bs):
     return s_hi - ((s_hi ^ (n - 1 - bs)) & 1)
 
 
+def _c7_width(s_hi):
+    """The valid slots of both windows of rows with largest valid s s_hi:
+    event 1 from s_hi down and event 2 from s_lo up both reach every s of
+    s_hi's parity in 1..s_hi, (s_hi + 1) // 2 of them, or fill all W."""
+    return np.minimum((s_hi + 1) // 2, _C7_WINDOW)
+
+
 def _c7_row_values(n, p, big, bs, lc_at, lc_low):
     """max(head 1, head 2), max(head 1, event-2 bound) and s_hi of the rows
     bs (``_budget_case7``), given lc_at(k), log C(n, k) at an integer array
@@ -726,11 +757,16 @@ def _c7_block_bounds(n, p, big, b0, b_hi):
       log C(n, b) over the block (``_lc_top``, slack included), minus
       k1 a b p at a = n - s_max - b1 and b = b0, computed in the same order
       as the heads, so that rounding keeps it a bound;
-    * each event-2 head and bound is at most the bound on log C(n, s) over
-      1..s2 = min(s_max, 2W), minus the least E(s)/s of the block, p h at
-      a = n - s2 - b1 and b = b1, less 2^-40 of it for rounding.  Where
-      that corner leaves the region in which h rises in a and falls in b
-      (a > 3.99 b for C7a, a > 100 b for C7b), only E >= 0 is used."""
+    * each event-2 head and bound is at most a bound on log C(n, s) minus
+      the least E(s)/s of the block, p h at a = n - s2 - b1 and b = b1 with
+      s2 = min(s_max, 2W), less 2^-40 of it for rounding.  Where that
+      corner leaves the region in which h rises in a and falls in b
+      (a > 3.99 b for C7a, a > 100 b for C7b), only E >= 0 is used.  The
+      head and the line's value lie at s_lo <= 2; the line reaches higher
+      only when it rises at its first step, by log C(n, s_lo + 2) -
+      log C(n, s_lo) < 2 ln n - ln 6 on a slope of 2 E(s)/s.  So where the
+      least E(s)/s is ln n + 1 or more, log C(n, s) is bounded over 1..2,
+      and otherwise over 1..s2."""
     b1 = np.minimum(b0 + (_BLOCK - 1), b_hi)
     s_max = _c7_s_caps(n, b1, b0)
     s2 = np.minimum(s_max, 2 * _C7_WINDOW)
@@ -742,8 +778,10 @@ def _c7_block_bounds(n, p, big, b0, b_hi):
     with np.errstate(invalid="ignore", divide="ignore"):
         slope = _c7_event2_exponent(n, p, big, b1, s2) / s2
     corner = 100 * (n - s2 - b1) > (399 if big else 10000) * b1
-    return np.maximum(head1, top_s2 - np.where(
-        corner, slope * (1.0 - 2.0 ** -40), 0.0))
+    least = np.where(corner, slope * (1.0 - 2.0 ** -40), 0.0)
+    top_lo = math.log(max(n, n * (n - 1) / 2.0)) + _lc_slack(n)   # s <= 2
+    return np.maximum(head1, np.where(least >= math.log(n) + 1.0, top_lo,
+                                      top_s2) - least)
 
 
 def _c7_rows(n, p, big):
@@ -841,7 +879,27 @@ def _budget_case7(n, p, eps, *, big):
     otherwise.  The sums read the rows' table where there is one;
     otherwise log C(n, k) is computed at the kept rows' b, for s <= 2W,
     and over the s from the least to the largest of their event-1 windows
-    (about 2W of them when the kept rows are one run of b, as in practice)."""
+    (about 2W of them when the kept rows are one run of b, as in practice).
+
+    The kept rows are summed in chunks of 4096, each chunk laid out as
+    (event, row, slot), 2 x rows x W terms, and summed by ``_logsumexp``
+    with its own M.  A slot holds a term only while its s is valid, and
+    in both windows of a row the valid slots are a prefix, of length
+    ``_c7_width``: every s of s_hi's parity in 1..s_hi, up to W.  (At 2^18
+    only 31 % of C7b's slots are valid, at 2^20 83 %; C7a's rows are full
+    from 2^12.)  Terms are computed at the valid slots only, a few dozen
+    rows at a time, and ``_logsumexp`` puts each exp in its slot of the
+    chunk's layout with exact zeros elsewhere, the exp(-inf) of an invalid
+    slot.  Every term keeps its position and value, so the pairwise sum
+    groups them as over the full layout and the bits cannot move.
+
+    Where C7a binds: its largest head is event 1 at b ~ s ~ n/5.99, a ~
+    0.666 n, where the caps s <= b + 1 and a > 3.99 b meet.  To leading
+    order that term is n (2 H(1/5.99) - k1 (a/n)(b/n) c ln n) at p =
+    c ln n/n, H the entropy in nats and k1 = 0.1^2/2: 0.902 n - 0.000556
+    c n ln n.  At c = 8 and n = 2^20 it is 0.902 n - 0.062 n = 0.840 n,
+    the log-value over n to 1e-5; the term falls below 1 only once c ln n
+    exceeds 2 H(1/5.99) / (k1 0.666 / 5.99), about 1622."""
     notes, bs_all, s_hi, table = _c7_rows(n, p, big)
     if bs_all.size == 0:
         return -math.inf, notes
@@ -858,32 +916,32 @@ def _budget_case7(n, p, eps, *, big):
     else:
         lo, lc1, lc2, lc_b = 0, table, table, table[bs_all]
 
-    total = -math.inf
-    offs = np.arange(_C7_WINDOW, dtype=np.int64) * 2
-    for lo_idx in range(0, bs_all.size, 4096):
-        part = slice(lo_idx, lo_idx + 4096)
-        bs = bs_all[part, None]
-        shi = s_hi[part, None]
-        # the chunk's terms, event 1 then event 2, computed in place
-        t1, t2 = chunk = np.empty((2, bs.size, _C7_WINDOW))
-        # event 1 terms grow with s: window descends from s_hi, at s - lo
-        # in lc1
-        j = (shi - lo) - offs
-        outside = j < 1 - lo
-        np.maximum(j, 1 - lo, out=j)
-        np.take(lc1, j, out=t1)
-        _c7_event1(t1, lc_b[part, None], k1, p,
-                   np.subtract(n - lo - bs, j, out=j), bs, out=t1)
-        t1[outside] = -np.inf
+    width = _c7_width(s_hi)
+    starts = [0, *np.cumsum(width).tolist()]
+    t1, t2 = vals = np.empty((2, starts[-1]))
+    slot = np.arange(_C7_WINDOW, dtype=np.int64)
+    offs = 2 * slot
+    for g0 in range(0, bs_all.size, _C7_GROUP):
+        g = slice(g0, g0 + _C7_GROUP)
+        bs, shi, w = bs_all[g], s_hi[g], width[g]
+        at = slice(starts[g0], starts[g0 + w.size])
+        # s_hi - s in event 1, s - s_lo in event 2
+        step = np.broadcast_to(offs, (w.size, _C7_WINDOW))[slot < w[:, None]]
+        b = np.repeat(bs.astype(np.float64), w)
+        # event 1 terms grow with s: window descends from s_hi
+        _c7_event1(lc1[np.repeat(shi - lo, w) - step], np.repeat(lc_b[g], w),
+                   k1, p, np.repeat(n - shi - bs, w) + step, b, out=t1[at])
         # event 2 terms fall with s for p >= 50/n: window ascends from the
         # parity floor
-        s2 = np.add(s_lo_all[part, None], offs, out=j)
-        outside = s2 > shi
-        s2[outside] = 1
-        np.take(lc2, s2, out=t2)
-        t2 -= _c7_event2_exponent(n, p, big, bs, s2)
-        t2[outside] = -np.inf
-        total = np.logaddexp(total, _logsumexp(chunk.ravel()))
+        s2 = np.repeat(s_lo_all[g], w) + step
+        np.subtract(lc2[s2], _c7_event2_exponent(
+            n, p, big, b, s2.astype(np.float64)), out=t2[at])
+    total = -math.inf
+    for lo_idx in range(0, bs_all.size, 4096):
+        w = width[lo_idx:lo_idx + 4096]
+        at = slice(starts[lo_idx], starts[lo_idx + w.size])
+        total = np.logaddexp(total, _logsumexp(
+            vals[:, at], rows=(np.concatenate([w, w]), _C7_WINDOW)))
     return float(total), notes
 
 

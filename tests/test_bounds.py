@@ -205,6 +205,34 @@ class TestLogSumExp:
         for a in (np.concatenate([t1.ravel(), t2.ravel()]), t1):
             assert same_float(_logsumexp(a), logsumexp(a))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=1, max_size=40),
+           st.sampled_from([1, 8, 800]), st.integers(0, 2 ** 32 - 1))
+    def test_rows_bitwise_equal_to_the_full_rows(self, widths, spread, seed):
+        """Ragged rows summed from their entries alone equal the full rows
+        with -inf after each row's entries, bit for bit: in the spread of
+        800 most exps underflow or come out subnormal, and ties at the
+        maximum and rows with no entry occur."""
+        rng = np.random.default_rng(seed)
+        widths = np.array(widths)
+        a = rng.normal(0.0, spread, size=int(widths.sum()))
+        if a.size:
+            a[rng.integers(0, a.size, size=2)] = a.max()
+        full = np.full((widths.size, 8), -np.inf)
+        full[np.arange(8) < widths[:, None]] = a
+        want = logsumexp(full)
+        assert same_float(_logsumexp(a, rows=(widths, 8)), want)
+        assert same_float(_logsumexp(full), want)
+
+    def test_exp_is_zero_below_the_cut(self):
+        """``_logsumexp`` takes no exp below ``_EXP_ZERO``: there every exp
+        is exactly 0.0."""
+        x = np.concatenate([[np.nextafter(bounds._EXP_ZERO, -np.inf)],
+                            np.linspace(bounds._EXP_ZERO, -1e4, 10001),
+                            [-1e300, -np.inf]])
+        assert not np.exp(x).any()
+        assert np.exp(-745.0) > 0.0   # the cut is below the last subnormal
+
     def test_bounds_does_not_bind_scipy_logsumexp(self):
         assert not hasattr(bounds, "logsumexp")
         assert all(v is not scipy.special.logsumexp
@@ -464,9 +492,9 @@ class TestReachEvaluator:
 
 
 class TestBudgetPins:
-    """Every tag at eps = 0.5 over n = 2^10..2^18 and p in {8 ln n/n, 0.3,
-    1/n}: log-value and notes equal, bit for bit, to the values pinned in
-    tests/budget_pins.json."""
+    """Every tag at eps = 0.5 over n = 2^10..2^18, and C7a and C7b at 2^19
+    and 2^20, with p in {8 ln n/n, 0.3, 1/n}: log-value and notes equal,
+    bit for bit, to the values pinned in tests/budget_pins.json."""
 
     @pytest.mark.parametrize("e", range(10, 19))
     def test_bit_identical_to_pins(self, e):
@@ -477,6 +505,17 @@ class TestBudgetPins:
                 got = [res.log_value.hex(), repr(res.notes)]
                 assert got == BUDGET_PINS["budgets"][f"{tag}|{e}|{label}"], (
                     tag, label)
+
+    @pytest.mark.parametrize("e", (19, 20))
+    def test_c7_bit_identical_to_pins_at_2_19_and_2_20(self, e):
+        """Where most of C7b's window slots are valid (83 % at 2^20)."""
+        n = 2 ** e
+        for label, p in (("auto", auto_p(n)), ("0.3", 0.3), ("1/n", 1.0 / n)):
+            for tag in ("C7a", "C7b"):
+                res = union_budget(tag, n, p, 0.5)
+                got = [res.log_value.hex(), repr(res.notes)]
+                want = BUDGET_PINS["c7_budgets"][f"{tag}|{e}|{label}"]
+                assert got == want, (tag, label)
 
 
 class TestCase7:
@@ -513,6 +552,24 @@ class TestCase7:
                     assert t1.argmax() == s.size - 1, (b, p)
                     if p >= 50.0 / n:
                         assert t2.argmax() == 0, (b, p)
+
+    @pytest.mark.parametrize("e", range(10, 15))
+    def test_window_prefix_counts_the_valid_s(self, e):
+        """Both windows of every kept row hold valid s in exactly their first
+        ``_c7_width`` slots: event 1 from s_hi down, event 2 from the parity
+        floor up, each s counted when 1 <= s <= s_hi."""
+        n = 2 ** e
+        steps = 2 * np.arange(bounds._C7_WINDOW)
+        for p in p_grid(n):
+            for _, big in C7_SIDES:
+                _, bs, s_hi, _ = bounds._c7_rows(n, p, big)
+                width = bounds._c7_width(s_hi)
+                for s_top, w in zip(s_hi.tolist(), width.tolist()):
+                    down = s_top - steps
+                    up = (2 - s_top % 2) + steps
+                    for window in (down, up):
+                        ok = (window >= 1) & (window <= s_top)
+                        assert ok.sum() == w and ok[:w].all(), (p, s_top)
 
     def test_notes_keep_full_range_and_count_rows(self):
         n = 2 ** 12
@@ -560,10 +617,14 @@ class TestCase7:
     @pytest.mark.parametrize("block", (1, 3, 16, _BLOCK))
     def test_block_bounds_hold_every_row(self, block):
         """Both values of every row, as computed, lie at or below the bound
-        of its block: on both sides, over p_grid and 50/n."""
-        for n in (1500, 5000, 2 ** 16):
+        of its block: on both sides, over p_grid and 50/n, and at p =
+        c (ln n + 1)/n, where the blocks' least E(s)/s crosses the ln n + 1
+        from which the event-2 bound reads log C(n, s) over 1..2 only."""
+        for n in (1500, 3000, 5000, 2 ** 15, 2 ** 16):
+            turns = tuple(min(1.0, c * (math.log(n) + 1.0) / n)
+                          for c in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0))
             for tag, big in C7_SIDES:
-                for p in p_grid(n) + (min(1.0, 50.0 / n),):
+                for p in p_grid(n) + (min(1.0, 50.0 / n),) + turns:
                     notes = union_budget(tag, n, p).notes
                     bs = np.arange(notes["b_lo"], notes["b_hi"] + 1)
                     heads, row_ub, _ = bounds._c7_row_values(
