@@ -6,12 +6,12 @@ extremal size formula, and the isolated-3-path moment formulas.
 All sums that can span hundreds of orders of magnitude are evaluated in log
 space, and only over the terms within e^-40 of the largest.  A sum over an
 index range is split into blocks of ``_BLOCK`` indices, every block is
-bounded at once, and log C(n, k) is computed only in the blocks whose bound
-can reach the cutoff (``_reach_sums``; the final-case rows of C7a/C7b are
-bounded the same way by ``_c7_rows``); no budget builds a length-n row.
-The kept terms are summed in numpy by ``_logsumexp``, which repeats scipy's
-log-sum-exp formula step for step; scipy supplies only the log-gamma
-function.
+bounded at once, and only the blocks whose bound can reach the cutoff are
+computed (``_within_reach``): blocks of log C(n, k) in P24a-P27b and CUT
+(``_reach_sums``), blocks of b-rows in C7a/C7b (``_c7_rows``); no budget
+builds a length-n row.  The kept terms are summed in numpy by
+``_logsumexp``, which repeats scipy's log-sum-exp formula step for step;
+scipy supplies only the log-gamma function.
 """
 
 from __future__ import annotations
@@ -307,48 +307,53 @@ class _LogCombBlocks:
         return self._starts[:count], self._tops[:count]
 
 
+def _within_reach(ub, compute, cut):
+    """The values on every block that can hold one at or above cut(M), M
+    each row's largest value, as ``compute`` returns them: (each row's
+    largest value, the values).  ``ub`` bounds each row's values on each
+    block, rows x blocks, -inf where a row has none; ``compute(js)``
+    computes the blocks js, ascending, for every row; ``cut(tops)`` gives
+    each row's threshold and does not fall as tops rise.
+
+    Each row's block of largest bound is computed first.  A row's largest
+    value L there is at most M, so a block whose bound is below cut(L)
+    holds none at or above cut(M), and not M.  Then the blocks that any row
+    needs are computed for all rows."""
+    js = sorted(set(ub.argmax(axis=1).tolist()))
+    tops, got = compute(js)
+    need = np.flatnonzero((ub >= cut(tops)[:, None]).any(axis=0)).tolist()
+    return (tops, got) if need == js else compute(need)
+
+
 def _reach_values(lcs, his, values, bound, cut):
     """Rows of values over lcs.origin <= k <= hi, one row per hi in the
-    array ``his``, at the k of every block that some row needs: (ks, vals),
-    with vals[i] = -inf past his[i].  ``values(ks, lc)`` computes the rows
-    at a float index array from its log C values; ``bound(k0, tops, col)``
-    bounds each row's values from above on each block from k0, given
-    ``tops``, bounds on log C over the blocks, and ``col``, his as a column;
-    ``cut(tops)`` gives each row's threshold from its largest values and
-    never falls.  A row needs the blocks that can hold a value at or above
-    cut(its largest value).
-
+    array ``his``, at the k of the blocks within reach (``_within_reach``):
+    (each row's largest value, vals), with vals[i] = -inf past his[i].
+    ``values(lc, ks)`` computes the rows at a float index array from its
+    log C values; ``bound(k0, tops, col)`` bounds each row's values from
+    above on each block from k0, given ``tops``, bounds on log C over the
+    blocks, and ``col``, his as a column; ``cut`` is ``_within_reach``'s.
     Ranges of at most four blocks are computed whole: bounding them costs
-    more than computing them.  Otherwise each row's block of largest bound
-    is computed first, for every row.  A row's largest value L there is at
-    most its largest value M, so a block whose bound is below cut(L) holds
-    none at or above cut(M).  Then the blocks that any row needs are
-    computed for all rows; each row's largest value is among them."""
+    more than computing them, while P24a, P24b, CUT and P26 take 1.3-2.6x
+    as long computing 8 or 16 blocks whole as bounding them (2^11..2^14)."""
     rows = his.size
     col = his[:, None]
     hi = int(his.max())
 
-    def rows_of(ks, lc):            # a single row reaches hi: no mask
-        vals = values(ks, lc).reshape(rows, -1)
-        return vals if rows == 1 else np.where(ks > col, -math.inf, vals)
+    def compute(js):                # a single row reaches hi: no mask
+        ks, lc = lcs.read(js, hi)
+        vals = values(lc, ks).reshape(rows, -1)
+        vals = vals if rows == 1 else np.where(ks > col, -math.inf, vals)
+        return vals.max(axis=1), vals
 
     count = (hi - lcs.origin) // _BLOCK + 1
     if count <= 4:
-        ks, lc = lcs.read(range(count), hi)
-        return ks, rows_of(ks, lc)
+        return compute(range(count))
     k0, tops = lcs.tops(count)
     ub = bound(k0, tops, col).reshape(rows, -1)
     if rows > 1:
         ub = np.where(k0 > col, -math.inf, ub)
-    js = sorted(set(ub.argmax(axis=1).tolist()))
-    ks, lc = lcs.read(js, hi)
-    vals = rows_of(ks, lc)
-    need = (ub >= cut(vals.max(axis=1))[:, None]).any(axis=0)
-    need = np.flatnonzero(need).tolist()
-    if need != js:
-        ks, lc = lcs.read(need, hi)
-        vals = rows_of(ks, lc)
-    return ks, vals
+    return _within_reach(ub, compute, cut)
 
 
 def _reach_sums(lcs, his, terms, rises):
@@ -372,8 +377,8 @@ def _reach_sums(lcs, his, terms, rises):
     def cut(tops):
         return np.array([_cutoff(t, m) for t, m in zip(tops.tolist(), counts)])
 
-    _, vals = _reach_values(lcs, his, lambda ks, lc: terms(lc, ks), bound, cut)
-    for row, m, top in zip(vals, counts, vals.max(axis=1)):
+    tops, vals = _reach_values(lcs, his, terms, bound, cut)
+    for row, m, top in zip(vals, counts, tops):
         yield _log_sum(row, m, top)
 
 
@@ -510,7 +515,7 @@ def _budget_p26(n, p, eps):
     def y_top(zs):
         return np.minimum(y_peak, n - zs)
 
-    def heads(zs, lc_z):
+    def heads(lc_z, zs):
         ys = y_top(zs)
         return np.maximum(lc_z + lc_y_min - c * zs * y_min,
                           lc_z + _log_comb(n, ys) - c * zs * ys)
@@ -525,9 +530,9 @@ def _budget_p26(n, p, eps):
     def layer_bound(lc_z, lc_y, zs):
         return lc_z + lc_y - c * zs * y_min + np.log(n - zs - y_min + 1.0)
 
-    _, heads_max = _reach_values(z_lcs, np.array([z_max]), heads, heads_bound,
+    heads_max, _ = _reach_values(z_lcs, np.array([z_max]), heads, heads_bound,
                                  lambda tops: tops)
-    cutoff = _cutoff(float(heads_max.max()), z_max - z_min + 1)
+    cutoff = _cutoff(float(heads_max[0]), z_max - z_min + 1)
 
     def kept():
         """The layers the bound keeps, as (z, log C(n,z)) pairs in z order,
@@ -573,16 +578,26 @@ def _budget_p26(n, p, eps):
     return float(total), notes
 
 
-def _sum_falling_layers(n, layers):
-    """Log-sum of the layers that ``layers`` yields as (b, log-value) pairs,
-    in order, and the notes of where it stopped: {"b_stop": b}, or {} when
-    the layers ran out.  The sum stops once three layers have come in below
-    the largest so far and n - b copies of the last layer would add under
-    e^-46 of the total."""
+def _sum_falling_layers(n, lcs, rows, terms, rises):
+    """Log-sum of the layers b that ``rows`` yields as (b, c_hi) pairs, in
+    order, and the notes of where it stopped: {"b_stop": b}, or {} when
+    the layers ran out.  Layer b sums terms(lc, cs, b, log C(n, b)) over
+    lcs.origin <= c <= c_hi (``_reach_sums``, ``rises`` as there), a batch
+    of layers at a time with b as a column.  The sum stops once three
+    layers have come in below the largest so far and n - b copies of the
+    last layer would add under e^-46 of the total."""
+    def layers():
+        for batch in _batches(rows, _FIRST_BATCH):
+            bs, c_his = (np.array(x, dtype=np.float64) for x in zip(*batch))
+            b = bs[:, None]
+            lc_b = _log_comb(n, b)
+            yield from zip((row[0] for row in batch), _reach_sums(
+                lcs, c_his, lambda lc, cs: terms(lc, cs, b, lc_b), rises))
+
     total = -math.inf
     peak = -math.inf
     decreasing = 0
-    for b, layer in layers:
+    for b, layer in layers():
         total = np.logaddexp(total, layer)
         if layer >= peak:
             peak = layer
@@ -609,17 +624,9 @@ def _budget_p27a(n, p, eps):
                 continue
             yield b, c_hi
 
-    def layers():
-        for batch in _batches(rows(), _FIRST_BATCH):
-            bs, c_his = (np.array(x, dtype=np.float64) for x in zip(*batch))
-            b = bs[:, None]
-            lc_b = _log_comb(n, b)
-            # the exponent falls in c, as a = n - b - c does
-            yield from zip((row[0] for row in batch), _reach_sums(
-                lcs, c_his, lambda lc, cs: (
-                    lc_b + lc - (0.81 / 2.0) * (n - b - cs) * b * p), False))
-
-    total, stop = _sum_falling_layers(n, layers())
+    # the exponent falls in c, as a = n - b - c does
+    total, stop = _sum_falling_layers(n, lcs, rows(), lambda lc, cs, b, lc_b: (
+        lc_b + lc - (0.81 / 2.0) * (n - b - cs) * b * p), False)
     return total, {"b_min": b0, **stop}
 
 
@@ -636,15 +643,8 @@ def _budget_p27b(n, p, eps):
                 return
             yield b, c_hi
 
-    def layers():
-        for batch in _batches(rows(), _FIRST_BATCH):
-            bs, c_his = (np.array(x, dtype=np.float64) for x in zip(*batch))
-            b = bs[:, None]
-            lc_b = _log_comb(n, b)
-            yield from zip((row[0] for row in batch), _reach_sums(
-                lcs, c_his, lambda lc, cs: lc_b + lc - 1.2 * b * cs * p, True))
-
-    total, stop = _sum_falling_layers(n, layers())
+    total, stop = _sum_falling_layers(n, lcs, rows(), lambda lc, cs, b, lc_b: (
+        lc_b + lc - 1.2 * b * cs * p), True)
     return total, {"bc_min": lo, **stop}
 
 
@@ -666,8 +666,9 @@ _C7_GROUP = 64            # rows whose terms are computed at once: each
                           # temporary stays at 128 KB or less, so memory is
                           # reused instead of faulted in afresh
 _C7_WHOLE = 16            # row ranges of at most this many blocks are
-                          # computed whole: below about 20 blocks bounding
-                          # them costs more (timed at n = 2^13..2^16)
+                          # computed whole: at 5-10 blocks C7a takes 1.2-1.6x
+                          # as long bounding them; at 13-19 neither wins by
+                          # 25 % (2-core Xeon, n = 2^10..2^18)
 
 
 def _c7_event1(lc_s, lc_b, k1, p, a, bs, out=None):
@@ -788,63 +789,60 @@ def _c7_rows(n, p, big):
     """The rows of the final-case budget that can reach float64 precision:
     (notes, b, s_hi, table), the kept b ascending, each one's largest valid
     s, and the table log C(n, 0..b_hi + 1) when the rows were computed
-    whole, else None; b and s_hi are empty when the sum is.  A row's bound
-    is max(head 1, event-2 bound) (``_budget_case7``); with M the largest
-    head over the R rows b_lo..b_hi that have a valid s, the rows whose
-    bound reaches M - 40 - ln R - ln(2W) are kept.
+    whole, else None; b and s_hi are empty when the sum is.  A row's value
+    is its largest head and its bound max(head 1, event-2 bound)
+    (``_budget_case7``); with M the largest head over the R rows
+    b_lo..b_hi that have a valid s, the rows whose bound reaches
+    M - 40 - ln R - ln(2W) are kept.
 
     Ranges of at most _C7_WHOLE blocks of _BLOCK rows are computed whole,
-    reading the table (s <= b + 1 <= b_hi + 1).  Larger ones are bounded
-    block by block (``_c7_block_bounds``), as in ``_reach_values``; but a
-    row reads log C at five indices (b, s_hi, and s_lo, s_next, s_top up to
-    2W), not at its own index, so there log C is computed at the rows' b
-    and s_hi and over s <= 2W.  The heads of the blocks' first and last
-    rows are heads, so their largest L is at most M, and a block whose
-    bound is below L - 40 - ln R - ln(2W) holds no kept row and not M.
-    Only the other blocks' rows are computed.  R, b_hi, the kept rows and
-    so the notes are those of a pass over every row."""
-    s_cut_hi = math.ceil(n / math.sqrt(math.log(n))) - 1   # s < n/sqrt(ln n)
+    reading the table (s <= b + 1 <= b_hi + 1).  Larger ones compute only
+    the blocks within reach (``_within_reach``, on ``_c7_block_bounds``),
+    with log C at the rows' b and s_hi and over s <= 2W, as a row reads it
+    at b, s_hi and s_lo, s_next, s_top (up to 2W), not at its own index.
+    R, b_hi, the kept rows and so the notes are those of a pass over every
+    row."""
     if big:
         b_lo = math.floor(1e-3 * n) + 1
         b_hi = (100 * (n - 1) - 1) // 499                  # from s >= 1
     else:
         b_lo = 1
         b_hi = math.ceil(1e-3 * n) - 1
-    none = np.empty(0, dtype=np.int64)
-    if b_lo > b_hi or s_cut_hi < 1:
-        return {"empty_range": True}, none, none, None
-    # The first two caps are 2 or more, a >= 3 leaves 2 or more up to b_hi,
-    # and a > 3.99 b leaves 1 or more there while falling by over 4 a step:
-    # only b_hi can have a cap of 1, and with it no s of the right parity.
+    # The first two caps are 2 or more (n/sqrt(ln n) > 2), a >= 3 leaves 2 or
+    # more up to b_hi, and a > 3.99 b leaves 1 or more there while falling by
+    # over 4 a step: only b_hi can have a cap of 1, and so no valid s.
     if _c7_s_his(n, b_hi) < 1:
         b_hi -= 1
-        if b_lo > b_hi:
-            return {"empty_range": True}, none, none, None
+    if b_lo > b_hi:
+        none = np.empty(0, dtype=np.int64)
+        return {"empty_range": True}, none, none, None
     notes = {"b_lo": b_lo, "b_hi": b_hi,
              "s_window": _C7_WINDOW,
              "events": ("0.9abp/0.9asp" if big else "0.1abp/0.1asp")}
     rows = b_hi - b_lo + 1
+    count = (b_hi - b_lo) // _BLOCK + 1
+    b0 = b_lo + _BLOCK * np.arange(count)
 
     def cutoff(top):
-        return top - _MARGIN - math.log(rows) - math.log(2 * _C7_WINDOW)
+        return _cutoff(top, rows) - math.log(2 * _C7_WINDOW)
 
-    count = (b_hi - b_lo) // _BLOCK + 1
+    def compute(js):
+        bs = (b0[js, None] + np.arange(_BLOCK)).ravel()
+        bs = bs[bs <= b_hi]
+        heads, row_ub, s_hi = _c7_row_values(n, p, big, bs, lc_at, lc_low)
+        return heads.max(keepdims=True), (bs, row_ub, s_hi)
+
     if count <= _C7_WHOLE:
         table = lc_low = _log_comb(n, np.arange(b_hi + 2))
         lc_at = table.__getitem__
-        bs = np.arange(b_lo, b_hi + 1)
+        top, (bs, row_ub, s_hi) = compute(range(count))
     else:
         table = None
         lc_low = _log_comb(n, np.arange(min(2 * _C7_WINDOW, b_hi + 1) + 1))
         lc_at = functools.partial(_log_comb, n)
-        b0 = b_lo + _BLOCK * np.arange(count)
-        ends = np.concatenate([b0, np.minimum(b0 + (_BLOCK - 1), b_hi)])
-        low = _c7_row_values(n, p, big, ends, lc_at, lc_low)[0].max()
-        b0 = b0[_c7_block_bounds(n, p, big, b0, b_hi) >= cutoff(low)]
-        bs = (b0[:, None] + np.arange(_BLOCK)).ravel()
-        bs = bs[bs <= b_hi]
-    heads, row_ub, s_hi = _c7_row_values(n, p, big, bs, lc_at, lc_low)
-    keep = row_ub >= cutoff(heads.max())
+        top, (bs, row_ub, s_hi) = _within_reach(
+            _c7_block_bounds(n, p, big, b0, b_hi)[None], compute, cutoff)
+    keep = row_ub >= cutoff(top)
     notes["b_rows"] = int(np.count_nonzero(keep))
     return notes, bs[keep], s_hi[keep], table
 
@@ -860,7 +858,7 @@ def _budget_case7(n, p, eps, *, big):
     event 1 descending from the largest valid s, s_hi, event 2 ascending
     from the parity floor s_lo (1 or 2).  Only the rows that can reach
     float64 precision are summed, chosen by a bound on every term of each
-    row (``_c7_rows`` finds them block by block):
+    row (``_c7_rows``):
 
     * s <= b + 1 and a > 3.99 b give s <= (n + 5)/5.99, so s stays below
       n/2 where log C(n, s) rises; event 1 rises in s and its head

@@ -585,6 +585,49 @@ class TestCase7:
         n = 2 ** 20
         assert union_budget("C7a", n, auto_p(n)).notes["b_rows"] <= 4096
 
+    @pytest.mark.parametrize("tag, n", (("C7b", 2 ** 13), ("C7b", 2 ** 15),
+                                        ("C7b", 2 ** 16), ("C7a", 4000)))
+    def test_slot_layout_where_the_budget_crosses_one(self, tag, n):
+        """At the p where the budget crosses 1 (found on the oracle) the
+        log-value is within 1e-12 of 0, so its last bits are those of the
+        chunk's pairwise sum of exps.  The terms within 36 nats of the top
+        lie in many short rows (C7b at 2^16: 33 of them in 32 rows, each
+        with at most 33 valid slots of 256), so an exp put at a wrong slot
+        of the (event, row, slot) layout shows in the bits."""
+        big = tag == "C7a"
+        lo, hi = 1.0 / n, 1.0
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            if full_window_case7(n, mid, big) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        got = union_budget(tag, n, hi).log_value
+        assert abs(got) < 1e-12
+        assert same_float(got, full_window_case7(n, hi, big))
+
+    def test_rows_computed_at_2_18_and_2_20(self):
+        """C7a computes the rows of its block of largest bound, then those
+        of the blocks within reach of its largest head, of 205 blocks at
+        2^18 and 817 at 2^20: at p = 8 ln n/n one block at 2^20, and the
+        second pass adds one block at 2^18 and at p = 0.3."""
+        seen = []
+
+        def spy(n, p, big, bs, *rest):
+            seen.append(bs.size)
+            return row_values(n, p, big, bs, *rest)
+
+        row_values = bounds._c7_row_values
+        want = {(18, "auto"): [256, 512], (18, "0.3"): [256, 303],
+                (20, "auto"): [256], (20, "0.3"): [191, 447]}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_c7_row_values", spy)
+            for (e, label), sizes in want.items():
+                n = 2 ** e
+                seen.clear()
+                union_budget("C7a", n, auto_p(n) if label == "auto" else 0.3)
+                assert seen == sizes, (e, label)
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.integers(2, 5000),
                      st.sampled_from([2 ** e for e in range(10, 19)])),
